@@ -13,7 +13,6 @@ from .de import (
     ChangeOverGeneration,
     DESettings,
     GenerationRecord,
-    MaxGenerations,
     SolveReport,
     Strategy,
     ValueBelow,
@@ -68,9 +67,7 @@ from .solver import (
     ouq_solve,
 )
 from .surrogate import (
-    DEFAULT_BOX,
     DEFAULT_PARAMS,
-    InputBox,
     SurrogateParams,
     ballistic_limit,
     mils_to_mm,

@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import RunConfig, load_config
+from .config import RunConfig, apply_overrides, load_config
 from .errors import ConfigError, OUQError
 from .measures import (
     DiscreteMeasure,
@@ -79,7 +79,6 @@ def build_problem(config: RunConfig, seed: int) -> OUQProblem:
         outer=replace(config.outer, seed=seed),
         inner=replace(config.inner, seed=seed),
         outer_termination=config.outer_termination,
-        inner_max_generations=config.inner_max_generations,
     )
 
 
@@ -184,16 +183,12 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return eval_point(args.response, args.coords)
 
-        config = load_config(args.config)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-        if args.runs is not None:
-            if args.runs < 1:
-                print("--runs must be >= 1", file=sys.stderr)
-                return 1
-            config = replace(config, runs=args.runs)
-        if args.output_dir is not None:
-            config = replace(config, output_dir=args.output_dir)
+        config = apply_overrides(
+            load_config(args.config),
+            seed=args.seed,
+            runs=args.runs,
+            output_dir=args.output_dir,
+        )
         return run_solve(config)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,26 +11,31 @@ Schema (all keys shown; unknown keys are rejected):
     mean_band: [5.5, 7.5]                # or {m: 6.5, d: 1.0}
     failure_tolerance: 0.0
     outer: {npop, cross_probability, scaling_factor, strategy, max_generations}
-    inner: {npop, cross_probability, scaling_factor, strategy}
-    outer_termination: {rule: change_over_generation, tolerance: 1.0e-4, generations: 10}
-    inner_max_generations: 1000
+    inner: {npop, cross_probability, scaling_factor, strategy, max_generations}
+    outer_termination:                   # optional; omitted, the outer DE runs
+      rule: change_over_generation       # to outer.max_generations
+      tolerance: 1.0e-4
+      generations: 10
+    # or: outer_termination: {rule: value_below, tolerance: ...}
     seed: 0
     runs: 10
     output_dir: out
 
-Length units mils and angle unit deg are converted at this boundary
-(1 mil = 0.0254 mm); mm, rad and km_s are native and pass through.
+Each DE's generation cap is its own `max_generations` (default 1000).
+Every number must be finite.  Length units mils and angle unit deg are
+converted at this boundary (1 mil = 0.0254 mm); mm, rad and km_s are
+native and pass through.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import yaml
 
-from .de import ChangeOverGeneration, DESettings, MaxGenerations, Strategy, ValueBelow
+from .de import ChangeOverGeneration, DESettings, Strategy, TerminationRule, ValueBelow
 from .errors import ParseError, ValidationError
 from .surrogate import mils_to_mm
 
@@ -51,9 +56,8 @@ class RunConfig:
     mean_band: tuple[float, float]
     outer: DESettings
     inner: DESettings
-    outer_termination: object
+    outer_termination: TerminationRule | None = None
     failure_tolerance: float = 0.0
-    inner_max_generations: int = 1000
     seed: int = 0
     runs: int = 1
     output_dir: str = "out"
@@ -74,6 +78,8 @@ def _reject_unknown(mapping: dict, allowed: set[str], where: str):
 def _as_float(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValidationError(f"{where} must be finite, got {value!r}")
     return float(value)
 
 
@@ -156,7 +162,7 @@ def _parse_de_settings(value, where: str, seed: int) -> DESettings:
         raise ValidationError(f"{where}: {exc}")
 
 
-def _parse_termination(value):
+def _parse_termination(value) -> TerminationRule:
     value = _require_mapping(value, "outer_termination")
     rule = value.get("rule")
     if rule == "change_over_generation":
@@ -168,11 +174,8 @@ def _parse_termination(value):
     if rule == "value_below":
         _reject_unknown(value, {"rule", "tolerance"}, "outer_termination")
         return ValueBelow(tolerance=_as_float(value["tolerance"], "outer_termination.tolerance"))
-    if rule == "max_generations":
-        _reject_unknown(value, {"rule", "limit"}, "outer_termination")
-        return MaxGenerations(limit=_as_int(value["limit"], "outer_termination.limit"))
     raise ValidationError(
-        "outer_termination.rule must be one of: change_over_generation, value_below, max_generations"
+        "outer_termination.rule must be one of: change_over_generation, value_below"
     )
 
 
@@ -185,7 +188,6 @@ _TOP_KEYS = {
     "outer",
     "inner",
     "outer_termination",
-    "inner_max_generations",
     "seed",
     "runs",
     "output_dir",
@@ -198,7 +200,6 @@ _REQUIRED_KEYS = {
     "mean_band",
     "outer",
     "inner",
-    "outer_termination",
     "seed",
 }
 
@@ -244,9 +245,27 @@ def load_config(path) -> RunConfig:
         failure_tolerance=failure_tolerance,
         outer=_parse_de_settings(raw["outer"], "outer", seed),
         inner=_parse_de_settings(raw["inner"], "inner", seed),
-        outer_termination=_parse_termination(raw["outer_termination"]),
-        inner_max_generations=_as_int(raw.get("inner_max_generations", 1000), "inner_max_generations"),
+        outer_termination=(
+            _parse_termination(raw["outer_termination"])
+            if "outer_termination" in raw
+            else None
+        ),
         seed=seed,
         runs=_as_int(raw.get("runs", 1), "runs"),
         output_dir=str(raw.get("output_dir", "out")),
     )
+
+
+def apply_overrides(
+    config: RunConfig, seed=None, runs=None, output_dir=None
+) -> RunConfig:
+    """Return `config` with the given command-line overrides, checked by the
+    same rules as the file's `seed` and `runs` keys."""
+    changes = {}
+    if seed is not None:
+        changes["seed"] = _as_int(seed, "--seed", minimum=0)
+    if runs is not None:
+        changes["runs"] = _as_int(runs, "--runs")
+    if output_dir is not None:
+        changes["output_dir"] = str(output_dir)
+    return replace(config, **changes)

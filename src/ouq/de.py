@@ -72,20 +72,7 @@ class ValueBelow:
             raise ValueError("tolerance must be nonnegative")
 
 
-@dataclass(frozen=True)
-class MaxGenerations:
-    """Stop after `limit` generations."""
-
-    limit: int
-
-    name = "max_generations"
-
-    def __post_init__(self):
-        if self.limit < 1:
-            raise ValueError("limit must be positive")
-
-
-TerminationRule = ChangeOverGeneration | ValueBelow | MaxGenerations
+TerminationRule = ChangeOverGeneration | ValueBelow
 
 
 def termination_met(rule: TerminationRule, history: Sequence[float]) -> bool:
@@ -102,8 +89,6 @@ def termination_met(rule: TerminationRule, history: Sequence[float]) -> bool:
         return abs(history[-1] - history[-1 - rule.generations]) <= rule.tolerance
     if isinstance(rule, ValueBelow):
         return history[-1] <= rule.tolerance
-    if isinstance(rule, MaxGenerations):
-        return len(history) - 1 >= rule.limit
     raise TypeError(f"unknown termination rule: {rule!r}")
 
 
@@ -195,12 +180,10 @@ def de_solve(
     cost: Callable[[np.ndarray], float],
     bounds: Bounds,
     settings: DESettings,
-    constrain: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    constrain: Optional[Callable[[np.ndarray, int, int], np.ndarray]] = None,
     termination: Optional[TerminationRule] = None,
     *,
-    constrain_ctx: Optional[Callable[[np.ndarray, int, int], np.ndarray]] = None,
     initial: Optional[np.ndarray] = None,
-    bounds_mode: str = "clip",
     infeasible_cost: Optional[float] = None,
     trace_hook: Optional[Callable[[int, float, np.ndarray], None]] = None,
 ) -> SolveReport:
@@ -213,23 +196,16 @@ def de_solve(
     is built against the generation-start population, which makes
     concurrent and sequential evaluation equivalent.
 
-    `constrain_ctx` is the context-aware form `f(params, generation, slot)`
-    used when per-trial derived seeds are needed; plain `constrain` ignores
-    context.  Trials whose constraint raises ConstraintViolation receive
-    `infeasible_cost` when that is set; otherwise they are discarded, and
-    a generation in which every trial is discarded raises
-    InfeasibleConstrain.
+    `constrain` is called as `constrain(params, generation, slot)`, so a
+    repair can derive per-trial seeds from its position in the run;
+    generation 0 is the initial population.  Out-of-box trials are always
+    clipped, never rejected.  Trials whose constraint raises
+    ConstraintViolation receive `infeasible_cost` when that is set;
+    otherwise they are discarded, and a generation in which every trial is
+    discarded raises InfeasibleConstrain.
     """
-    if constrain is not None and constrain_ctx is not None:
-        raise ValueError("pass either constrain or constrain_ctx, not both")
-    if bounds_mode not in ("clip", "reject"):
-        raise ValueError("bounds_mode must be 'clip' or 'reject'")
-    if constrain is not None:
-        _constrain = lambda v, g, s: constrain(v)
-    elif constrain_ctx is not None:
-        _constrain = constrain_ctx
-    else:
-        _constrain = lambda v, g, s: v
+    if constrain is None:
+        constrain = lambda v, g, s: v
 
     d = len(bounds)
     rng = np.random.default_rng(settings.seed)
@@ -240,7 +216,7 @@ def de_solve(
         nonlocal evaluations
         vec = bounds.clip(vec)
         try:
-            vec = np.asarray(_constrain(vec, gen, slot), dtype=float)
+            vec = np.asarray(constrain(vec, gen, slot), dtype=float)
         except ConstraintViolation:
             bad = math.inf if infeasible_cost is None else infeasible_cost
             return vec, bad, False
@@ -289,11 +265,6 @@ def de_solve(
             trial = mutate_best1exp(
                 best_vec, base[c1], base[c2], base[slot], settings, rng
             )
-            if bounds_mode == "reject" and not bounds.contains(trial):
-                # Infinite-potential-well reading: out-of-box trials are
-                # discarded without evaluation.
-                trials.append((trial, math.inf, True))
-                continue
             vec, c, ok = prepare_and_eval(trial, gen, slot)
             if not ok:
                 n_rejected += 1

@@ -47,26 +47,6 @@ class SurrogateParams:
 DEFAULT_PARAMS = SurrogateParams()
 
 
-@dataclass(frozen=True)
-class InputBox:
-    """Axis ranges over which the surrogate behaviour is studied."""
-
-    h: tuple[float, float] = (1.524, 2.667)  # mm
-    theta: tuple[float, float] = (0.0, math.pi / 6)  # rad
-    v: tuple[float, float] = (2.1, 2.8)  # km/s
-
-    def __post_init__(self):
-        for lo, hi in (self.h, self.theta, self.v):
-            if not lo < hi:
-                raise ValueError(f"need lower < upper per axis, got [{lo}, {hi}]")
-
-    def as_pairs(self) -> tuple[tuple[float, float], ...]:
-        return (self.h, self.theta, self.v)
-
-
-DEFAULT_BOX = InputBox()
-
-
 def _check_domain(h: float, theta: float):
     if h <= 0.0:
         raise DomainError(f"plate thickness must be positive, got {h}")

@@ -4,8 +4,16 @@ from pathlib import Path
 
 import pytest
 
-from ouq import ChangeOverGeneration, Strategy, ValidationError, event_probability
-from ouq.cli import main, measure_from_dict, measure_to_dict
+from ouq import (
+    ChangeOverGeneration,
+    InnerLoopFailed,
+    Strategy,
+    ValidationError,
+    event_probability,
+    impose_expectation,
+    unflatten,
+)
+from ouq.cli import build_problem, main, measure_from_dict, measure_to_dict
 from ouq.config import load_config
 from ouq.errors import ParseError
 from ouq.registry import get_response
@@ -32,6 +40,11 @@ seed: 0
 runs: 1
 output_dir: {outdir}
 """
+
+
+OUTER_TERMINATION_LINE = (
+    "outer_termination: {rule: change_over_generation, tolerance: 1.0e-4, generations: 10}\n"
+)
 
 
 def write_tiny_config(tmp_path, **overrides):
@@ -87,6 +100,53 @@ class TestLoadConfig:
         path, _ = write_tiny_config(tmp_path, **{"npop: 40": "npop: 40\n  banana: 1"})
         with pytest.raises(ValidationError):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("seed: 0", "inner_max_generations: 5\nseed: 0"),
+            (OUTER_TERMINATION_LINE, "outer_termination: {rule: max_generations, limit: 5}\n"),
+        ],
+        ids=["inner_max_generations", "max_generations_rule"],
+    )
+    def test_removed_keys_rejected(self, tmp_path, old, new):
+        path, _ = write_tiny_config(tmp_path, **{old: new})
+        with pytest.raises(ValidationError):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("[2.1, 2.8]", "[2.1, .inf]"),
+            ("mean_band: [5.5, 7.5]", "mean_band: [.nan, 7.5]"),
+        ],
+        ids=["inf_bound", "nan_band"],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, old, new):
+        path, outdir = write_tiny_config(tmp_path, **{old: new})
+        with pytest.raises(ValidationError, match="finite"):
+            load_config(path)
+        assert main(["solve", str(path)]) == 1
+        assert not outdir.exists()
+
+    def test_inner_max_generations_is_the_inner_cap(self, tmp_path, de_reports):
+        path, _ = write_tiny_config(
+            tmp_path,
+            **{
+                "npop: 20": "npop: 20\n  max_generations: 3",
+                "mean_band: [5.5, 7.5]": "mean_band: [100.0, 101.0]",
+            },
+        )
+        problem = build_problem(load_config(path), seed=0)
+        assert problem.inner.max_generations == 3
+
+        product = unflatten(
+            [0.5, 0.5, 1.524, 2.667, 0.5, 0.5, 0.0, 0.1, 0.5, 0.5, 2.2885, 2.8],
+            problem.layout,
+        )
+        with pytest.raises(InnerLoopFailed, match="exhausted 3 generations"):
+            impose_expectation(product, problem, seed=1)
+        assert [r.generations_run for r in de_reports] == [3]
 
     def test_parse_error(self, tmp_path):
         path = tmp_path / "broken.config"
@@ -156,6 +216,23 @@ class TestSolve:
         summary = json.loads((other / "summary.json").read_text())
         assert summary["base_seed"] == 3
         assert summary["runs"] == 2
+
+    def test_runs_to_max_generations_without_outer_termination(self, tmp_path, capsys):
+        path, outdir = write_tiny_config(tmp_path, **{OUTER_TERMINATION_LINE: ""})
+        assert load_config(path).outer_termination is None
+        assert main(["solve", str(path)]) == 0
+        result = json.loads((outdir / "result_0.json").read_text())
+        assert result["generations"] == 15
+        assert result["terminated_by"] == "max_generations"
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--seed", "-1"), ("--runs", "0")], ids=["seed", "runs"]
+    )
+    def test_invalid_override_rejected_before_artifacts(self, tmp_path, capsys, flag, value):
+        path, outdir = write_tiny_config(tmp_path)
+        assert main(["solve", str(path), flag, value]) == 1
+        assert flag in capsys.readouterr().err
+        assert not (outdir / "trace_0.csv").exists()
 
     def test_missing_config(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.config")]) == 1

@@ -6,7 +6,6 @@ from ouq import (
     ChangeOverGeneration,
     DESettings,
     DimensionMismatch,
-    MaxGenerations,
     Strategy,
     ValueBelow,
     de_solve,
@@ -110,10 +109,6 @@ class TestTermination:
         assert termination_met(ValueBelow(1.0), [5.0, 2.0, 0.81]) is True
         assert termination_met(ValueBelow(1.0), [5.0, 1.2]) is False
 
-    def test_max_generations(self):
-        assert termination_met(MaxGenerations(3), [9.0, 8.0, 7.0, 6.0]) is True
-        assert termination_met(MaxGenerations(3), [9.0, 8.0]) is False
-
 
 class TestDeSolve:
     def test_sphere_3d(self):
@@ -133,7 +128,7 @@ class TestDeSolve:
         assert report.opt_params[0] == pytest.approx(2.0, abs=1e-4)
 
     def test_constraint_projection_applied_before_evaluation(self):
-        def pin_first(v):
+        def pin_first(v, generation, slot):
             v = v.copy()
             v[0] = 1.0
             return v

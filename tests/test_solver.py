@@ -45,15 +45,14 @@ def paper_problem(seed=0, band=(5.5, 7.5), outer_max=500):
     )
 
 
-def toy_problem(response, npts=(2,), bounds=((0.0, 10.0),), band=(4.5, 5.5), seed=0, **kw):
+def toy_problem(response, npts=(2,), bounds=((0.0, 10.0),), band=(4.5, 5.5), seed=0, inner=None):
     return OUQProblem(
         response=response,
         layout=ParamLayout(npts, bounds),
         constraint=MeanConstraint.from_band(*band),
         outer=DESettings(npop=10, seed=seed, max_generations=100),
-        inner=DESettings(npop=10, seed=seed),
+        inner=inner or DESettings(npop=10, seed=seed),
         outer_termination=ChangeOverGeneration(1e-6, 10),
-        **kw,
     )
 
 
@@ -193,11 +192,48 @@ class TestImposeExpectation:
 
     def test_unreachable_band_fails(self):
         problem = toy_problem(
-            lambda x: x, band=(99.0, 101.0), seed=2, inner_max_generations=5
+            lambda x: x,
+            band=(99.0, 101.0),
+            seed=2,
+            inner=DESettings(npop=10, seed=2, max_generations=5),
         )
         product = pack([DiscreteMeasure.from_arrays([0.5, 0.5], [4.0, 6.0], 0.0, 10.0)])
         with pytest.raises(InnerLoopFailed):
             impose_expectation(product, problem, seed=1)
+
+
+class TestRepairSemantics:
+    """Pins what the nested repair returns on the reference problem."""
+
+    def test_out_of_band_trial_is_replaced_at_generation_0(self, de_reports):
+        problem = paper_problem(seed=0)
+        # thin plate at top speed: expectation ~9.35, above the band
+        trial = unflatten(
+            [0.5, 0.5, 1.524, 1.53, 1.0, 0.0, 0.0, 0.1, 0.5, 0.5, 2.79, 2.8],
+            problem.layout,
+        )
+        assert expectation(trial, perforation_area) > 7.5
+        out = impose_expectation(trial, problem, seed=0)
+        assert [r.generations_run for r in de_reports] == [0]
+        assert 5.5 <= expectation(out, perforation_area) <= 7.5
+        assert out != trial
+
+    def test_result_does_not_depend_on_the_trial(self, de_reports):
+        # the initial member nearest m wins, and the trial (slot 0) is not it
+        problem = paper_problem(seed=0)
+        high = unflatten(
+            [0.5, 0.5, 1.524, 1.53, 1.0, 0.0, 0.0, 0.1, 0.5, 0.5, 2.79, 2.8],
+            problem.layout,
+        )
+        low = unflatten(
+            [0.5, 0.5, 2.65, 2.667, 0.5, 0.5, 0.52, 0.5236, 0.5, 0.5, 2.1, 2.15],
+            problem.layout,
+        )
+        assert expectation(low, perforation_area) < 5.5
+        out_high = impose_expectation(high, problem, seed=3)
+        out_low = impose_expectation(low, problem, seed=3)
+        assert [r.generations_run for r in de_reports] == [0, 0]
+        assert out_high == out_low
 
 
 class TestOuqSolve:

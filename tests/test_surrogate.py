@@ -5,13 +5,17 @@ import pytest
 
 from ouq import (
     DomainError,
-    InputBox,
     SurrogateParams,
     ballistic_limit,
     mils_to_mm,
     mm_to_mils,
     perforation_area,
 )
+
+# The reference configuration's axis box.
+BOX_H = (1.524, 2.667)  # mm
+BOX_THETA = (0.0, math.pi / 6)  # rad
+BOX_V = (2.1, 2.8)  # km/s
 
 
 class TestBallisticLimit:
@@ -56,11 +60,10 @@ class TestPerforationArea:
 
     def test_zero_iff_below_limit(self):
         rng = np.random.default_rng(11)
-        box = InputBox()
         for _ in range(500):
-            h = rng.uniform(*box.h)
-            theta = rng.uniform(*box.theta)
-            v = rng.uniform(*box.v)
+            h = rng.uniform(*BOX_H)
+            theta = rng.uniform(*BOX_THETA)
+            v = rng.uniform(*BOX_V)
             area = perforation_area(h, theta, v)
             if v <= ballistic_limit(h, theta):
                 assert area == 0.0
@@ -69,11 +72,10 @@ class TestPerforationArea:
 
     def test_monotone_in_speed(self):
         rng = np.random.default_rng(12)
-        box = InputBox()
         for _ in range(500):
-            h = rng.uniform(*box.h)
-            theta = rng.uniform(*box.theta)
-            v1, v2 = sorted(rng.uniform(box.v[0], box.v[1], size=2))
+            h = rng.uniform(*BOX_H)
+            theta = rng.uniform(*BOX_THETA)
+            v1, v2 = sorted(rng.uniform(BOX_V[0], BOX_V[1], size=2))
             assert perforation_area(h, theta, v1) <= perforation_area(h, theta, v2)
 
     def test_continuous_at_ballistic_limit(self):
