@@ -21,22 +21,12 @@ from .de import (
     termination_met,
 )
 from .errors import (
-    ArityMismatch,
     ConfigError,
     ConstraintViolation,
-    DegenerateRange,
-    DimensionMismatch,
     DomainError,
-    EmptyFactorList,
     InfeasibleConstrain,
     InnerLoopFailed,
-    LengthMismatch,
-    MeasureError,
-    NonNormalizedFactor,
     OUQError,
-    ParseError,
-    UnknownResponse,
-    ValidationError,
     ZeroMassMeasure,
 )
 from .measures import (

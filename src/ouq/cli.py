@@ -6,8 +6,9 @@
 `solve` executes `runs` independent seeded restarts and writes, per run k,
 `trace_<k>.csv` (generation, best_cost, then the flattened parameters in
 layout order) and `result_<k>.json` (bound, expectation, maximizer
-measure), plus a `summary.json` naming the best run.  Exit codes: 0 ok,
-1 usage or configuration error, 2 solver error, 3 I/O error.
+measure), plus a `summary.json` naming the best run.  A run's files are
+written only once its solve has returned.  Exit codes: 0 ok, 1 usage or
+configuration error, 2 solver error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -65,11 +66,6 @@ def _trace_header(layout: ParamLayout) -> list[str]:
 
 def build_problem(config: RunConfig, seed: int) -> OUQProblem:
     entry = get_response(config.response)
-    if len(config.npts_per_dim) != entry.arity:
-        raise ConfigError(
-            f"response {entry.name!r} takes {entry.arity} axes, "
-            f"config has {len(config.npts_per_dim)}"
-        )
     layout = ParamLayout(config.npts_per_dim, config.bounds_per_dim)
     return OUQProblem(
         response=entry.func,
@@ -94,16 +90,15 @@ def run_solve(config: RunConfig) -> int:
     for k in range(config.runs):
         seed = config.seed + k
         problem = build_problem(config, seed)
-        trace_path = out_dir / f"trace_{k}.csv"
-        with open(trace_path, "w") as fh:
-            fh.write(",".join(header) + "\n")
+        rows = [header]
 
-            def hook(generation, best_cost, best_params):
-                row = [str(generation), repr(best_cost)]
-                row.extend(repr(v) for v in best_params.tolist())
-                fh.write(",".join(row) + "\n")
+        def hook(generation, best_cost, best_params):
+            rows.append([str(generation), repr(best_cost)])
+            rows[-1].extend(repr(v) for v in best_params.tolist())
 
-            result = ouq_solve(problem, trace_hook=hook)
+        result = ouq_solve(problem, trace_hook=hook)
+        with open(out_dir / f"trace_{k}.csv", "w") as fh:
+            fh.writelines(",".join(row) + "\n" for row in rows)
 
         doc = {
             "probability_bound": result.probability_bound,

@@ -22,13 +22,15 @@ Schema (all keys shown; unknown keys are rejected):
     output_dir: out
 
 Each DE's generation cap is its own `max_generations` (default 1000).
-Every number must be finite.  Length units mils and angle unit deg are
-converted at this boundary (1 mil = 0.0254 mm); mm, rad and km_s are
-native and pass through.
+Every number must be finite.  The response must be registered, take one
+coordinate per axis, and be defined at every corner of the axis box.
+Length units mils and angle unit deg are converted at this boundary
+(1 mil = 0.0254 mm); mm, rad and km_s are native and pass through.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -36,7 +38,8 @@ from pathlib import Path
 import yaml
 
 from .de import ChangeOverGeneration, DESettings, Strategy, TerminationRule, ValueBelow
-from .errors import ParseError, ValidationError
+from .errors import ConfigError, DomainError
+from .registry import check_arity, get_response
 from .surrogate import mils_to_mm
 
 _UNIT_CONVERSIONS = {
@@ -65,29 +68,29 @@ class RunConfig:
 
 def _require_mapping(value, where: str) -> dict:
     if not isinstance(value, dict):
-        raise ValidationError(f"{where} must be a mapping, got {type(value).__name__}")
+        raise ConfigError(f"{where} must be a mapping, got {type(value).__name__}")
     return value
 
 
 def _reject_unknown(mapping: dict, allowed: set[str], where: str):
     unknown = set(mapping) - allowed
     if unknown:
-        raise ValidationError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
 
 def _as_float(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where} must be a number, got {value!r}")
+        raise ConfigError(f"{where} must be a number, got {value!r}")
     if not math.isfinite(value):
-        raise ValidationError(f"{where} must be finite, got {value!r}")
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     return float(value)
 
 
 def _as_int(value, where: str, minimum: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{where} must be an integer, got {value!r}")
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
     if value < minimum:
-        raise ValidationError(f"{where} must be >= {minimum}, got {value}")
+        raise ConfigError(f"{where} must be >= {minimum}, got {value}")
     return value
 
 
@@ -95,10 +98,10 @@ def _parse_bounds_entry(entry, where: str) -> tuple[float, float]:
     if isinstance(entry, dict):
         _reject_unknown(entry, {"lower", "upper", "unit"}, where)
         if "lower" not in entry or "upper" not in entry:
-            raise ValidationError(f"{where} needs 'lower' and 'upper'")
+            raise ConfigError(f"{where} needs 'lower' and 'upper'")
         unit = entry.get("unit", "mm")
         if unit not in _UNIT_CONVERSIONS:
-            raise ValidationError(
+            raise ConfigError(
                 f"{where}: unknown unit {unit!r}; known: {', '.join(sorted(_UNIT_CONVERSIONS))}"
             )
         conv = _UNIT_CONVERSIONS[unit]
@@ -108,9 +111,9 @@ def _parse_bounds_entry(entry, where: str) -> tuple[float, float]:
         lo = _as_float(entry[0], f"{where}[0]")
         hi = _as_float(entry[1], f"{where}[1]")
     else:
-        raise ValidationError(f"{where} must be a [lower, upper] pair or a tagged mapping")
+        raise ConfigError(f"{where} must be a [lower, upper] pair or a tagged mapping")
     if not lo < hi:
-        raise ValidationError(f"{where}: need lower < upper, got [{lo}, {hi}]")
+        raise ConfigError(f"{where}: need lower < upper, got [{lo}, {hi}]")
     return (lo, hi)
 
 
@@ -118,19 +121,19 @@ def _parse_mean_band(value) -> tuple[float, float]:
     if isinstance(value, dict):
         _reject_unknown(value, {"m", "d"}, "mean_band")
         if "m" not in value or "d" not in value:
-            raise ValidationError("mean_band mapping needs 'm' and 'd'")
+            raise ConfigError("mean_band mapping needs 'm' and 'd'")
         m = _as_float(value["m"], "mean_band.m")
         d = _as_float(value["d"], "mean_band.d")
         if d <= 0:
-            raise ValidationError("mean_band.d must be positive")
+            raise ConfigError("mean_band.d must be positive")
         return (m - d, m + d)
     if isinstance(value, (list, tuple)) and len(value) == 2:
         m1 = _as_float(value[0], "mean_band[0]")
         m2 = _as_float(value[1], "mean_band[1]")
         if not m1 < m2:
-            raise ValidationError(f"mean_band: need m1 < m2, got [{m1}, {m2}]")
+            raise ConfigError(f"mean_band: need m1 < m2, got [{m1}, {m2}]")
         return (m1, m2)
-    raise ValidationError("mean_band must be [m1, m2] or {m: ..., d: ...}")
+    raise ConfigError("mean_band must be [m1, m2] or {m: ..., d: ...}")
 
 
 _DE_KEYS = {"npop", "cross_probability", "scaling_factor", "strategy", "max_generations"}
@@ -150,7 +153,7 @@ def _parse_de_settings(value, where: str, seed: int) -> DESettings:
         try:
             kwargs["strategy"] = Strategy(value["strategy"])
         except ValueError:
-            raise ValidationError(
+            raise ConfigError(
                 f"{where}.strategy must be one of: "
                 + ", ".join(s.value for s in Strategy)
             )
@@ -159,22 +162,25 @@ def _parse_de_settings(value, where: str, seed: int) -> DESettings:
     try:
         return DESettings(**kwargs)
     except ValueError as exc:
-        raise ValidationError(f"{where}: {exc}")
+        raise ConfigError(f"{where}: {exc}")
 
 
 def _parse_termination(value) -> TerminationRule:
     value = _require_mapping(value, "outer_termination")
     rule = value.get("rule")
-    if rule == "change_over_generation":
-        _reject_unknown(value, {"rule", "tolerance", "generations"}, "outer_termination")
-        return ChangeOverGeneration(
-            tolerance=_as_float(value.get("tolerance", 1e-4), "outer_termination.tolerance"),
-            generations=_as_int(value.get("generations", 10), "outer_termination.generations"),
-        )
-    if rule == "value_below":
-        _reject_unknown(value, {"rule", "tolerance"}, "outer_termination")
-        return ValueBelow(tolerance=_as_float(value["tolerance"], "outer_termination.tolerance"))
-    raise ValidationError(
+    try:
+        if rule == "change_over_generation":
+            _reject_unknown(value, {"rule", "tolerance", "generations"}, "outer_termination")
+            return ChangeOverGeneration(
+                tolerance=_as_float(value.get("tolerance", 1e-4), "outer_termination.tolerance"),
+                generations=_as_int(value.get("generations", 10), "outer_termination.generations"),
+            )
+        if rule == "value_below":
+            _reject_unknown(value, {"rule", "tolerance"}, "outer_termination")
+            return ValueBelow(tolerance=_as_float(value.get("tolerance"), "outer_termination.tolerance"))
+    except ValueError as exc:
+        raise ConfigError(f"outer_termination: {exc}")
+    raise ConfigError(
         "outer_termination.rule must be one of: change_over_generation, value_below"
     )
 
@@ -204,38 +210,54 @@ _REQUIRED_KEYS = {
 }
 
 
+def _check_response(name: str, bounds: tuple[tuple[float, float], ...]):
+    """Resolve the response and evaluate it at every corner of the axis box.
+
+    The surrogate's domain is itself a box, so a box whose corners all lie
+    in it lies in it entirely.
+    """
+    entry = get_response(name)
+    check_arity(entry, len(bounds))
+    for corner in itertools.product(*bounds):
+        try:
+            entry.func(*corner)
+        except DomainError as exc:
+            raise ConfigError(f"bounds_per_dim leave the domain of {name!r}: {exc}")
+
+
 def load_config(path) -> RunConfig:
     """Parse and fully validate a run configuration file."""
     text = Path(path).read_text()
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
-        raise ParseError(f"{path}: {exc}")
+        raise ConfigError(f"{path}: {exc}")
     raw = _require_mapping(raw, str(path))
     _reject_unknown(raw, _TOP_KEYS, str(path))
     missing = _REQUIRED_KEYS - set(raw)
     if missing:
-        raise ValidationError(f"{path}: missing required key(s): {', '.join(sorted(missing))}")
+        raise ConfigError(f"{path}: missing required key(s): {', '.join(sorted(missing))}")
 
     if not isinstance(raw["response"], str):
-        raise ValidationError("response must be a string")
+        raise ConfigError("response must be a string")
     npts_raw = raw["npts_per_dim"]
     if not isinstance(npts_raw, list) or not npts_raw:
-        raise ValidationError("npts_per_dim must be a nonempty list")
+        raise ConfigError("npts_per_dim must be a nonempty list")
     npts = tuple(_as_int(n, "npts_per_dim entry") for n in npts_raw)
 
     bounds_raw = raw["bounds_per_dim"]
     if not isinstance(bounds_raw, list) or len(bounds_raw) != len(npts):
-        raise ValidationError("bounds_per_dim must list one [lower, upper] pair per axis")
+        raise ConfigError("bounds_per_dim must list one [lower, upper] pair per axis")
     bounds = tuple(
         _parse_bounds_entry(entry, f"bounds_per_dim[{i}]")
         for i, entry in enumerate(bounds_raw)
     )
+    _check_response(raw["response"], bounds)
 
     seed = _as_int(raw["seed"], "seed", minimum=0)
     failure_tolerance = _as_float(raw.get("failure_tolerance", 0.0), "failure_tolerance")
     if failure_tolerance < 0:
-        raise ValidationError("failure_tolerance must be nonnegative")
+        raise ConfigError("failure_tolerance must be nonnegative")
 
     return RunConfig(
         response=raw["response"],

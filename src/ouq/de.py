@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConstraintViolation, DimensionMismatch, InfeasibleConstrain
+from .errors import ConstraintViolation, InfeasibleConstrain
 
 
 class Strategy(str, enum.Enum):
@@ -155,7 +155,7 @@ def mutate_best1exp(
     """
     d = best.size
     if not (c1.size == d and c2.size == d and target.size == d):
-        raise DimensionMismatch(
+        raise ValueError(
             f"vector lengths differ: {best.size}, {c1.size}, {c2.size}, {target.size}"
         )
     f = settings.scaling_factor
@@ -184,7 +184,6 @@ def de_solve(
     termination: Optional[TerminationRule] = None,
     *,
     initial: Optional[np.ndarray] = None,
-    infeasible_cost: Optional[float] = None,
     trace_hook: Optional[Callable[[int, float, np.ndarray], None]] = None,
 ) -> SolveReport:
     """Minimize `cost` over the box with differential evolution.
@@ -199,10 +198,12 @@ def de_solve(
     `constrain` is called as `constrain(params, generation, slot)`, so a
     repair can derive per-trial seeds from its position in the run;
     generation 0 is the initial population.  Out-of-box trials are always
-    clipped, never rejected.  Trials whose constraint raises
-    ConstraintViolation receive `infeasible_cost` when that is set;
-    otherwise they are discarded, and a generation in which every trial is
-    discarded raises InfeasibleConstrain.
+    clipped, never rejected.  A trial whose constraint raises
+    ConstraintViolation is infeasible: it costs +inf, is never evaluated
+    and never replaces a population member, so a generation of infeasible
+    trials leaves the population unchanged.  An infeasible initial member
+    holds its slot at cost +inf until a feasible trial replaces it; if no
+    initial member is feasible, InfeasibleConstrain is raised.
     """
     if constrain is None:
         constrain = lambda v, g, s: v
@@ -212,27 +213,24 @@ def de_solve(
     evaluations = 0
 
     def prepare_and_eval(vec, gen, slot):
-        """Returns (params, cost, feasible)."""
+        """Returns (params, cost); an infeasible trial costs +inf."""
         nonlocal evaluations
         vec = bounds.clip(vec)
         try:
             vec = np.asarray(constrain(vec, gen, slot), dtype=float)
         except ConstraintViolation:
-            bad = math.inf if infeasible_cost is None else infeasible_cost
-            return vec, bad, False
+            return vec, math.inf
         vec = bounds.clip(vec)
         evaluations += 1
-        return vec, float(cost(vec)), True
+        return vec, float(cost(vec))
 
     pop = rng.uniform(bounds.lower, bounds.upper, size=(settings.npop, d))
     if initial is not None:
         pop[0] = np.asarray(initial, dtype=float)
     costs = np.empty(settings.npop)
-    any_feasible = False
     for i in range(settings.npop):
-        pop[i], costs[i], ok = prepare_and_eval(pop[i], 0, i)
-        any_feasible = any_feasible or ok
-    if not any_feasible and infeasible_cost is None:
+        pop[i], costs[i] = prepare_and_eval(pop[i], 0, i)
+    if evaluations == 0:
         raise InfeasibleConstrain("constrain rejected the entire initial population")
 
     best_idx = int(np.argmin(costs))
@@ -258,24 +256,15 @@ def de_solve(
         best_vec = base[best_idx].copy()
 
         trials = []
-        n_rejected = 0
         for slot in range(settings.npop):
             others = slots[slots != slot]
             c1, c2 = rng.choice(others, size=2, replace=False)
             trial = mutate_best1exp(
                 best_vec, base[c1], base[c2], base[slot], settings, rng
             )
-            vec, c, ok = prepare_and_eval(trial, gen, slot)
-            if not ok:
-                n_rejected += 1
-            trials.append((vec, c, ok))
+            trials.append(prepare_and_eval(trial, gen, slot))
 
-        if n_rejected == settings.npop and infeasible_cost is None:
-            raise InfeasibleConstrain(
-                f"constrain rejected all {settings.npop} trials at generation {gen}"
-            )
-
-        for slot, (vec, c, ok) in enumerate(trials):
+        for slot, (vec, c) in enumerate(trials):
             if c < base_costs[slot]:
                 pop[slot] = vec
                 costs[slot] = c

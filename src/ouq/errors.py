@@ -1,12 +1,17 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Invalid arguments to the measure algebra, the optimizer and the value
+types raise the built-in ValueError.  The classes below exist because a
+handler or an exit code depends on them.
+"""
 
 
 class OUQError(Exception):
     """Base class for all package errors."""
 
 
-class MeasureError(OUQError):
-    """Base class for measure-algebra errors."""
+class ConfigError(OUQError):
+    """The run configuration cannot be parsed, validated or resolved."""
 
 
 class ConstraintViolation(OUQError):
@@ -17,57 +22,17 @@ class ConstraintViolation(OUQError):
     """
 
 
-class ZeroMassMeasure(MeasureError, ConstraintViolation):
+class ZeroMassMeasure(ConstraintViolation):
     """All weights of a discrete measure are zero; normalization is undefined."""
-
-
-class DegenerateRange(MeasureError):
-    """A point mass cannot be expanded to a positive range by scaling."""
-
-
-class EmptyFactorList(MeasureError):
-    """A product measure needs at least one factor."""
-
-
-class LengthMismatch(MeasureError):
-    """Parameter vector length is inconsistent with the layout."""
-
-
-class NonNormalizedFactor(MeasureError):
-    """A factor's mass deviates from 1 beyond the normalization gate."""
-
-
-class DimensionMismatch(OUQError):
-    """Vectors of different lengths were mixed in one mutation."""
-
-
-class InfeasibleConstrain(OUQError):
-    """Every trial of a generation was rejected by the constraint function."""
 
 
 class InnerLoopFailed(ConstraintViolation):
     """The nested mean-constraint optimization did not reach its target."""
 
 
+class InfeasibleConstrain(OUQError):
+    """No member of the initial population survived the constraint function."""
+
+
 class DomainError(OUQError):
     """Surrogate input outside the mathematical domain of the formula."""
-
-
-class UnknownResponse(OUQError):
-    """No response function registered under the requested name."""
-
-
-class ArityMismatch(OUQError):
-    """Coordinate count does not match the response function's arity."""
-
-
-class ConfigError(OUQError):
-    """Base class for run-configuration errors."""
-
-
-class ParseError(ConfigError):
-    """The configuration file could not be parsed."""
-
-
-class ValidationError(ConfigError):
-    """The configuration violates a documented invariant."""

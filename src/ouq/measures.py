@@ -21,13 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateRange,
-    EmptyFactorList,
-    LengthMismatch,
-    NonNormalizedFactor,
-    ZeroMassMeasure,
-)
+from .errors import ZeroMassMeasure
 
 # Tolerances: algebraic identities hold to 1e-12; expectations demand
 # factor masses within 1e-9 of 1.
@@ -109,7 +103,7 @@ class ProductMeasure:
 
     def __post_init__(self):
         if len(self.factors) == 0:
-            raise EmptyFactorList("a product measure needs at least one factor")
+            raise ValueError("a product measure needs at least one factor")
 
     @property
     def dimension(self) -> int:
@@ -199,7 +193,7 @@ def set_range(m: DiscreteMeasure, target: float) -> DiscreteMeasure:
     if target == current:
         return m
     if current == 0.0:
-        raise DegenerateRange("cannot expand a point mass by scaling")
+        raise ValueError("cannot expand a point mass by scaling")
     center = m.mean()
     scale = target / current
     pts = tuple(
@@ -211,7 +205,7 @@ def set_range(m: DiscreteMeasure, target: float) -> DiscreteMeasure:
 def pack(ms: Sequence[DiscreteMeasure]) -> ProductMeasure:
     """Form the product measure of the given 1D factors, in order."""
     if len(ms) == 0:
-        raise EmptyFactorList("pack needs at least one factor")
+        raise ValueError("pack needs at least one factor")
     return ProductMeasure(tuple(ms))
 
 
@@ -233,7 +227,7 @@ def unflatten(params, layout: ParamLayout) -> ProductMeasure:
     """Rebuild a product measure from a flat parameter vector; inverse of flatten."""
     params = np.asarray(params, dtype=float)
     if params.ndim != 1 or params.size != layout.param_length:
-        raise LengthMismatch(
+        raise ValueError(
             f"expected {layout.param_length} parameters for layout "
             f"{layout.npts_per_dim}, got {params.size}"
         )
@@ -252,7 +246,7 @@ def unflatten(params, layout: ParamLayout) -> ProductMeasure:
 def _check_normalized(p: ProductMeasure):
     for k, f in enumerate(p.factors):
         if abs(f.mass() - 1.0) > MASS_TOL:
-            raise NonNormalizedFactor(
+            raise ValueError(
                 f"factor {k} has mass {f.mass():.12g}; normalize before integrating"
             )
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import ArityMismatch, UnknownResponse
+from .errors import ConfigError
 from .surrogate import ballistic_limit, perforation_area
 
 
@@ -36,12 +36,12 @@ def get_response(name: str) -> ResponseEntry:
         return _REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY)) or "(none)"
-        raise UnknownResponse(f"no response named {name!r}; known: {known}")
+        raise ConfigError(f"no response named {name!r}; known: {known}")
 
 
 def check_arity(entry: ResponseEntry, ncoords: int):
     if ncoords != entry.arity:
-        raise ArityMismatch(
+        raise ConfigError(
             f"{entry.name} takes {entry.arity} coordinates, got {ncoords}"
         )
 

@@ -23,7 +23,7 @@ from .de import (
     ValueBelow,
     de_solve,
 )
-from .errors import InfeasibleConstrain, InnerLoopFailed, NonNormalizedFactor
+from .errors import InfeasibleConstrain, InnerLoopFailed
 from .measures import (
     MASS_TOL,
     ParamLayout,
@@ -235,8 +235,10 @@ def ouq_solve(
 ) -> OUQResult:
     """Compute the optimal upper bound on the failure probability.
 
-    Infeasible trials receive cost 0 (probability 0, the worst value for a
-    maximizer) so the outer loop stays total.
+    A trial the repair cannot bring into the band is infeasible and never
+    enters the outer population, so the maximizer is always a repaired
+    measure.  Raises InfeasibleConstrain when no member of the initial
+    outer population can be repaired.
     """
     bounds = build_bounds(problem.layout)
     outer_seed = problem.outer.seed
@@ -252,20 +254,12 @@ def ouq_solve(
         problem.outer,
         constrain=repair,
         termination=problem.outer_termination,
-        infeasible_cost=0.0,
         trace_hook=trace_hook,
     )
     maximizer = unflatten(report.opt_params, problem.layout)
-    try:
-        exp_value = expectation(maximizer, problem.response)
-    except NonNormalizedFactor:
-        # Only reachable when the best slot was never feasible (bound 0):
-        # such vectors skipped the constraint repair entirely.
-        maximizer = pack([normalize(f) for f in maximizer.factors])
-        exp_value = expectation(maximizer, problem.response)
     return OUQResult(
         probability_bound=-report.opt_cost,
         maximizer=maximizer,
-        expectation_at_maximizer=exp_value,
+        expectation_at_maximizer=expectation(maximizer, problem.response),
         report=report,
     )

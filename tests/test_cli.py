@@ -6,16 +6,15 @@ import pytest
 
 from ouq import (
     ChangeOverGeneration,
+    ConfigError,
     InnerLoopFailed,
     Strategy,
-    ValidationError,
     event_probability,
     impose_expectation,
     unflatten,
 )
 from ouq.cli import build_problem, main, measure_from_dict, measure_to_dict
 from ouq.config import load_config
-from ouq.errors import ParseError
 from ouq.registry import get_response
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -87,18 +86,18 @@ class TestLoadConfig:
 
     def test_zero_npts_rejected(self, tmp_path):
         path, _ = write_tiny_config(tmp_path, **{"npts_per_dim: [2, 2, 2]": "npts_per_dim: [0, 2, 2]"})
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             load_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path, _ = write_tiny_config(tmp_path)
         path.write_text(path.read_text() + "bogus_key: 1\n")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             load_config(path)
 
     def test_unknown_nested_key_rejected(self, tmp_path):
         path, _ = write_tiny_config(tmp_path, **{"npop: 40": "npop: 40\n  banana: 1"})
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             load_config(path)
 
     @pytest.mark.parametrize(
@@ -111,7 +110,7 @@ class TestLoadConfig:
     )
     def test_removed_keys_rejected(self, tmp_path, old, new):
         path, _ = write_tiny_config(tmp_path, **{old: new})
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             load_config(path)
 
     @pytest.mark.parametrize(
@@ -124,7 +123,22 @@ class TestLoadConfig:
     )
     def test_non_finite_numbers_rejected(self, tmp_path, capsys, old, new):
         path, outdir = write_tiny_config(tmp_path, **{old: new})
-        with pytest.raises(ValidationError, match="finite"):
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(path)
+        assert main(["solve", str(path)]) == 1
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "new",
+        [
+            "outer_termination: {rule: change_over_generation, tolerance: -1.0}\n",
+            "outer_termination: {rule: value_below}\n",
+        ],
+        ids=["negative_tolerance", "missing_tolerance"],
+    )
+    def test_invalid_termination_rejected(self, tmp_path, capsys, new):
+        path, outdir = write_tiny_config(tmp_path, **{OUTER_TERMINATION_LINE: new})
+        with pytest.raises(ConfigError, match="outer_termination"):
             load_config(path)
         assert main(["solve", str(path)]) == 1
         assert not outdir.exists()
@@ -151,7 +165,7 @@ class TestLoadConfig:
     def test_parse_error(self, tmp_path):
         path = tmp_path / "broken.config"
         path.write_text("response: [unclosed\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ConfigError):
             load_config(path)
 
 
@@ -174,10 +188,10 @@ class TestEval:
         assert float(out[0]) == pytest.approx(8.854, abs=0.001)
 
     def test_unknown_response(self, capsys):
-        assert main(["eval", "no-such-response", "1.0"]) == 2
+        assert main(["eval", "no-such-response", "1.0"]) == 1
 
     def test_arity_mismatch(self, capsys):
-        assert main(["eval", "sphir-perforation", "1.0"]) == 2
+        assert main(["eval", "sphir-perforation", "1.0"]) == 1
 
     def test_usage_error_exit_code(self):
         assert main([]) == 1
@@ -232,6 +246,37 @@ class TestSolve:
         path, outdir = write_tiny_config(tmp_path)
         assert main(["solve", str(path), flag, value]) == 1
         assert flag in capsys.readouterr().err
+        assert not (outdir / "trace_0.csv").exists()
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({"response: sphir-perforation": "response: sphir-perf"}, "no response named"),
+            (
+                {"npts_per_dim: [2, 2, 2]": "npts_per_dim: [2, 2]", "  - [2.1, 2.8]\n": ""},
+                "takes 3 coordinates, got 2",
+            ),
+            ({"upper: 30.0, unit: deg": "upper: 90.0, unit: deg"}, "domain .*obliquity"),
+        ],
+        ids=["unknown_response", "axis_count", "box_outside_domain"],
+    )
+    def test_unresolvable_response_rejected_at_load(self, tmp_path, capsys, edits, message):
+        path, outdir = write_tiny_config(tmp_path, **edits)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        assert main(["solve", str(path)]) == 1
+        assert not outdir.exists()
+
+    def test_never_feasible_run_writes_no_trace(self, tmp_path, capsys):
+        path, outdir = write_tiny_config(
+            tmp_path,
+            **{
+                "npop: 20": "npop: 20\n  max_generations: 3",
+                "mean_band: [5.5, 7.5]": "mean_band: [100.0, 101.0]",
+            },
+        )
+        assert main(["solve", str(path)]) == 2
+        assert "initial population" in capsys.readouterr().err
         assert not (outdir / "trace_0.csv").exists()
 
     def test_missing_config(self, tmp_path, capsys):

@@ -5,7 +5,8 @@ from ouq import (
     Bounds,
     ChangeOverGeneration,
     DESettings,
-    DimensionMismatch,
+    InfeasibleConstrain,
+    InnerLoopFailed,
     Strategy,
     ValueBelow,
     de_solve,
@@ -89,7 +90,7 @@ class TestMutate:
 
     def test_dimension_mismatch(self):
         settings = self.make()
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="vector lengths differ"):
             mutate_best1exp(
                 np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(3), settings,
                 np.random.default_rng(0),
@@ -231,3 +232,67 @@ class TestDeSolve:
             trace_hook=lambda g, c, p: calls.append(g),
         )
         assert calls == list(range(1, 11))
+
+
+class TestInfeasibleTrials:
+    """A trial whose constrain raises ConstraintViolation is never committed."""
+
+    def test_rejected_vectors_never_enter_population_or_trace(self):
+        # the unconstrained minimum (3, 0) lies in the rejected half x0 > 1
+        rejected, evaluated = [], []
+
+        def right_half_infeasible(v, generation, slot):
+            if v[0] > 1.0:
+                rejected.append(v.copy())
+                raise InnerLoopFailed("x0 > 1")
+            return v
+
+        def recording_cost(x):
+            evaluated.append(x.copy())
+            return float((x[0] - 3.0) ** 2 + x[1] ** 2)
+
+        report = de_solve(
+            recording_cost,
+            Bounds.from_pairs([(-5.0, 5.0)] * 2),
+            DESettings(npop=10, seed=13, max_generations=60),
+            constrain=right_half_infeasible,
+        )
+        assert len(rejected) > 100
+        assert report.evaluations == len(evaluated)
+        assert all(x[0] <= 1.0 for x in evaluated)
+        assert all(rec.best_params[0] <= 1.0 for rec in report.trace)
+        assert report.opt_params == pytest.approx([1.0, 0.0], abs=1e-2)
+
+    def test_all_infeasible_generation_leaves_population_unchanged(self):
+        def generation_3_infeasible(v, generation, slot):
+            if generation == 3:
+                raise InnerLoopFailed("generation 3")
+            return v
+
+        report = de_solve(
+            sphere,
+            Bounds.from_pairs([(-5.0, 5.0)] * 2),
+            DESettings(npop=10, seed=14, max_generations=20),
+            constrain=generation_3_infeasible,
+        )
+        assert report.generations_run == 20
+        assert report.evaluations == 10 * 20
+        before, during = report.trace[1], report.trace[2]
+        assert during.generation == 3
+        assert during.best_cost == before.best_cost
+        assert np.array_equal(during.best_params, before.best_params)
+        assert report.trace[-1].best_cost < during.best_cost
+
+    def test_all_infeasible_initial_population_raises(self):
+        def initial_infeasible(v, generation, slot):
+            if generation == 0:
+                raise InnerLoopFailed("initial population")
+            return v
+
+        with pytest.raises(InfeasibleConstrain, match="initial population"):
+            de_solve(
+                sphere,
+                Bounds.from_pairs([(-5.0, 5.0)] * 2),
+                DESettings(npop=6, seed=15, max_generations=10),
+                constrain=initial_infeasible,
+            )

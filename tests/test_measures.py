@@ -8,9 +8,6 @@ from hypothesis import strategies as st
 
 from ouq import (
     DiscreteMeasure,
-    EmptyFactorList,
-    LengthMismatch,
-    NonNormalizedFactor,
     ParamLayout,
     ProductMeasure,
     SupportPoint,
@@ -27,7 +24,6 @@ from ouq import (
     unflatten,
     unpack,
 )
-from ouq.errors import DegenerateRange
 
 
 def dm(weights, positions, lower=-10.0, upper=10.0):
@@ -159,7 +155,7 @@ class TestSetRange:
         assert m.coords() == (5.0, 5.0)
 
     def test_degenerate_range(self):
-        with pytest.raises(DegenerateRange):
+        with pytest.raises(ValueError, match="point mass"):
             set_range(dm([1.0, 1.0], [5.0, 5.0]), 1.0)
 
 
@@ -179,7 +175,7 @@ class TestPackUnpack:
         assert pack(unpack(p)) == p
 
     def test_empty(self):
-        with pytest.raises(EmptyFactorList):
+        with pytest.raises(ValueError, match="at least one factor"):
             pack([])
 
 
@@ -208,7 +204,7 @@ class TestFlattenUnflatten:
         layout = ParamLayout(
             (2, 2, 2), ((1.524, 2.667), (0.0, math.pi / 6), (2.1, 2.8))
         )
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValueError, match="expected 12 parameters"):
             unflatten(list(range(11)), layout)
 
     def test_round_trip(self):
@@ -250,7 +246,7 @@ class TestExpectation:
 
     def test_rejects_unnormalized_factor(self):
         p = pack([dm([2.0], [0.0])])
-        with pytest.raises(NonNormalizedFactor):
+        with pytest.raises(ValueError, match="normalize before integrating"):
             expectation(p, lambda x: x)
 
 

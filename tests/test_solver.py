@@ -8,6 +8,7 @@ from ouq import (
     ChangeOverGeneration,
     DESettings,
     DiscreteMeasure,
+    InfeasibleConstrain,
     InnerLoopFailed,
     MeanConstraint,
     OUQProblem,
@@ -250,6 +251,17 @@ class TestOuqSolve:
         )
         result = ouq_solve(problem)
         assert result.probability_bound == 0.0
+
+    def test_never_feasible_band_raises(self):
+        # no trial can be repaired into [99, 101] within 5 inner generations
+        problem = toy_problem(
+            lambda x: x,
+            band=(99.0, 101.0),
+            seed=2,
+            inner=DESettings(npop=10, seed=2, max_generations=5),
+        )
+        with pytest.raises(InfeasibleConstrain):
+            ouq_solve(problem)
 
     def test_bound_matches_maximizer_probability(self):
         problem = paper_problem(seed=0, outer_max=60)
