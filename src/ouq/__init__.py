@@ -61,6 +61,5 @@ from .surrogate import (
     SurrogateParams,
     ballistic_limit,
     mils_to_mm,
-    mm_to_mils,
     perforation_area,
 )

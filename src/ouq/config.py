@@ -23,7 +23,8 @@ Schema (all keys shown; unknown keys are rejected):
 
 Each DE's generation cap is its own `max_generations` (default 1000).
 Every number must be finite.  The response must be registered, take one
-coordinate per axis, and be defined at every corner of the axis box.
+coordinate per axis, be defined and finite at every corner of the axis
+box, and give the same corner values when called once on arrays.
 Length units mils and angle unit deg are converted at this boundary
 (1 mil = 0.0254 mm); mm, rad and km_s are native and pass through.
 """
@@ -35,6 +36,7 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .de import ChangeOverGeneration, DESettings, Strategy, TerminationRule, ValueBelow
@@ -214,15 +216,31 @@ def _check_response(name: str, bounds: tuple[tuple[float, float], ...]):
     """Resolve the response and evaluate it at every corner of the axis box.
 
     The surrogate's domain is itself a box, so a box whose corners all lie
-    in it lies in it entirely.
+    in it lies in it entirely.  Every corner value must be finite, and one
+    more call on the stacked corner arrays must give the same values, since
+    the solver evaluates the response elementwise on arrays.
     """
     entry = get_response(name)
     check_arity(entry, len(bounds))
-    for corner in itertools.product(*bounds):
+    corners = list(itertools.product(*bounds))
+    values = []
+    for corner in corners:
         try:
-            entry.func(*corner)
+            values.append(float(entry.func(*corner)))
         except DomainError as exc:
             raise ConfigError(f"bounds_per_dim leave the domain of {name!r}: {exc}")
+        if not math.isfinite(values[-1]):
+            raise ConfigError(f"{name!r} is {values[-1]} at the box corner {corner}")
+    try:
+        stacked = entry.func(*(np.array(axis) for axis in zip(*corners)))
+        same = np.allclose(np.asarray(stacked, dtype=float), values, rtol=1e-12, atol=0.0)
+    except (TypeError, ValueError, ArithmeticError, DomainError) as exc:
+        raise ConfigError(f"{name!r} does not work elementwise on arrays: {exc!r}")
+    if not same:
+        raise ConfigError(
+            f"{name!r} on arrays of the box corners gives {stacked!r}, "
+            f"not the values {values} it gives one corner at a time"
+        )
 
 
 def load_config(path) -> RunConfig:

@@ -2,8 +2,9 @@
 
 The engine supports a pluggable parameter-constraint function applied to
 every trial before cost evaluation, and solver-independent termination
-rules evaluated on the best-cost history.  Runs are fully deterministic
-given the seed.
+rules evaluated on the best-cost history.  Cost and constraint may work one
+vector at a time or on a whole generation at once (`vectorized=True`).
+Runs are fully deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -176,60 +177,92 @@ def mutate_best1exp(
     return trial
 
 
+def _one_row_at_a_time(cost, constrain):
+    """Block forms of a per-vector cost and constrain, for de_solve."""
+
+    def cost_block(block):
+        return [cost(row) for row in block]
+
+    if constrain is None:
+        return cost_block, None
+
+    def constrain_block(block, generation, slots):
+        out = block.copy()
+        feasible = np.ones(len(block), dtype=bool)
+        for i, slot in enumerate(slots.tolist()):
+            try:
+                out[i] = constrain(block[i], generation, slot)
+            except ConstraintViolation:
+                feasible[i] = False
+        return out, feasible
+
+    return cost_block, constrain_block
+
+
 def de_solve(
-    cost: Callable[[np.ndarray], float],
+    cost: Callable,
     bounds: Bounds,
     settings: DESettings,
-    constrain: Optional[Callable[[np.ndarray, int, int], np.ndarray]] = None,
+    constrain: Optional[Callable] = None,
     termination: Optional[TerminationRule] = None,
     *,
     initial: Optional[np.ndarray] = None,
     trace_hook: Optional[Callable[[int, float, np.ndarray], None]] = None,
+    vectorized: bool = False,
 ) -> SolveReport:
     """Minimize `cost` over the box with differential evolution.
 
-    Every trial is clipped to the box, passed through the constraint
-    function, re-clipped, then evaluated; a trial replaces its population
-    slot only on strict improvement, so the best-cost history is monotone
-    non-increasing.  Replacements are committed after the whole generation
-    is built against the generation-start population, which makes
-    concurrent and sequential evaluation equivalent.
+    Each generation builds all `npop` trials against the generation-start
+    population, then clips them to the box, passes them through the
+    constraint function, re-clips and evaluates them as one block; a trial
+    replaces its population slot only on strict improvement, so the
+    best-cost history is monotone non-increasing.
 
-    `constrain` is called as `constrain(params, generation, slot)`, so a
-    repair can derive per-trial seeds from its position in the run;
-    generation 0 is the initial population.  Out-of-box trials are always
-    clipped, never rejected.  A trial whose constraint raises
-    ConstraintViolation is infeasible: it costs +inf, is never evaluated
-    and never replaces a population member, so a generation of infeasible
-    trials leaves the population unchanged.  An infeasible initial member
-    holds its slot at cost +inf until a feasible trial replaces it; if no
-    initial member is feasible, InfeasibleConstrain is raised.
+    By default `cost(params)` takes one vector and returns a float, and
+    `constrain(params, generation, slot)` returns the repaired vector or
+    raises ConstraintViolation.  With `vectorized=True` both take a block:
+    `cost(block)` gets an (m, d) array and returns m costs, and
+    `constrain(block, generation, slots)` gets the (npop, d) trials with
+    their slot numbers and returns `(block, feasible)`, where `feasible`
+    is a boolean mask.  Either way a repair can derive per-trial seeds from
+    its position in the run; generation 0 is the initial population.
+    Out-of-box trials are always clipped, never rejected.
+
+    An infeasible trial (ConstraintViolation, or False in `feasible`)
+    costs +inf, is never evaluated and never replaces a population member,
+    so a generation of infeasible trials leaves the population unchanged.
+    An infeasible initial member holds its slot, clipped but unrepaired,
+    at cost +inf until a feasible trial replaces it; if no initial member
+    is feasible, InfeasibleConstrain is raised.
     """
-    if constrain is None:
-        constrain = lambda v, g, s: v
+    if not vectorized:
+        cost, constrain = _one_row_at_a_time(cost, constrain)
 
     d = len(bounds)
     rng = np.random.default_rng(settings.seed)
     evaluations = 0
+    slots = np.arange(settings.npop)
 
-    def prepare_and_eval(vec, gen, slot):
-        """Returns (params, cost); an infeasible trial costs +inf."""
+    def evaluate(block, generation):
+        """Returns (params, costs) of a block of trials; infeasible ones cost +inf."""
         nonlocal evaluations
-        vec = bounds.clip(vec)
-        try:
-            vec = np.asarray(constrain(vec, gen, slot), dtype=float)
-        except ConstraintViolation:
-            return vec, math.inf
-        vec = bounds.clip(vec)
-        evaluations += 1
-        return vec, float(cost(vec))
+        block = bounds.clip(block)
+        feasible = np.ones(len(block), dtype=bool)
+        if constrain is not None:
+            repaired, feasible = constrain(block, generation, slots)
+            feasible = np.asarray(feasible, dtype=bool)
+            repaired = bounds.clip(np.asarray(repaired, dtype=float))
+            block = np.where(feasible[:, None], repaired, block)
+        costs = np.full(len(block), math.inf)
+        if feasible.any():
+            costs[feasible] = cost(block[feasible])
+            evaluations += int(np.count_nonzero(feasible))
+        return block, costs
 
     pop = rng.uniform(bounds.lower, bounds.upper, size=(settings.npop, d))
     if initial is not None:
         pop[0] = np.asarray(initial, dtype=float)
-    costs = np.empty(settings.npop)
-    for i in range(settings.npop):
-        pop[i], costs[i] = prepare_and_eval(pop[i], 0, i)
+    pop, costs = evaluate(pop, 0)
     if evaluations == 0:
         raise InfeasibleConstrain("constrain rejected the entire initial population")
 
@@ -249,25 +282,19 @@ def de_solve(
             terminated_by=termination.name,
         )
 
-    slots = np.arange(settings.npop)
     for gen in range(1, settings.max_generations + 1):
-        base = pop.copy()
-        base_costs = costs.copy()
-        best_vec = base[best_idx].copy()
-
-        trials = []
+        best_vec = pop[best_idx].copy()
+        trials = np.empty_like(pop)
         for slot in range(settings.npop):
             others = slots[slots != slot]
             c1, c2 = rng.choice(others, size=2, replace=False)
-            trial = mutate_best1exp(
-                best_vec, base[c1], base[c2], base[slot], settings, rng
+            trials[slot] = mutate_best1exp(
+                best_vec, pop[c1], pop[c2], pop[slot], settings, rng
             )
-            trials.append(prepare_and_eval(trial, gen, slot))
-
-        for slot, (vec, c) in enumerate(trials):
-            if c < base_costs[slot]:
-                pop[slot] = vec
-                costs[slot] = c
+        trials, trial_costs = evaluate(trials, gen)
+        improved = trial_costs < costs
+        pop[improved] = trials[improved]
+        costs[improved] = trial_costs[improved]
 
         best_idx = int(np.argmin(costs))
         best_cost = float(costs[best_idx])

@@ -10,10 +10,16 @@ parameter vectors an optimizer manipulates.  The layout is, per factor:
 first the weights, then the positions, i.e. for two points per axis in 3D
 
     [w_x1, w_x2, x1, x2, w_y1, w_y2, y1, y2, w_z1, w_z2, z1, z2]
+
+The block kernels (`factor_masses`, `normalize_block`, `expectation_block`,
+`event_probability_block`) work on an (m, param_length) block of such
+vectors at once, without building measure objects, and repeat the
+arithmetic of their per-measure counterparts operation for operation.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ZeroMassMeasure
+from .errors import DomainError, ZeroMassMeasure
 
 # Tolerances: algebraic identities hold to 1e-12; expectations demand
 # factor masses within 1e-9 of 1.
@@ -160,6 +166,14 @@ class ParamLayout:
     def param_length(self) -> int:
         return 2 * sum(self.npts_per_dim)
 
+    def factor_slices(self) -> list[tuple[slice, slice]]:
+        """Per factor, the slices of its weights and of its positions in a flat vector."""
+        out, i = [], 0
+        for n in self.npts_per_dim:
+            out.append((slice(i, i + n), slice(i + n, i + 2 * n)))
+            i += 2 * n
+        return out
+
 
 def normalize(m: DiscreteMeasure) -> DiscreteMeasure:
     """Rescale weights so the total mass is 1; positions are untouched."""
@@ -233,13 +247,10 @@ def unflatten(params, layout: ParamLayout) -> ProductMeasure:
         )
     if not np.all(np.isfinite(params)):
         raise ValueError("parameter vector contains non-finite values")
-    factors = []
-    i = 0
-    for n, (lo, hi) in zip(layout.npts_per_dim, layout.bounds_per_dim):
-        ws = params[i : i + n]
-        xs = params[i + n : i + 2 * n]
-        i += 2 * n
-        factors.append(DiscreteMeasure.from_arrays(ws, xs, lo, hi))
+    factors = [
+        DiscreteMeasure.from_arrays(params[ws], params[xs], lo, hi)
+        for (ws, xs), (lo, hi) in zip(layout.factor_slices(), layout.bounds_per_dim)
+    ]
     return ProductMeasure(tuple(factors))
 
 
@@ -279,3 +290,104 @@ def event_probability(p: ProductMeasure, predicate: Callable[..., bool]) -> floa
                 w *= sp.weight
             total += w
     return total
+
+
+def factor_masses(block: np.ndarray, layout: ParamLayout) -> np.ndarray:
+    """(m, dimension) total weight of each factor of each row of a block.
+
+    Each entry equals DiscreteMeasure.mass(), the correctly rounded sum of
+    the factor's weights.
+    """
+    cols = []
+    for ws, _ in layout.factor_slices():
+        w = block[:, ws]
+        if w.shape[1] <= 2:
+            # one addition is already correctly rounded, as math.fsum is
+            cols.append(w.sum(axis=1))
+        else:
+            cols.append(np.array([math.fsum(row) for row in w.tolist()]))
+    return np.stack(cols, axis=1)
+
+
+def normalize_block(
+    block: np.ndarray, layout: ParamLayout, tol: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rescale to mass 1 every factor whose mass is off 1 by more than tol.
+
+    Works row by row on a block of flat vectors, dividing the weights by
+    the factor mass as normalize() does; positions are untouched.  Returns
+    the rescaled copy and a mask that is False for rows with a zero-mass
+    factor, which cannot be normalized.
+    """
+    out = np.array(block, dtype=float)
+    masses = factor_masses(out, layout)
+    nonzero = masses > 0.0
+    for k, (ws, _) in enumerate(layout.factor_slices()):
+        rows = nonzero[:, k] & (np.abs(masses[:, k] - 1.0) > tol)
+        out[rows, ws] = out[rows, ws] / masses[rows, k, None]
+    return out, nonzero.all(axis=1)
+
+
+@functools.lru_cache(maxsize=16)
+def _atom_columns(layout: ParamLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Block columns of every atom's weights and positions, one row per factor.
+
+    Atoms are enumerated as in ProductMeasure.coords(): lexicographically by
+    factor, then point index.
+    """
+    combos = np.array(list(itertools.product(*map(range, layout.npts_per_dim)))).T
+    starts = np.array([ws.start for ws, _ in layout.factor_slices()])[:, None]
+    w_cols = combos + starts
+    x_cols = w_cols + np.array(layout.npts_per_dim)[:, None]
+    w_cols.setflags(write=False)
+    x_cols.setflags(write=False)
+    return w_cols, x_cols
+
+
+def _atoms(block: np.ndarray, layout: ParamLayout) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(m, A) atom weights and one (m, A) array of atom positions per axis."""
+    w_cols, x_cols = _atom_columns(layout)
+    weights = block[:, w_cols[0]]
+    for cols in w_cols[1:]:
+        weights = weights * block[:, cols]  # factor order, as the scalar loop
+    return weights, [block[:, cols] for cols in x_cols]
+
+
+def _sum_atoms(terms: np.ndarray) -> np.ndarray:
+    """Row sums of an (m, A) array, adding the atoms one at a time in order."""
+    total = np.zeros(terms.shape[0])
+    for column in terms.T:
+        total += column
+    return total
+
+
+def expectation_block(block: np.ndarray, layout: ParamLayout, f: Callable) -> np.ndarray:
+    """E[f] under the measure of every row of an (m, param_length) block.
+
+    The response is called once, on (m, A) arrays holding the positions of
+    all atoms of all rows, so it must work elementwise on float arrays.
+    Weights are multiplied and terms added in the order expectation() uses;
+    where the response returns what it returns for the same floats one at a
+    time, the result is bit-equal to expectation(unflatten(row)).  Factor
+    masses are not checked: the rows must already be normalized.  Raises
+    DomainError if any response value is non-finite.
+    """
+    weights, positions = _atoms(block, layout)
+    values = np.broadcast_to(np.asarray(f(*positions), dtype=float), weights.shape)
+    if not np.isfinite(values).all():
+        row, atom = np.argwhere(~np.isfinite(values))[0]
+        at = tuple(float(x[row, atom]) for x in positions)
+        raise DomainError(f"response is {values[row, atom]} at {at}")
+    return _sum_atoms(weights * values)
+
+
+def event_probability_block(
+    block: np.ndarray, layout: ParamLayout, predicate: Callable
+) -> np.ndarray:
+    """Probability of {predicate holds} under the measure of every row of a block.
+
+    The predicate is called once on (m, A) position arrays and must return
+    a boolean array; otherwise as expectation_block.
+    """
+    weights, positions = _atoms(block, layout)
+    return _sum_atoms(np.where(predicate(*positions), weights, 0.0))

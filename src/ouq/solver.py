@@ -6,6 +6,11 @@ Each trial parameter vector is first repaired by the constraint function:
 weights are renormalized per factor, and if the expected response leaves
 the admissible band [m-d, m+d] a nested differential-evolution run imposes
 it (least-squares distance to the target mean, value-to-reach d^2).
+
+Both loops hand `de_solve` whole generations: repair and cost work on
+(m, param_length) blocks through the block kernels of `measures`, and the
+response is called once per block.  `constrain_params` and `ouq_cost` are
+the same repair and cost for one vector.
 """
 
 from __future__ import annotations
@@ -23,21 +28,26 @@ from .de import (
     ValueBelow,
     de_solve,
 )
-from .errors import InfeasibleConstrain, InnerLoopFailed
+from .errors import ConstraintViolation, InfeasibleConstrain, InnerLoopFailed, ZeroMassMeasure
+# event_probability, flatten and normalize are not called here, but
+# ouq.solver keeps naming the whole measure layer: perfbench wraps these
+# names on this module
 from .measures import (
     MASS_TOL,
     ParamLayout,
     ProductMeasure,
     event_probability,
+    event_probability_block,
     expectation,
+    expectation_block,
+    factor_masses,
     flatten,
     normalize,
-    pack,
+    normalize_block,
     unflatten,
-    unpack,
 )
 
-# Feasibility slack on the expectation band after the inner loop.
+# Slack on the expectation band that FeasibilityAudit allows.
 BAND_TOL = 1e-6
 
 
@@ -101,16 +111,16 @@ class FeasibilityAudit:
     worst_mass_deviation: float = 0.0
     worst_band_excess: float = 0.0
 
-    def record(self, product: ProductMeasure, expect_value: float, band: tuple[float, float]):
-        self.evaluations += 1
-        dev = max(abs(f.mass() - 1.0) for f in product.factors)
-        self.worst_mass_deviation = max(self.worst_mass_deviation, dev)
-        if dev > MASS_TOL:
-            self.mass_violations += 1
-        excess = max(band[0] - expect_value, expect_value - band[1], 0.0)
-        self.worst_band_excess = max(self.worst_band_excess, excess)
-        if excess > BAND_TOL:
-            self.band_violations += 1
+    def record(self, masses: np.ndarray, expect_values: np.ndarray, band: tuple[float, float]):
+        """Record one block of evaluated measures: their (m, dimension) factor
+        masses and their m expectations."""
+        self.evaluations += len(expect_values)
+        dev = np.abs(masses - 1.0).max(axis=1)
+        self.worst_mass_deviation = max(self.worst_mass_deviation, float(dev.max()))
+        self.mass_violations += int(np.count_nonzero(dev > MASS_TOL))
+        excess = np.maximum(np.maximum(band[0] - expect_values, expect_values - band[1]), 0.0)
+        self.worst_band_excess = max(self.worst_band_excess, float(excess.max()))
+        self.band_violations += int(np.count_nonzero(excess > BAND_TOL))
 
 
 def build_bounds(layout: ParamLayout) -> Bounds:
@@ -122,62 +132,72 @@ def build_bounds(layout: ParamLayout) -> Bounds:
     return Bounds.from_pairs(pairs)
 
 
+def cost_block(
+    block: np.ndarray,
+    problem: OUQProblem,
+    audit: Optional[FeasibilityAudit] = None,
+) -> np.ndarray:
+    """Negative failure probability of the measure of every row of a block."""
+    layout = problem.layout
+    if audit is not None:
+        audit.record(
+            factor_masses(block, layout),
+            expectation_block(block, layout, problem.response),
+            problem.constraint.band,
+        )
+    return -event_probability_block(block, layout, problem.failure_predicate())
+
+
 def ouq_cost(
     params: np.ndarray,
     problem: OUQProblem,
     audit: Optional[FeasibilityAudit] = None,
 ) -> float:
     """Negative failure probability of the measure encoded by params."""
-    product = unflatten(params, problem.layout)
-    prob = event_probability(product, problem.failure_predicate())
-    if audit is not None:
-        audit.record(
-            product, expectation(product, problem.response), problem.constraint.band
-        )
-    return -prob
+    return float(cost_block(_one_row(params, problem.layout), problem, audit)[0])
 
 
 def impose_expectation(
-    product: ProductMeasure,
+    params: np.ndarray,
     problem: OUQProblem,
     seed: Optional[int] = None,
-) -> ProductMeasure:
-    """Move a normalized product measure into the admissible expectation band.
+) -> np.ndarray:
+    """Move a normalized parameter vector into the admissible expectation band.
 
     Runs a nested DE minimizing (E[response] - m)^2 over the same box as
     the outer problem, terminating at value-to-reach d^2 (i.e. |E - m| <= d),
     for at most `problem.inner.max_generations` generations.  The incoming
-    measure takes slot 0 of the inner population; the other slots are drawn
-    uniformly from the box.
+    vector takes slot 0 of the inner population; the other slots are drawn
+    uniformly from the box.  Each inner generation is renormalized and
+    costed as one block.
 
-    The result is the best inner member, which need not be related to the
-    incoming measure.  When any member of the initial population already
-    lies in the band (on the reference problem every one of the 900 inner
-    calls of seed 0 does), the run stops at generation 0 and returns the
-    initial member whose expectation is nearest m.  The repair is then a
-    random restart near the band centre, not a small move of the trial.
+    The result is the parameter vector of the best inner member, which need
+    not be related to the incoming one.  When any member of the initial
+    population already lies in the band (on the reference problem every one
+    of the 900 inner calls of seed 0 does), the run stops at generation 0
+    and returns the initial member whose expectation is nearest m.  The
+    repair is then a random restart near the band centre, not a small move
+    of the trial.
     """
     con = problem.constraint
     layout = problem.layout
-    bounds = build_bounds(layout)
     settings = problem.inner if seed is None else replace(problem.inner, seed=seed)
 
-    def inner_cost(q: np.ndarray) -> float:
-        e = expectation(unflatten(q, layout), problem.response)
-        return (e - con.m) ** 2
+    def inner_cost(block: np.ndarray) -> np.ndarray:
+        return (expectation_block(block, layout, problem.response) - con.m) ** 2
 
-    def renormalize_weights(q: np.ndarray, generation: int, slot: int) -> np.ndarray:
-        p = unflatten(q, layout)
-        return flatten(pack([normalize(f) for f in unpack(p)]))
+    def renormalize_weights(block, generation, slots):
+        return normalize_block(block, layout)
 
     try:
         report = de_solve(
             inner_cost,
-            bounds,
+            build_bounds(layout),
             settings,
             constrain=renormalize_weights,
             termination=ValueBelow(con.d**2),
-            initial=flatten(product),
+            initial=params,
+            vectorized=True,
         )
     except InfeasibleConstrain as exc:
         raise InnerLoopFailed(f"inner population was entirely degenerate: {exc}")
@@ -186,7 +206,39 @@ def impose_expectation(
             f"inner loop exhausted {settings.max_generations} generations at "
             f"cost {report.opt_cost:.6g} > d^2 = {con.d ** 2:.6g}"
         )
-    return unflatten(report.opt_params, layout)
+    return report.opt_params
+
+
+def repair_block(
+    block: np.ndarray,
+    problem: OUQProblem,
+    inner_seed: Callable[[int], Optional[int]],
+) -> tuple[np.ndarray, dict[int, ConstraintViolation]]:
+    """Repair every row of a trial block: renormalize weights, then impose the mean band.
+
+    A factor whose mass is off 1 by more than MASS_TOL is renormalized;
+    the expectation is then computed for the whole block, and each row
+    outside [m-d, m+d] goes through the nested optimization on its own,
+    seeded with `inner_seed(row)`.  Returns the repaired block and, for
+    each row that cannot be repaired, its ConstraintViolation:
+    ZeroMassMeasure for all-zero weights, InnerLoopFailed when the band
+    cannot be reached.  The caller treats those rows as infeasible.
+    """
+    out, nonzero = normalize_block(block, problem.layout, tol=MASS_TOL)
+    failures: dict[int, ConstraintViolation] = {
+        row: ZeroMassMeasure("cannot normalize a measure with zero total mass")
+        for row in np.flatnonzero(~nonzero).tolist()
+    }
+    rows = np.flatnonzero(nonzero)
+    lo, hi = problem.constraint.band
+    e = expectation_block(out[rows], problem.layout, problem.response)
+    for row, value in zip(rows.tolist(), e.tolist()):
+        if not lo <= value <= hi:
+            try:
+                out[row] = impose_expectation(out[row], problem, seed=inner_seed(row))
+            except ConstraintViolation as exc:
+                failures[row] = exc
+    return out, failures
 
 
 def constrain_params(
@@ -194,31 +246,29 @@ def constrain_params(
     problem: OUQProblem,
     inner_seed: Optional[int] = None,
 ) -> np.ndarray:
-    """Repair a trial vector: renormalize weights, then impose the mean band.
+    """Repair one trial vector as repair_block does; raises its ConstraintViolation.
 
-    Mirrors the constraint flow: unflatten, normalize any factor whose mass
-    is off 1, pack, and if the expectation leaves [m-d, m+d] hand the
-    measure to the nested optimization.  Raises ZeroMassMeasure for
-    all-zero weights and InnerLoopFailed when the band cannot be reached;
-    the caller treats either as an infeasible trial.
+    Raises ZeroMassMeasure for all-zero weights and InnerLoopFailed when
+    the band cannot be reached; the caller treats either as an infeasible
+    trial.
     """
-    con = problem.constraint
-    factors = unpack(unflatten(params, problem.layout))
-    factors = [
-        normalize(f) if abs(f.mass() - 1.0) > MASS_TOL else f for f in factors
-    ]
-    product = pack(factors)
+    out, failures = repair_block(
+        _one_row(params, problem.layout), problem, lambda row: inner_seed
+    )
+    if failures:
+        raise failures[0]
+    return out[0]
 
-    lo, hi = con.band
-    e = expectation(product, problem.response)
-    if not lo <= e <= hi:
-        product = impose_expectation(product, problem, seed=inner_seed)
-        e = expectation(product, problem.response)
-        if not lo - BAND_TOL <= e <= hi + BAND_TOL:
-            raise InnerLoopFailed(
-                f"expectation {e:.6g} still outside [{lo}, {hi}] after inner loop"
-            )
-    return flatten(product)
+
+def _one_row(params, layout: ParamLayout) -> np.ndarray:
+    """A flat parameter vector as a (1, param_length) block; checked like unflatten."""
+    params = np.asarray(params, dtype=float)
+    if params.shape != (layout.param_length,) or not np.all(np.isfinite(params)):
+        raise ValueError(
+            f"expected {layout.param_length} finite parameters for layout "
+            f"{layout.npts_per_dim}, got {params.tolist()}"
+        )
+    return params[None, :]
 
 
 def _derive_inner_seed(outer_seed: int, generation: int, slot: int) -> int:
@@ -238,23 +288,33 @@ def ouq_solve(
     A trial the repair cannot bring into the band is infeasible and never
     enters the outer population, so the maximizer is always a repaired
     measure.  Raises InfeasibleConstrain when no member of the initial
-    outer population can be repaired.
+    outer population can be repaired, and DomainError when the response
+    returns a non-finite value.
+
+    Each outer generation is repaired and costed as one block
+    (`de_solve(vectorized=True)`); only its out-of-band rows run the
+    nested DE, one row at a time, each with an inner seed derived from
+    (outer seed, generation, slot).
     """
-    bounds = build_bounds(problem.layout)
     outer_seed = problem.outer.seed
 
-    def repair(vec: np.ndarray, generation: int, slot: int) -> np.ndarray:
-        return constrain_params(
-            vec, problem, inner_seed=_derive_inner_seed(outer_seed, generation, slot)
-        )
+    def repair(block: np.ndarray, generation: int, slots: np.ndarray):
+        def inner_seed(row: int) -> int:
+            return _derive_inner_seed(outer_seed, generation, int(slots[row]))
+
+        out, failures = repair_block(block, problem, inner_seed)
+        feasible = np.ones(len(block), dtype=bool)
+        feasible[list(failures)] = False
+        return out, feasible
 
     report = de_solve(
-        lambda v: ouq_cost(v, problem, audit=audit),
-        bounds,
+        lambda block: cost_block(block, problem, audit=audit),
+        build_bounds(problem.layout),
         problem.outer,
         constrain=repair,
         termination=problem.outer_termination,
         trace_hook=trace_hook,
+        vectorized=True,
     )
     maximizer = unflatten(report.opt_params, problem.layout)
     return OUQResult(

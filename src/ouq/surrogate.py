@@ -10,6 +10,9 @@ with ballistic limit velocity v_bl = H0 * (h / cos(theta)^n)^s, the speed
 below which no perforation occurs.  The clamp is applied before the
 fractional power, so the area is exactly 0.0 for v <= v_bl.
 
+`perforation_area` also works elementwise on equal-shape float arrays, the
+form the solver's block kernels call; `ballistic_limit` stays scalar.
+
 All lengths are millimetres internally; mils are converted only at the
 CLI boundary (1 mil = 0.0254 mm).
 """
@@ -19,9 +22,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .errors import DomainError
 
 MM_PER_MIL = 0.0254
+
+# module-level names keep the scalar path of perforation_area cheap
+_ndarray = np.ndarray
+_HALF_PI = math.pi / 2
 
 
 @dataclass(frozen=True)
@@ -54,6 +63,12 @@ def _check_domain(h: float, theta: float):
         raise DomainError(f"obliquity must lie in [0, pi/2), got {theta}")
 
 
+def _raise_domain_error(h: float, theta: float, v: float):
+    """Raise the DomainError of a point known to lie outside the domain."""
+    _check_domain(h, theta)
+    raise DomainError(f"impact speed must be nonnegative, got {v}")
+
+
 def ballistic_limit(h: float, theta: float, params: SurrogateParams = DEFAULT_PARAMS) -> float:
     """Speed (km/s) below which a plate of thickness h (mm) is not perforated."""
     _check_domain(h, theta)
@@ -63,26 +78,39 @@ def ballistic_limit(h: float, theta: float, params: SurrogateParams = DEFAULT_PA
 def perforation_area(
     h: float, theta: float, v: float, params: SurrogateParams = DEFAULT_PARAMS
 ) -> float:
-    """Perforation area (mm^2); exactly 0.0 at or below the ballistic limit."""
-    _check_domain(h, theta)
-    if v < 0.0:
-        raise DomainError(f"impact speed must be nonnegative, got {v}")
-    v_bl = params.H0 * (h / math.cos(theta) ** params.n) ** params.s
+    """Perforation area (mm^2); exactly 0.0 at or below the ballistic limit.
+
+    Given arrays h, theta and v, returns the array of areas.
+    """
+    if isinstance(h, _ndarray):
+        return _perforation_area_array(h, theta, v, params)
+    # the domain test is inlined: this scalar path is the pointwise hot path
+    if h <= 0.0 or not 0.0 <= theta < _HALF_PI or v < 0.0:
+        _raise_domain_error(h, theta, v)
+    cos = math.cos(theta)
+    v_bl = params.H0 * (h / cos ** params.n) ** params.s
     t = math.tanh(v / v_bl - 1.0)
     if t <= 0.0:
         # clamp before the fractional power: a negative base would be NaN
         return 0.0
-    return (
-        params.K
-        * (h / params.Dp) ** params.p
-        * math.cos(theta) ** params.u
-        * t ** params.m_exp
-    )
+    return params.K * (h / params.Dp) ** params.p * cos ** params.u * t ** params.m_exp
+
+
+def _perforation_area_array(h, theta, v, params: SurrogateParams) -> np.ndarray:
+    """perforation_area on arrays, with the scalar formula's order of operations."""
+    outside = (h <= 0.0) | ~((0.0 <= theta) & (theta < _HALF_PI)) | (v < 0.0)
+    if outside.any():
+        i = tuple(np.argwhere(outside)[0])
+        _raise_domain_error(*(float(a[i]) for a in np.broadcast_arrays(h, theta, v)))
+    cos = np.cos(theta)
+    v_bl = params.H0 * (h / cos ** params.n) ** params.s
+    t = np.tanh(v / v_bl - 1.0)
+    perforated = t > 0.0
+    # clamp before the fractional power: a negative base would be NaN
+    t = np.where(perforated, t, 1.0)
+    area = params.K * (h / params.Dp) ** params.p * cos ** params.u * t ** params.m_exp
+    return np.where(perforated, area, 0.0)
 
 
 def mils_to_mm(x: float) -> float:
     return x * MM_PER_MIL
-
-
-def mm_to_mils(x: float) -> float:
-    return x / MM_PER_MIL

@@ -1,21 +1,26 @@
 import json
 import math
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import ouq.registry as registry_mod
 from ouq import (
     ChangeOverGeneration,
     ConfigError,
+    DomainError,
     InnerLoopFailed,
     Strategy,
     event_probability,
     impose_expectation,
-    unflatten,
+    ouq_solve,
+    perforation_area,
 )
 from ouq.cli import build_problem, main, measure_from_dict, measure_to_dict
 from ouq.config import load_config
-from ouq.registry import get_response
+from ouq.registry import ResponseEntry, get_response
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PAPER_CONFIG = REPO_ROOT / "paper.config"
@@ -154,12 +159,11 @@ class TestLoadConfig:
         problem = build_problem(load_config(path), seed=0)
         assert problem.inner.max_generations == 3
 
-        product = unflatten(
-            [0.5, 0.5, 1.524, 2.667, 0.5, 0.5, 0.0, 0.1, 0.5, 0.5, 2.2885, 2.8],
-            problem.layout,
+        params = np.array(
+            [0.5, 0.5, 1.524, 2.667, 0.5, 0.5, 0.0, 0.1, 0.5, 0.5, 2.2885, 2.8]
         )
         with pytest.raises(InnerLoopFailed, match="exhausted 3 generations"):
-            impose_expectation(product, problem, seed=1)
+            impose_expectation(params, problem, seed=1)
         assert [r.generations_run for r in de_reports] == [3]
 
     def test_parse_error(self, tmp_path):
@@ -279,12 +283,94 @@ class TestSolve:
         assert "initial population" in capsys.readouterr().err
         assert not (outdir / "trace_0.csv").exists()
 
+    @pytest.mark.parametrize(
+        "band, generations, evaluations, bound",
+        [
+            ("[5.5, 7.5]", 72, 2919, 0.3787993042859375),
+            ("[6.4, 6.6]", 30, 1239, 0.2646433756770121),
+        ],
+        ids=["reference", "narrow_band"],
+    )
+    def test_seed_0_result_pinned(self, tmp_path, capsys, band, generations, evaluations, bound):
+        config = tmp_path / "paper.config"
+        config.write_text(
+            PAPER_CONFIG.read_text().replace("mean_band: [5.5, 7.5]", f"mean_band: {band}")
+        )
+        args = ["solve", str(config), "--seed", "0", "--runs", "1", "--output-dir", str(tmp_path)]
+        assert main(args) == 0
+        result = json.loads((tmp_path / "result_0.json").read_text())
+        assert (result["generations"], result["evaluations"]) == (generations, evaluations)
+        assert result["probability_bound"] == bound
+
     def test_missing_config(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.config")]) == 1
 
     def test_invalid_config(self, tmp_path, capsys):
         path, _ = write_tiny_config(tmp_path, **{"npts_per_dim: [2, 2, 2]": "npts_per_dim: [0, 2, 2]"})
         assert main(["solve", str(path)]) == 1
+
+
+def nan_above_2_7(h, theta, v):
+    return np.where(v > 2.7, np.nan, perforation_area(h, theta, v))
+
+
+def nan_on_slab(h, theta, v):
+    return np.where((2.4 < v) & (v < 2.5), np.nan, perforation_area(h, theta, v))
+
+
+def scalar_only(h, theta, v):
+    return math.tanh(v - h)
+
+
+def branching(h, theta, v):
+    return 0.0 if v < 2.5 else v
+
+
+class TestResponseContract:
+    """Responses must be finite and elementwise over arrays; a break is
+    caught at load or as soon as the solver meets it."""
+
+    @pytest.fixture
+    def register(self, monkeypatch):
+        def register(func):
+            entry = ResponseEntry("test-response", func, arity=3)
+            monkeypatch.setitem(registry_mod._REGISTRY, entry.name, entry)
+            return entry.name
+
+        return register
+
+    @pytest.mark.parametrize(
+        "func, message",
+        [
+            (nan_above_2_7, "is nan at the box corner"),
+            (scalar_only, "does not work elementwise"),
+            (branching, "does not work elementwise"),
+        ],
+        ids=["nan_corner", "scalar_only", "branching"],
+    )
+    def test_rejected_at_load(self, tmp_path, capsys, register, func, message):
+        name = register(func)
+        path, outdir = write_tiny_config(
+            tmp_path, **{"response: sphir-perforation": f"response: {name}"}
+        )
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        assert main(["solve", str(path)]) == 1
+        assert not outdir.exists()
+
+    def test_interior_nan_fails_fast(self, tmp_path, capsys, register):
+        # the box corners are finite, so the load check passes
+        name = register(nan_on_slab)
+        path, outdir = write_tiny_config(
+            tmp_path, **{"response: sphir-perforation": f"response: {name}"}
+        )
+        problem = build_problem(load_config(path), seed=0)
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="response is nan"):
+            ouq_solve(problem)
+        assert time.perf_counter() - t0 < 30.0
+        assert main(["solve", str(path)]) == 2
+        assert not (outdir / "trace_0.csv").exists()
 
 
 class TestMeasureSerialization:

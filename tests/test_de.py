@@ -283,6 +283,30 @@ class TestInfeasibleTrials:
         assert np.array_equal(during.best_params, before.best_params)
         assert report.trace[-1].best_cost < during.best_cost
 
+    def test_vectorized_matches_one_row_at_a_time(self):
+        def reject_right_half(v, generation, slot):
+            if v[0] > 1.0:
+                raise InnerLoopFailed("x0 > 1")
+            return v
+
+        def reject_right_half_block(block, generation, slots):
+            assert slots.tolist() == list(range(10))
+            return block, block[:, 0] <= 1.0
+
+        def sphere_block(block):
+            return np.sum(block**2, axis=1)
+
+        args = (Bounds.from_pairs([(-5.0, 5.0)] * 2), DESettings(npop=10, seed=13, max_generations=60))
+        rows = de_solve(sphere, *args, constrain=reject_right_half)
+        block = de_solve(sphere_block, *args, constrain=reject_right_half_block, vectorized=True)
+        assert block.evaluations == rows.evaluations
+        assert (block.opt_cost, block.generations_run, block.terminated_by) == (
+            rows.opt_cost, rows.generations_run, rows.terminated_by)
+        assert np.array_equal(block.opt_params, rows.opt_params)
+        assert [(r.generation, r.best_cost, r.best_params.tolist()) for r in block.trace] == [
+            (r.generation, r.best_cost, r.best_params.tolist()) for r in rows.trace
+        ]
+
     def test_all_infeasible_initial_population_raises(self):
         def initial_infeasible(v, generation, slot):
             if generation == 0:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from ouq import (
     DiscreteMeasure,
+    DomainError,
     ParamLayout,
     ProductMeasure,
     SupportPoint,
@@ -23,6 +25,12 @@ from ouq import (
     set_range,
     unflatten,
     unpack,
+)
+from ouq.measures import (
+    event_probability_block,
+    expectation_block,
+    factor_masses,
+    normalize_block,
 )
 
 
@@ -351,3 +359,94 @@ class TestRandomizedProperties:
 def test_set_mean_hits_target_hypothesis(weights, positions, target):
     m = dm(weights, positions[: len(weights)], lower=-100.0, upper=100.0)
     assert set_mean(m, target).mean() == pytest.approx(target, abs=1e-9)
+
+
+# Block kernels against the per-measure functions, which are the reference.
+# `poly` uses only + and *, which numpy rounds exactly as Python does, so its
+# block expectation must be bit-equal; `smooth` goes through numpy's
+# transcendental functions, whose array and scalar forms may differ in the
+# last bit.
+
+
+def poly(*xs):
+    return functools.reduce(lambda acc, x: acc * x + 0.5 * x, xs, 1.25)
+
+
+def smooth(*xs):
+    return np.tanh(xs[0]) + np.exp(-xs[-1] * xs[-1])
+
+
+def below_line(*xs):
+    return xs[0] + 2.0 * xs[-1] > 0.5
+
+
+@st.composite
+def unnormalized_blocks(draw):
+    npts = draw(st.sampled_from([(2, 2, 2), (3, 1, 2), (1,)]))
+    layout = ParamLayout(npts, tuple((-5.0, 5.0) for _ in npts))
+    weight = st.floats(1e-3, 1.0)
+    position = st.floats(-5.0, 5.0)
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = []
+        for n in npts:
+            row += draw(st.lists(weight, min_size=n, max_size=n))
+            row += draw(st.lists(position, min_size=n, max_size=n))
+        rows.append(row)
+    return layout, np.array(rows)
+
+
+@given(unnormalized_blocks())
+@settings(max_examples=200, deadline=None)
+def test_block_kernels_match_per_measure_functions(case):
+    layout, raw = case
+    products = [pack([normalize(f) for f in unpack(unflatten(row, layout))]) for row in raw]
+    block, feasible = normalize_block(raw, layout)
+    assert feasible.all()
+    assert np.array_equal(block, np.array([flatten(p) for p in products]))
+    assert factor_masses(raw, layout).tolist() == [
+        [f.mass() for f in unpack(unflatten(row, layout))] for row in raw
+    ]
+    assert expectation_block(block, layout, poly).tolist() == [
+        expectation(p, poly) for p in products
+    ]
+    assert event_probability_block(block, layout, below_line).tolist() == [
+        event_probability(p, below_line) for p in products
+    ]
+    assert expectation_block(block, layout, smooth) == pytest.approx(
+        [expectation(p, smooth) for p in products], rel=1e-12, abs=1e-12
+    )
+
+
+class TestBlockKernels:
+    LAYOUT = ParamLayout((2, 1), ((0.0, 4.0), (0.0, 4.0)))
+    BLOCK = np.array([[0.25, 0.75, 1.0, 3.0, 1.0, 2.0], [0.5, 0.5, 0.0, 4.0, 1.0, 1.0]])
+
+    def test_atoms_in_coords_order(self):
+        def seen(x, y):
+            seen.args = (x.copy(), y.copy())
+            return x + 10.0 * y
+
+        expectation_block(self.BLOCK, self.LAYOUT, seen)
+        assert seen.args[0].tolist() == [[1.0, 3.0], [0.0, 4.0]]
+        assert seen.args[1].tolist() == [[2.0, 2.0], [1.0, 1.0]]
+
+    def test_non_finite_response_raises(self):
+        def nan_above_two(x, y):
+            return np.where(x > 2.0, np.nan, x)
+
+        with pytest.raises(DomainError, match=r"nan at \(3.0, 2.0\)"):
+            expectation_block(self.BLOCK, self.LAYOUT, nan_above_two)
+
+    def test_zero_mass_row_is_infeasible(self):
+        raw = self.BLOCK.copy()
+        raw[1, :2] = 0.0
+        out, feasible = normalize_block(raw, self.LAYOUT)
+        assert feasible.tolist() == [True, False]
+        assert np.array_equal(out[0], self.BLOCK[0])
+
+    def test_tolerance_leaves_near_unit_masses(self):
+        raw = self.BLOCK.copy()
+        raw[0, :2] = [0.25, 0.75 + 1e-12]
+        out, _ = normalize_block(raw, self.LAYOUT, tol=1e-9)
+        assert np.array_equal(out, raw)

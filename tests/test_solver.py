@@ -7,7 +7,6 @@ import ouq.solver as solver_mod
 from ouq import (
     ChangeOverGeneration,
     DESettings,
-    DiscreteMeasure,
     InfeasibleConstrain,
     InnerLoopFailed,
     MeanConstraint,
@@ -163,14 +162,13 @@ class TestConstrainParams:
 class TestImposeExpectation:
     def test_returns_immediately_when_in_band(self):
         problem = paper_problem()
-        product = unflatten(
-            [0.63, 0.37, 1.524, 2.667, 1.0, 0.0, 0.0, 0.1, 1.0, 0.0, 2.2885, 2.8],
-            problem.layout,
+        params = np.array(
+            [0.63, 0.37, 1.524, 2.667, 1.0, 0.0, 0.0, 0.1, 1.0, 0.0, 2.2885, 2.8]
         )
-        e0 = expectation(product, perforation_area)
+        e0 = expectation(unflatten(params, problem.layout), perforation_area)
         assert 5.5 <= e0 <= 7.5
-        out = impose_expectation(product, problem, seed=1)
-        e1 = expectation(out, perforation_area)
+        out = impose_expectation(params, problem, seed=1)
+        e1 = expectation(unflatten(out, problem.layout), perforation_area)
         cost0 = (e0 - 6.5) ** 2
         cost1 = (e1 - 6.5) ** 2
         assert cost1 <= cost0 + 1e-12
@@ -181,15 +179,14 @@ class TestImposeExpectation:
         bounds = build_bounds(problem.layout)
         for k in range(5):
             raw = unflatten(rng.uniform(bounds.lower, bounds.upper), problem.layout)
-            product = pack([normalize(f) for f in unpack(raw)])
-            out = impose_expectation(product, problem, seed=k)
-            assert 5.5 <= expectation(out, perforation_area) <= 7.5
+            params = flatten(pack([normalize(f) for f in unpack(raw)]))
+            out = impose_expectation(params, problem, seed=k)
+            assert 5.5 <= expectation(unflatten(out, problem.layout), perforation_area) <= 7.5
 
     def test_1d_toy(self):
         problem = toy_problem(lambda x: x, band=(4.5, 5.5), seed=2)
-        product = pack([DiscreteMeasure.from_arrays([0.5, 0.5], [0.5, 1.0], 0.0, 10.0)])
-        out = impose_expectation(product, problem, seed=7)
-        assert 4.5 <= out.factors[0].mean() <= 5.5
+        out = impose_expectation(np.array([0.5, 0.5, 0.5, 1.0]), problem, seed=7)
+        assert 4.5 <= unflatten(out, problem.layout).factors[0].mean() <= 5.5
 
     def test_unreachable_band_fails(self):
         problem = toy_problem(
@@ -198,43 +195,34 @@ class TestImposeExpectation:
             seed=2,
             inner=DESettings(npop=10, seed=2, max_generations=5),
         )
-        product = pack([DiscreteMeasure.from_arrays([0.5, 0.5], [4.0, 6.0], 0.0, 10.0)])
         with pytest.raises(InnerLoopFailed):
-            impose_expectation(product, problem, seed=1)
+            impose_expectation(np.array([0.5, 0.5, 4.0, 6.0]), problem, seed=1)
 
 
 class TestRepairSemantics:
     """Pins what the nested repair returns on the reference problem."""
 
+    # thin plate at top speed: expectation ~9.35, above the band
+    HIGH = np.array([0.5, 0.5, 1.524, 1.53, 1.0, 0.0, 0.0, 0.1, 0.5, 0.5, 2.79, 2.8])
+    # thick oblique plate at low speed: expectation below the band
+    LOW = np.array([0.5, 0.5, 2.65, 2.667, 0.5, 0.5, 0.52, 0.5236, 0.5, 0.5, 2.1, 2.15])
+
     def test_out_of_band_trial_is_replaced_at_generation_0(self, de_reports):
         problem = paper_problem(seed=0)
-        # thin plate at top speed: expectation ~9.35, above the band
-        trial = unflatten(
-            [0.5, 0.5, 1.524, 1.53, 1.0, 0.0, 0.0, 0.1, 0.5, 0.5, 2.79, 2.8],
-            problem.layout,
-        )
-        assert expectation(trial, perforation_area) > 7.5
-        out = impose_expectation(trial, problem, seed=0)
+        assert expectation(unflatten(self.HIGH, problem.layout), perforation_area) > 7.5
+        out = impose_expectation(self.HIGH, problem, seed=0)
         assert [r.generations_run for r in de_reports] == [0]
-        assert 5.5 <= expectation(out, perforation_area) <= 7.5
-        assert out != trial
+        assert 5.5 <= expectation(unflatten(out, problem.layout), perforation_area) <= 7.5
+        assert not np.array_equal(out, self.HIGH)
 
     def test_result_does_not_depend_on_the_trial(self, de_reports):
         # the initial member nearest m wins, and the trial (slot 0) is not it
         problem = paper_problem(seed=0)
-        high = unflatten(
-            [0.5, 0.5, 1.524, 1.53, 1.0, 0.0, 0.0, 0.1, 0.5, 0.5, 2.79, 2.8],
-            problem.layout,
-        )
-        low = unflatten(
-            [0.5, 0.5, 2.65, 2.667, 0.5, 0.5, 0.52, 0.5236, 0.5, 0.5, 2.1, 2.15],
-            problem.layout,
-        )
-        assert expectation(low, perforation_area) < 5.5
-        out_high = impose_expectation(high, problem, seed=3)
-        out_low = impose_expectation(low, problem, seed=3)
+        assert expectation(unflatten(self.LOW, problem.layout), perforation_area) < 5.5
+        out_high = impose_expectation(self.HIGH, problem, seed=3)
+        out_low = impose_expectation(self.LOW, problem, seed=3)
         assert [r.generations_run for r in de_reports] == [0, 0]
-        assert out_high == out_low
+        assert np.array_equal(out_high, out_low)
 
 
 class TestOuqSolve:

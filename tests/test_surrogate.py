@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from ouq import (
+    DEFAULT_PARAMS,
     DomainError,
     SurrogateParams,
     ballistic_limit,
     mils_to_mm,
-    mm_to_mils,
     perforation_area,
 )
+from ouq.surrogate import MM_PER_MIL
 
 # The reference configuration's axis box.
 BOX_H = (1.524, 2.667)  # mm
@@ -87,6 +88,47 @@ class TestPerforationArea:
             perforation_area(2.0, 0.0, -0.1)
 
 
+class TestPerforationAreaArrays:
+    """The array form against the scalar one, which is the reference."""
+
+    @staticmethod
+    def box_points(seed, n=2000):
+        rng = np.random.default_rng(seed)
+        return (rng.uniform(*BOX_H, n), rng.uniform(*BOX_THETA, n), rng.uniform(*BOX_V, n))
+
+    def test_matches_scalar(self):
+        h, theta, v = self.box_points(21)
+        area = perforation_area(h, theta, v)
+        for hi, ti, vi, ai in zip(h.tolist(), theta.tolist(), v.tolist(), area.tolist()):
+            # pow and tanh may differ from math's in the last bit; near the
+            # ballistic limit tanh(v/v_bl - 1)^m magnifies that by about
+            # m / (v/v_bl - 1), so the tolerance grows there
+            excess = vi / ballistic_limit(hi, ti) - 1.0
+            rel = 1e-13 * max(1.0, 0.01 / excess) if excess > 0.0 else 0.0
+            assert ai == pytest.approx(perforation_area(hi, ti, vi), rel=rel, abs=0.0)
+
+    def test_zero_at_or_below_ballistic_limit(self):
+        h, theta, v = self.box_points(22)
+        P = DEFAULT_PARAMS
+        # the limit as the array form computes it
+        v_bl = P.H0 * (h / np.cos(theta) ** P.n) ** P.s
+        below = v_bl * np.random.default_rng(23).uniform(0.0, 1.0, h.size)
+        assert np.all(perforation_area(h, theta, v_bl) == 0.0)
+        assert np.all(perforation_area(h, theta, below) == 0.0)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [((0, 0.0), "thickness"), ((1, math.pi / 2), "obliquity"), ((2, -0.1), "speed")],
+        ids=["thickness", "obliquity", "speed"],
+    )
+    def test_domain_errors(self, bad, message):
+        coords = [np.array([2.0, 2.0, 2.0]), np.array([0.1, 0.1, 0.1]), np.array([2.5, 2.5, 2.5])]
+        axis, value = bad
+        coords[axis][1] = value
+        with pytest.raises(DomainError, match=message):
+            perforation_area(*coords)
+
+
 class TestUnits:
     def test_paper_range_endpoints(self):
         assert mils_to_mm(60.0) == pytest.approx(1.524, abs=1e-12)
@@ -94,11 +136,10 @@ class TestUnits:
 
     def test_zero(self):
         assert mils_to_mm(0.0) == 0.0
-        assert mm_to_mils(0.0) == 0.0
 
     def test_inverse(self):
         for x in (0.5, 1.524, 2.667, 100.0):
-            assert mm_to_mils(mils_to_mm(x)) == pytest.approx(x, rel=1e-15)
+            assert mils_to_mm(x) / MM_PER_MIL == pytest.approx(x, rel=1e-15)
 
 
 class TestParams:
