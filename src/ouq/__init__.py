@@ -4,36 +4,18 @@ Computes optimal upper bounds on failure probabilities by differential-
 evolution search over finite-dimensional product measures, with moment
 constraints enforced by a nested inner optimization.  Ships with the
 hypervelocity-impact perforation surrogate.
+
+The names below are the public surface; everything else (exception
+classes, block kernels, the repair internals) is imported from the module
+that defines it.
 """
 
 __version__ = "0.1.0"
 
-from .de import (
-    Bounds,
-    ChangeOverGeneration,
-    DESettings,
-    GenerationRecord,
-    SolveReport,
-    Strategy,
-    ValueBelow,
-    de_solve,
-    mutate_best1exp,
-    termination_met,
-)
-from .errors import (
-    ConfigError,
-    ConstraintViolation,
-    DomainError,
-    InfeasibleConstrain,
-    InnerLoopFailed,
-    OUQError,
-    ZeroMassMeasure,
-)
+from .de import Bounds, ChangeOverGeneration, DESettings, de_solve
 from .measures import (
     DiscreteMeasure,
     ParamLayout,
-    ProductMeasure,
-    SupportPoint,
     event_probability,
     expectation,
     flatten,
@@ -44,22 +26,5 @@ from .measures import (
     unflatten,
     unpack,
 )
-from .registry import get_response, register_response
-from .solver import (
-    FeasibilityAudit,
-    MeanConstraint,
-    OUQProblem,
-    OUQResult,
-    build_bounds,
-    constrain_params,
-    impose_expectation,
-    ouq_cost,
-    ouq_solve,
-)
-from .surrogate import (
-    DEFAULT_PARAMS,
-    SurrogateParams,
-    ballistic_limit,
-    mils_to_mm,
-    perforation_area,
-)
+from .solver import FeasibilityAudit, MeanConstraint, OUQProblem, ouq_solve
+from .surrogate import ballistic_limit, perforation_area

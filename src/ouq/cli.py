@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig, apply_overrides, load_config
-from .errors import ConfigError, OUQError
+from .errors import ConfigError, DomainError, OUQError
 from .measures import (
     DiscreteMeasure,
     ParamLayout,
@@ -89,16 +90,13 @@ def run_solve(config: RunConfig) -> int:
     bounds = []
     for k in range(config.runs):
         seed = config.seed + k
-        problem = build_problem(config, seed)
-        rows = [header]
-
-        def hook(generation, best_cost, best_params):
-            rows.append([str(generation), repr(best_cost)])
-            rows[-1].extend(repr(v) for v in best_params.tolist())
-
-        result = ouq_solve(problem, trace_hook=hook)
+        result = ouq_solve(build_problem(config, seed))
         with open(out_dir / f"trace_{k}.csv", "w") as fh:
-            fh.writelines(",".join(row) + "\n" for row in rows)
+            fh.write(",".join(header) + "\n")
+            for rec in result.report.trace:
+                row = [str(rec.generation), repr(rec.best_cost)]
+                row.extend(repr(v) for v in rec.best_params.tolist())
+                fh.write(",".join(row) + "\n")
 
         doc = {
             "probability_bound": result.probability_bound,
@@ -134,12 +132,18 @@ def run_solve(config: RunConfig) -> int:
 
 
 def eval_point(name: str, coords: list[float]) -> int:
+    """Print the response (and its limit) at one point; bad input is a ConfigError."""
     entry = get_response(name)
     check_arity(entry, len(coords))
-    value = entry.func(*coords)
+    if not all(map(math.isfinite, coords)):
+        raise ConfigError(f"coordinates must be finite, got {coords}")
+    try:
+        value = entry.func(*coords)
+        limit = None if entry.limit_func is None else entry.limit_func(*coords[:-1])
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
     print(f"{value:.6f}")
-    if entry.limit_func is not None:
-        limit = entry.limit_func(*coords[:-1])
+    if limit is not None:
         print(f"v_bl={limit:.6f}")
     return 0
 

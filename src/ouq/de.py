@@ -116,9 +116,6 @@ class Bounds:
     def clip(self, x: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(x, self.lower), self.upper)
 
-    def contains(self, x: np.ndarray) -> bool:
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
-
 
 @dataclass
 class GenerationRecord:

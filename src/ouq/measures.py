@@ -29,9 +29,7 @@ import numpy as np
 
 from .errors import DomainError, ZeroMassMeasure
 
-# Tolerances: algebraic identities hold to 1e-12; expectations demand
-# factor masses within 1e-9 of 1.
-ALGEBRA_TOL = 1e-12
+# Expectations demand factor masses within 1e-9 of 1.
 MASS_TOL = 1e-9
 
 
@@ -111,30 +109,6 @@ class ProductMeasure:
         if len(self.factors) == 0:
             raise ValueError("a product measure needs at least one factor")
 
-    @property
-    def dimension(self) -> int:
-        return len(self.factors)
-
-    def npts(self) -> int:
-        return math.prod(f.npts() for f in self.factors)
-
-    def weights(self) -> list[float]:
-        """Atom masses, enumerated lexicographically by factor then point index."""
-        out = []
-        for combo in itertools.product(*(f.points for f in self.factors)):
-            w = 1.0
-            for sp in combo:
-                w *= sp.weight
-            out.append(w)
-        return out
-
-    def coords(self) -> list[tuple[float, ...]]:
-        """Atom positions, in the same enumeration order as weights()."""
-        return [
-            tuple(sp.position for sp in combo)
-            for combo in itertools.product(*(f.points for f in self.factors))
-        ]
-
     def layout(self) -> "ParamLayout":
         return ParamLayout(
             npts_per_dim=tuple(f.npts() for f in self.factors),
@@ -157,10 +131,6 @@ class ParamLayout:
         for lo, hi in self.bounds_per_dim:
             if not lo < hi:
                 raise ValueError(f"need lower < upper, got [{lo}, {hi}]")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.npts_per_dim)
 
     @property
     def param_length(self) -> int:
@@ -265,8 +235,8 @@ def _check_normalized(p: ProductMeasure):
 def expectation(p: ProductMeasure, f: Callable[..., float]) -> float:
     """Expected value of f under the product measure.
 
-    Sums (prod_i w_i) * f(positions) over all atoms, in the fixed
-    lexicographic enumeration order of coords().  Every factor must carry
+    Sums (prod_i w_i) * f(positions) over all atoms, enumerated
+    lexicographically by factor, then point index.  Every factor must carry
     mass 1 within 1e-9.
     """
     _check_normalized(p)
@@ -332,7 +302,7 @@ def normalize_block(
 def _atom_columns(layout: ParamLayout) -> tuple[np.ndarray, np.ndarray]:
     """Block columns of every atom's weights and positions, one row per factor.
 
-    Atoms are enumerated as in ProductMeasure.coords(): lexicographically by
+    Atoms are enumerated in expectation()'s order: lexicographically by
     factor, then point index.
     """
     combos = np.array(list(itertools.product(*map(range, layout.npts_per_dim)))).T

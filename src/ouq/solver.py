@@ -9,8 +9,8 @@ it (least-squares distance to the target mean, value-to-reach d^2).
 
 Both loops hand `de_solve` whole generations: repair and cost work on
 (m, param_length) blocks through the block kernels of `measures`, and the
-response is called once per block.  `constrain_params` and `ouq_cost` are
-the same repair and cost for one vector.
+response is called once per block.  `constrain_params` is the same repair
+for one vector.
 """
 
 from __future__ import annotations
@@ -148,15 +148,6 @@ def cost_block(
     return -event_probability_block(block, layout, problem.failure_predicate())
 
 
-def ouq_cost(
-    params: np.ndarray,
-    problem: OUQProblem,
-    audit: Optional[FeasibilityAudit] = None,
-) -> float:
-    """Negative failure probability of the measure encoded by params."""
-    return float(cost_block(_one_row(params, problem.layout), problem, audit)[0])
-
-
 def impose_expectation(
     params: np.ndarray,
     problem: OUQProblem,
@@ -252,23 +243,17 @@ def constrain_params(
     the band cannot be reached; the caller treats either as an infeasible
     trial.
     """
-    out, failures = repair_block(
-        _one_row(params, problem.layout), problem, lambda row: inner_seed
-    )
-    if failures:
-        raise failures[0]
-    return out[0]
-
-
-def _one_row(params, layout: ParamLayout) -> np.ndarray:
-    """A flat parameter vector as a (1, param_length) block; checked like unflatten."""
+    layout = problem.layout
     params = np.asarray(params, dtype=float)
     if params.shape != (layout.param_length,) or not np.all(np.isfinite(params)):
         raise ValueError(
             f"expected {layout.param_length} finite parameters for layout "
             f"{layout.npts_per_dim}, got {params.tolist()}"
         )
-    return params[None, :]
+    out, failures = repair_block(params[None, :], problem, lambda row: inner_seed)
+    if failures:
+        raise failures[0]
+    return out[0]
 
 
 def _derive_inner_seed(outer_seed: int, generation: int, slot: int) -> int:

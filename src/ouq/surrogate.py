@@ -57,7 +57,8 @@ DEFAULT_PARAMS = SurrogateParams()
 
 
 def _check_domain(h: float, theta: float):
-    if h <= 0.0:
+    # comparisons are written so that NaN fails them
+    if not h > 0.0:
         raise DomainError(f"plate thickness must be positive, got {h}")
     if not 0.0 <= theta < math.pi / 2:
         raise DomainError(f"obliquity must lie in [0, pi/2), got {theta}")
@@ -85,7 +86,7 @@ def perforation_area(
     if isinstance(h, _ndarray):
         return _perforation_area_array(h, theta, v, params)
     # the domain test is inlined: this scalar path is the pointwise hot path
-    if h <= 0.0 or not 0.0 <= theta < _HALF_PI or v < 0.0:
+    if not h > 0.0 or not 0.0 <= theta < _HALF_PI or not v >= 0.0:
         _raise_domain_error(h, theta, v)
     cos = math.cos(theta)
     v_bl = params.H0 * (h / cos ** params.n) ** params.s
@@ -98,7 +99,7 @@ def perforation_area(
 
 def _perforation_area_array(h, theta, v, params: SurrogateParams) -> np.ndarray:
     """perforation_area on arrays, with the scalar formula's order of operations."""
-    outside = (h <= 0.0) | ~((0.0 <= theta) & (theta < _HALF_PI)) | (v < 0.0)
+    outside = ~((h > 0.0) & (0.0 <= theta) & (theta < _HALF_PI) & (v >= 0.0))
     if outside.any():
         i = tuple(np.argwhere(outside)[0])
         _raise_domain_error(*(float(a[i]) for a in np.broadcast_arrays(h, theta, v)))

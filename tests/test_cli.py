@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import json
 import math
 import time
@@ -7,17 +9,11 @@ import numpy as np
 import pytest
 
 import ouq.registry as registry_mod
-from ouq import (
-    ChangeOverGeneration,
-    ConfigError,
-    DomainError,
-    InnerLoopFailed,
-    Strategy,
-    event_probability,
-    impose_expectation,
-    ouq_solve,
-    perforation_area,
-)
+import ouq.cli
+from ouq import ChangeOverGeneration, event_probability, flatten, ouq_solve, perforation_area
+from ouq.de import Strategy
+from ouq.errors import ConfigError, DomainError, InnerLoopFailed
+from ouq.solver import impose_expectation
 from ouq.cli import build_problem, main, measure_from_dict, measure_to_dict
 from ouq.config import load_config
 from ouq.registry import ResponseEntry, get_response
@@ -197,6 +193,17 @@ class TestEval:
     def test_arity_mismatch(self, capsys):
         assert main(["eval", "sphir-perforation", "1.0"]) == 1
 
+    @pytest.mark.parametrize(
+        "coords",
+        [["nan", "0", "2.8"], ["2.667", "0", "nan"], ["inf", "0", "2.8"], ["-1", "0", "2.8"]],
+        ids=["nan_thickness", "nan_speed", "inf_thickness", "negative_thickness"],
+    )
+    def test_bad_point_rejected(self, capsys, coords):
+        assert main(["eval", "sphir-perforation", *coords]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_usage_error_exit_code(self):
         assert main([]) == 1
         assert main(["frobnicate"]) == 1
@@ -301,6 +308,12 @@ class TestSolve:
         result = json.loads((tmp_path / "result_0.json").read_text())
         assert (result["generations"], result["evaluations"]) == (generations, evaluations)
         assert result["probability_bound"] == bound
+        # the trace ends at the maximizer: one row per generation after the header
+        rows = (tmp_path / "trace_0.csv").read_text().splitlines()
+        assert len(rows) == generations + 1
+        last = [float(x) for x in rows[-1].split(",")]
+        assert last[:2] == [generations, -bound]
+        assert last[2:] == flatten(measure_from_dict(result["maximizer"])).tolist()
 
     def test_missing_config(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.config")]) == 1
@@ -384,3 +397,42 @@ class TestMeasureSerialization:
             ]
         )
         assert measure_from_dict(measure_to_dict(p)) == p
+
+
+class TestContract:
+    """The names perfbench reads or patches, and the public surface of ouq."""
+
+    PERFBENCH_NAMES = {
+        "ouq.solver": [
+            "constrain_params", "impose_expectation", "de_solve", "unflatten",
+            "expectation", "normalize", "flatten", "event_probability",
+        ],
+        "ouq.cli": ["ouq_solve", "load_config", "measure_from_dict", "build_problem", "main"],
+        "ouq.surrogate": ["SurrogateParams"],
+        "ouq.registry": ["get_response", "register_response"],
+    }
+
+    PUBLIC_NAMES = {
+        "Bounds", "ChangeOverGeneration", "DESettings", "de_solve",
+        "DiscreteMeasure", "ParamLayout", "event_probability", "expectation", "flatten",
+        "normalize", "pack", "set_mean", "set_range", "unflatten", "unpack",
+        "FeasibilityAudit", "MeanConstraint", "OUQProblem", "ouq_solve",
+        "ballistic_limit", "perforation_area",
+    }
+
+    def test_perfbench_hooks_exist(self):
+        for module, names in self.PERFBENCH_NAMES.items():
+            for name in names:
+                assert callable(getattr(importlib.import_module(module), name)), (module, name)
+        params = inspect.signature(ouq.cli.ouq_solve).parameters
+        assert [(p.name, p.default) for p in params.values()] == [
+            ("problem", inspect.Parameter.empty), ("audit", None), ("trace_hook", None),
+        ]
+        assert "limit_func" in inspect.signature(registry_mod.register_response).parameters
+
+    def test_public_names(self):
+        public = {
+            name for name, value in vars(ouq).items()
+            if not name.startswith("__") and not inspect.ismodule(value)
+        }
+        assert public == self.PUBLIC_NAMES

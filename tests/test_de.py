@@ -1,18 +1,9 @@
 import numpy as np
 import pytest
 
-from ouq import (
-    Bounds,
-    ChangeOverGeneration,
-    DESettings,
-    InfeasibleConstrain,
-    InnerLoopFailed,
-    Strategy,
-    ValueBelow,
-    de_solve,
-    mutate_best1exp,
-    termination_met,
-)
+from ouq import Bounds, ChangeOverGeneration, DESettings, de_solve
+from ouq.de import Strategy, ValueBelow, mutate_best1exp, termination_met
+from ouq.errors import InfeasibleConstrain, InnerLoopFailed
 
 
 def sphere(x):
@@ -156,7 +147,7 @@ class TestDeSolve:
         )
         assert seen
         for x in seen:
-            assert bounds.contains(x)
+            assert np.all(x >= bounds.lower) and np.all(x <= bounds.upper)
 
     def test_best_history_monotone(self):
         report = de_solve(

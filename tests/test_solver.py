@@ -7,27 +7,22 @@ import ouq.solver as solver_mod
 from ouq import (
     ChangeOverGeneration,
     DESettings,
-    InfeasibleConstrain,
-    InnerLoopFailed,
     MeanConstraint,
     OUQProblem,
     ParamLayout,
-    ZeroMassMeasure,
     ballistic_limit,
-    build_bounds,
-    constrain_params,
     event_probability,
     expectation,
     flatten,
-    impose_expectation,
     normalize,
-    ouq_cost,
     ouq_solve,
     pack,
     perforation_area,
     unflatten,
     unpack,
 )
+from ouq.errors import InfeasibleConstrain, InnerLoopFailed, ZeroMassMeasure
+from ouq.solver import build_bounds, constrain_params, cost_block, impose_expectation
 
 PAPER_LAYOUT = ParamLayout(
     (2, 2, 2), ((1.524, 2.667), (0.0, math.pi / 6), (2.1, 2.8))
@@ -87,18 +82,18 @@ class TestOuqCost:
         problem = paper_problem()
         # thick oblique plate at low speed: every atom is below its ballistic limit
         params = [0.5, 0.5, 2.65, 2.667, 0.5, 0.5, 0.52, 0.5236, 0.5, 0.5, 2.1, 2.15]
-        assert ouq_cost(np.array(params), problem) == pytest.approx(-1.0, abs=1e-12)
+        assert cost_block(np.array([params]), problem)[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_no_atom_fails(self):
         problem = paper_problem()
         # thin plate, max speed: every atom perforates
         params = [0.5, 0.5, 1.524, 1.53, 1.0, 0.0, 0.0, 0.1, 0.5, 0.5, 2.79, 2.8]
-        assert ouq_cost(np.array(params), problem) == 0.0
+        assert cost_block(np.array([params]), problem)[0] == 0.0
 
     def test_paper_maximizer(self):
         problem = paper_problem()
         params = [0.621, 0.379, 1.524, 2.667, 1.0, 0.0, 0.0, 0.1, 1.0, 0.0, 2.2885, 2.8]
-        assert ouq_cost(np.array(params), problem) == pytest.approx(-0.379, abs=1e-12)
+        assert cost_block(np.array([params]), problem)[0] == pytest.approx(-0.379, abs=1e-12)
 
 
 class TestConstrainParams:

@@ -3,15 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ouq import (
-    DEFAULT_PARAMS,
-    DomainError,
-    SurrogateParams,
-    ballistic_limit,
-    mils_to_mm,
-    perforation_area,
-)
-from ouq.surrogate import MM_PER_MIL
+from ouq import ballistic_limit, perforation_area
+from ouq.errors import DomainError
+from ouq.surrogate import DEFAULT_PARAMS, MM_PER_MIL, SurrogateParams, mils_to_mm
 
 # The reference configuration's axis box.
 BOX_H = (1.524, 2.667)  # mm
@@ -118,8 +112,14 @@ class TestPerforationAreaArrays:
 
     @pytest.mark.parametrize(
         "bad, message",
-        [((0, 0.0), "thickness"), ((1, math.pi / 2), "obliquity"), ((2, -0.1), "speed")],
-        ids=["thickness", "obliquity", "speed"],
+        [
+            ((0, 0.0), "thickness"),
+            ((1, math.pi / 2), "obliquity"),
+            ((2, -0.1), "speed"),
+            ((0, math.nan), "thickness"),
+            ((2, math.nan), "speed"),
+        ],
+        ids=["thickness", "obliquity", "speed", "nan_thickness", "nan_speed"],
     )
     def test_domain_errors(self, bad, message):
         coords = [np.array([2.0, 2.0, 2.0]), np.array([0.1, 0.1, 0.1]), np.array([2.5, 2.5, 2.5])]
@@ -127,6 +127,8 @@ class TestPerforationAreaArrays:
         coords[axis][1] = value
         with pytest.raises(DomainError, match=message):
             perforation_area(*coords)
+        with pytest.raises(DomainError, match=message):
+            perforation_area(*(float(c[1]) for c in coords))
 
 
 class TestUnits:
