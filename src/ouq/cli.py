@@ -17,19 +17,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .config import RunConfig, apply_overrides, load_config
+from .config import RunConfig, apply_overrides, build_problem, load_config
 from .errors import ConfigError, DomainError, OUQError
-from .measures import (
-    DiscreteMeasure,
-    ParamLayout,
-    ProductMeasure,
-    pack,
-)
+from .measures import DiscreteMeasure, ProductMeasure, pack
 from .registry import check_arity, get_response
-from .solver import MeanConstraint, OUQProblem, ouq_solve
+from .solver import ouq_solve
 
 
 def measure_to_dict(p: ProductMeasure) -> dict:
@@ -57,33 +51,18 @@ def measure_from_dict(doc: dict) -> ProductMeasure:
     )
 
 
-def _trace_header(layout: ParamLayout) -> list[str]:
+def _trace_header(npts_per_dim: tuple[int, ...]) -> list[str]:
     cols = ["generation", "best_cost"]
-    for i, n in enumerate(layout.npts_per_dim):
+    for i, n in enumerate(npts_per_dim):
         cols.extend(f"w{i}_{j}" for j in range(n))
         cols.extend(f"x{i}_{j}" for j in range(n))
     return cols
 
 
-def build_problem(config: RunConfig, seed: int) -> OUQProblem:
-    entry = get_response(config.response)
-    layout = ParamLayout(config.npts_per_dim, config.bounds_per_dim)
-    return OUQProblem(
-        response=entry.func,
-        layout=layout,
-        constraint=MeanConstraint.from_band(*config.mean_band),
-        failure_tolerance=config.failure_tolerance,
-        outer=replace(config.outer, seed=seed),
-        inner=replace(config.inner, seed=seed),
-        outer_termination=config.outer_termination,
-    )
-
-
 def run_solve(config: RunConfig) -> int:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    layout = ParamLayout(config.npts_per_dim, config.bounds_per_dim)
-    header = _trace_header(layout)
+    header = _trace_header(config.npts_per_dim)
 
     best_run = None
     best_bound = None

@@ -1,4 +1,4 @@
-"""Run configuration: YAML schema, validation, and unit handling.
+"""Run configuration: YAML parsing, units, and building the problem.
 
 Schema (all keys shown; unknown keys are rejected):
 
@@ -21,27 +21,39 @@ Schema (all keys shown; unknown keys are rejected):
     runs: 10
     output_dir: out
 
-Each DE's generation cap is its own `max_generations` (default 1000).
-Every number must be finite.  The response must be registered, take one
-coordinate per axis, be defined and finite at every corner of the axis
-box, and give the same corner values when called once on arrays.
-Length units mils and angle unit deg are converted at this boundary
-(1 mil = 0.0254 mm); mm, rad and km_s are native and pass through.
+This module only parses: the YAML shape, key sets, value types,
+finiteness, units and strategy names.  Range rules (points per axis,
+lower < upper, the mean band, npop, generation caps, tolerances,
+failure_tolerance) and defaults belong to the types the values build
+(`ParamLayout`, `MeanConstraint`, `OUQProblem`, `DESettings`, the
+termination rules), so a file and a library caller are held to the same
+rules.  `load_config` builds the problem once and reports a type's
+ValueError as a ConfigError under the key it came from.
+
+The rules no type owns are checked here: `seed` >= 0, `runs` >= 1, a
+non-empty `output_dir`, and the response probe: the response must be
+registered, take one coordinate per axis, be defined and finite at every
+corner of the axis box, and give the same corner values when called once
+on arrays.  Length units mils and angle unit deg are converted at this
+boundary (1 mil = 0.0254 mm); mm, rad and km_s are native and pass through.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import yaml
 
 from .de import ChangeOverGeneration, DESettings, Strategy, TerminationRule, ValueBelow
 from .errors import ConfigError, DomainError
+from .measures import ParamLayout
 from .registry import check_arity, get_response
+from .solver import MeanConstraint, OUQProblem
 from .surrogate import mils_to_mm
 
 _UNIT_CONVERSIONS = {
@@ -61,9 +73,9 @@ class RunConfig:
     mean_band: tuple[float, float]
     outer: DESettings
     inner: DESettings
+    seed: int
     outer_termination: TerminationRule | None = None
     failure_tolerance: float = 0.0
-    seed: int = 0
     runs: int = 1
     output_dir: str = "out"
 
@@ -77,7 +89,7 @@ def _require_mapping(value, where: str) -> dict:
 def _reject_unknown(mapping: dict, allowed: set[str], where: str):
     unknown = set(mapping) - allowed
     if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(map(str, unknown)))}")
 
 
 def _as_float(value, where: str) -> float:
@@ -88,12 +100,50 @@ def _as_float(value, where: str) -> float:
     return float(value)
 
 
-def _as_int(value, where: str, minimum: int = 1) -> int:
+def _as_int(value, where: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ConfigError(f"{where} must be >= {minimum}, got {value}")
     return value
+
+
+def _as_str(value, where: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{where} must be a non-empty string, got {value!r}")
+    return value
+
+
+def _as_strategy(value, where: str) -> Strategy:
+    try:
+        return Strategy(value)
+    except ValueError:
+        raise ConfigError(f"{where} must be one of: " + ", ".join(s.value for s in Strategy))
+
+
+def _as_list(value, where: str, item) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list, got {value!r}")
+    return tuple(item(entry, f"{where}[{i}]") for i, entry in enumerate(value))
+
+
+_AS_TYPE = {int: _as_int, float: _as_float, Strategy: _as_strategy}
+
+
+def _build(cls, value, where: str, fixed: tuple[str, ...] = ()):
+    """`cls` built from a mapping with one key per field not in `fixed`.
+
+    The values' types are checked here; their ranges and the defaults of
+    left-out keys are `cls`'s own.
+    """
+    value = _require_mapping(value, where)
+    settable = [f for f in fields(cls) if f.name not in fixed]
+    _reject_unknown(value, {f.name for f in settable}, where)
+    missing = [f.name for f in settable if f.default is MISSING and f.name not in value]
+    if missing:
+        raise ConfigError(f"{where} needs {', '.join(missing)}")
+    types = get_type_hints(cls)
+    return cls(**{k: _AS_TYPE[types[k]](v, f"{where}.{k}") for k, v in value.items()})
 
 
 def _parse_bounds_entry(entry, where: str) -> tuple[float, float]:
@@ -107,109 +157,64 @@ def _parse_bounds_entry(entry, where: str) -> tuple[float, float]:
                 f"{where}: unknown unit {unit!r}; known: {', '.join(sorted(_UNIT_CONVERSIONS))}"
             )
         conv = _UNIT_CONVERSIONS[unit]
-        lo = conv(_as_float(entry["lower"], f"{where}.lower"))
-        hi = conv(_as_float(entry["upper"], f"{where}.upper"))
-    elif isinstance(entry, (list, tuple)) and len(entry) == 2:
-        lo = _as_float(entry[0], f"{where}[0]")
-        hi = _as_float(entry[1], f"{where}[1]")
-    else:
-        raise ConfigError(f"{where} must be a [lower, upper] pair or a tagged mapping")
-    if not lo < hi:
-        raise ConfigError(f"{where}: need lower < upper, got [{lo}, {hi}]")
-    return (lo, hi)
+        return (
+            conv(_as_float(entry["lower"], f"{where}.lower")),
+            conv(_as_float(entry["upper"], f"{where}.upper")),
+        )
+    if isinstance(entry, list) and len(entry) == 2:
+        return (_as_float(entry[0], f"{where}[0]"), _as_float(entry[1], f"{where}[1]"))
+    raise ConfigError(f"{where} must be a [lower, upper] pair or a tagged mapping")
 
 
-def _parse_mean_band(value) -> tuple[float, float]:
+def _parse_mean_band(value, where: str) -> tuple[float, float]:
     if isinstance(value, dict):
-        _reject_unknown(value, {"m", "d"}, "mean_band")
-        if "m" not in value or "d" not in value:
-            raise ConfigError("mean_band mapping needs 'm' and 'd'")
-        m = _as_float(value["m"], "mean_band.m")
-        d = _as_float(value["d"], "mean_band.d")
-        if d <= 0:
-            raise ConfigError("mean_band.d must be positive")
-        return (m - d, m + d)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        m1 = _as_float(value[0], "mean_band[0]")
-        m2 = _as_float(value[1], "mean_band[1]")
-        if not m1 < m2:
-            raise ConfigError(f"mean_band: need m1 < m2, got [{m1}, {m2}]")
-        return (m1, m2)
-    raise ConfigError("mean_band must be [m1, m2] or {m: ..., d: ...}")
+        return _build(MeanConstraint, value, where).band
+    if isinstance(value, list) and len(value) == 2:
+        return (_as_float(value[0], f"{where}[0]"), _as_float(value[1], f"{where}[1]"))
+    raise ConfigError(f"{where} must be [m1, m2] or {{m: ..., d: ...}}")
 
 
-_DE_KEYS = {"npop", "cross_probability", "scaling_factor", "strategy", "max_generations"}
+def _parse_termination(value, where: str) -> TerminationRule:
+    value = dict(_require_mapping(value, where))
+    name = value.pop("rule", None)
+    for rule in (ChangeOverGeneration, ValueBelow):
+        if name == rule.name:
+            return _build(rule, value, where)
+    raise ConfigError(f"{where}.rule must be one of: change_over_generation, value_below")
 
 
-def _parse_de_settings(value, where: str, seed: int) -> DESettings:
-    value = _require_mapping(value, where)
-    _reject_unknown(value, _DE_KEYS, where)
-    kwargs = {"seed": seed}
-    if "npop" in value:
-        kwargs["npop"] = _as_int(value["npop"], f"{where}.npop", minimum=4)
-    if "cross_probability" in value:
-        kwargs["cross_probability"] = _as_float(value["cross_probability"], f"{where}.cross_probability")
-    if "scaling_factor" in value:
-        kwargs["scaling_factor"] = _as_float(value["scaling_factor"], f"{where}.scaling_factor")
-    if "strategy" in value:
-        try:
-            kwargs["strategy"] = Strategy(value["strategy"])
-        except ValueError:
-            raise ConfigError(
-                f"{where}.strategy must be one of: "
-                + ", ".join(s.value for s in Strategy)
-            )
-    if "max_generations" in value:
-        kwargs["max_generations"] = _as_int(value["max_generations"], f"{where}.max_generations")
-    try:
-        return DESettings(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}")
+def _parse_de_settings(value, where: str) -> DESettings:
+    # the seed is not a file key: build_problem sets it per run
+    return _build(DESettings, value, where, fixed=("seed",))
 
 
-def _parse_termination(value) -> TerminationRule:
-    value = _require_mapping(value, "outer_termination")
-    rule = value.get("rule")
-    try:
-        if rule == "change_over_generation":
-            _reject_unknown(value, {"rule", "tolerance", "generations"}, "outer_termination")
-            return ChangeOverGeneration(
-                tolerance=_as_float(value.get("tolerance", 1e-4), "outer_termination.tolerance"),
-                generations=_as_int(value.get("generations", 10), "outer_termination.generations"),
-            )
-        if rule == "value_below":
-            _reject_unknown(value, {"rule", "tolerance"}, "outer_termination")
-            return ValueBelow(tolerance=_as_float(value.get("tolerance"), "outer_termination.tolerance"))
-    except ValueError as exc:
-        raise ConfigError(f"outer_termination: {exc}")
-    raise ConfigError(
-        "outer_termination.rule must be one of: change_over_generation, value_below"
+# One parser per RunConfig field, called as parser(value, key).
+_PARSERS = {
+    "response": _as_str,
+    "npts_per_dim": lambda value, where: _as_list(value, where, _as_int),
+    "bounds_per_dim": lambda value, where: _as_list(value, where, _parse_bounds_entry),
+    "mean_band": _parse_mean_band,
+    "outer": _parse_de_settings,
+    "inner": _parse_de_settings,
+    "seed": lambda value, where: _as_int(value, where, minimum=0),
+    "outer_termination": _parse_termination,
+    "failure_tolerance": _as_float,
+    "runs": lambda value, where: _as_int(value, where, minimum=1),
+    "output_dir": _as_str,
+}
+
+
+def build_problem(config: RunConfig, seed: int) -> OUQProblem:
+    """The OUQ problem of a run configuration, with both DEs seeded by `seed`."""
+    return OUQProblem(
+        response=get_response(config.response).func,
+        layout=ParamLayout(config.npts_per_dim, config.bounds_per_dim),
+        constraint=MeanConstraint.from_band(*config.mean_band),
+        failure_tolerance=config.failure_tolerance,
+        outer=replace(config.outer, seed=seed),
+        inner=replace(config.inner, seed=seed),
+        outer_termination=config.outer_termination,
     )
-
-
-_TOP_KEYS = {
-    "response",
-    "npts_per_dim",
-    "bounds_per_dim",
-    "mean_band",
-    "failure_tolerance",
-    "outer",
-    "inner",
-    "outer_termination",
-    "seed",
-    "runs",
-    "output_dir",
-}
-
-_REQUIRED_KEYS = {
-    "response",
-    "npts_per_dim",
-    "bounds_per_dim",
-    "mean_band",
-    "outer",
-    "inner",
-    "seed",
-}
 
 
 def _check_response(name: str, bounds: tuple[tuple[float, float], ...]):
@@ -244,68 +249,39 @@ def _check_response(name: str, bounds: tuple[tuple[float, float], ...]):
 
 
 def load_config(path) -> RunConfig:
-    """Parse and fully validate a run configuration file."""
-    text = Path(path).read_text()
+    """Parse a run configuration file, build its problem once and probe its response.
+
+    Any ValueError, whether a type's range rule or an undecodable file,
+    becomes a ConfigError prefixed with the key being parsed, or with the
+    path once the parsed values are being built into the problem.
+    """
+    key = str(path)
     try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: {exc}")
-    raw = _require_mapping(raw, str(path))
-    _reject_unknown(raw, _TOP_KEYS, str(path))
-    missing = _REQUIRED_KEYS - set(raw)
-    if missing:
-        raise ConfigError(f"{path}: missing required key(s): {', '.join(sorted(missing))}")
-
-    if not isinstance(raw["response"], str):
-        raise ConfigError("response must be a string")
-    npts_raw = raw["npts_per_dim"]
-    if not isinstance(npts_raw, list) or not npts_raw:
-        raise ConfigError("npts_per_dim must be a nonempty list")
-    npts = tuple(_as_int(n, "npts_per_dim entry") for n in npts_raw)
-
-    bounds_raw = raw["bounds_per_dim"]
-    if not isinstance(bounds_raw, list) or len(bounds_raw) != len(npts):
-        raise ConfigError("bounds_per_dim must list one [lower, upper] pair per axis")
-    bounds = tuple(
-        _parse_bounds_entry(entry, f"bounds_per_dim[{i}]")
-        for i, entry in enumerate(bounds_raw)
-    )
-    _check_response(raw["response"], bounds)
-
-    seed = _as_int(raw["seed"], "seed", minimum=0)
-    failure_tolerance = _as_float(raw.get("failure_tolerance", 0.0), "failure_tolerance")
-    if failure_tolerance < 0:
-        raise ConfigError("failure_tolerance must be nonnegative")
-
-    return RunConfig(
-        response=raw["response"],
-        npts_per_dim=npts,
-        bounds_per_dim=bounds,
-        mean_band=_parse_mean_band(raw["mean_band"]),
-        failure_tolerance=failure_tolerance,
-        outer=_parse_de_settings(raw["outer"], "outer", seed),
-        inner=_parse_de_settings(raw["inner"], "inner", seed),
-        outer_termination=(
-            _parse_termination(raw["outer_termination"])
-            if "outer_termination" in raw
-            else None
-        ),
-        seed=seed,
-        runs=_as_int(raw.get("runs", 1), "runs"),
-        output_dir=str(raw.get("output_dir", "out")),
-    )
+        raw = _require_mapping(yaml.safe_load(Path(path).read_text(encoding="utf-8")), key)
+        _reject_unknown(raw, {f.name for f in fields(RunConfig)}, key)
+        missing = [f.name for f in fields(RunConfig) if f.default is MISSING and f.name not in raw]
+        if missing:
+            raise ConfigError(f"{path}: missing required key(s): {', '.join(missing)}")
+        values = {}
+        for key in (f.name for f in fields(RunConfig) if f.name in raw):
+            values[key] = _PARSERS[key](raw[key], key)
+        key = str(path)
+        config = RunConfig(**values)
+        build_problem(config, config.seed)
+        _check_response(config.response, config.bounds_per_dim)
+    except (ValueError, yaml.YAMLError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+    return config
 
 
 def apply_overrides(
     config: RunConfig, seed=None, runs=None, output_dir=None
 ) -> RunConfig:
-    """Return `config` with the given command-line overrides, checked by the
-    same rules as the file's `seed` and `runs` keys."""
-    changes = {}
-    if seed is not None:
-        changes["seed"] = _as_int(seed, "--seed", minimum=0)
-    if runs is not None:
-        changes["runs"] = _as_int(runs, "--runs")
-    if output_dir is not None:
-        changes["output_dir"] = str(output_dir)
-    return replace(config, **changes)
+    """Return `config` with the given command-line overrides, each checked
+    by the parser of the file key it replaces."""
+    flags = {"seed": seed, "runs": runs, "output_dir": output_dir}
+    return replace(config, **{
+        key: _PARSERS[key](value, "--" + key.replace("_", "-"))
+        for key, value in flags.items()
+        if value is not None
+    })

@@ -35,15 +35,16 @@ class DESettings:
     seed: int = 0
     max_generations: int = 1000
 
+    # Each test is written so that NaN fails it.
     def __post_init__(self):
-        if self.npop < 4:
-            raise ValueError("npop must be >= 4 (best + two candidates + target)")
+        if not self.npop >= 4:
+            raise ValueError(f"npop must be >= 4 (best + two candidates + target), got {self.npop}")
         if not 0.0 <= self.cross_probability <= 1.0:
-            raise ValueError("cross_probability must lie in [0, 1]")
-        if self.scaling_factor <= 0.0:
-            raise ValueError("scaling_factor must be positive")
-        if self.max_generations < 1:
-            raise ValueError("max_generations must be positive")
+            raise ValueError(f"cross_probability must lie in [0, 1], got {self.cross_probability}")
+        if not self.scaling_factor > 0.0:
+            raise ValueError(f"scaling_factor must be positive, got {self.scaling_factor}")
+        if not self.max_generations >= 1:
+            raise ValueError(f"max_generations must be >= 1, got {self.max_generations}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,10 @@ class ChangeOverGeneration:
     name = "change_over_generation"
 
     def __post_init__(self):
-        if self.tolerance <= 0.0 or self.generations < 1:
-            raise ValueError("need tolerance > 0 and generations >= 1")
+        if not self.tolerance > 0.0:
+            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not self.generations >= 1:
+            raise ValueError(f"generations must be >= 1, got {self.generations}")
 
 
 @dataclass(frozen=True)
@@ -69,8 +72,8 @@ class ValueBelow:
     name = "value_below"
 
     def __post_init__(self):
-        if self.tolerance < 0.0:
-            raise ValueError("tolerance must be nonnegative")
+        if not self.tolerance >= 0.0:
+            raise ValueError(f"tolerance must be nonnegative, got {self.tolerance}")
 
 
 TerminationRule = ChangeOverGeneration | ValueBelow

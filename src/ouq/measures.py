@@ -126,11 +126,11 @@ class ParamLayout:
     def __post_init__(self):
         if len(self.npts_per_dim) != len(self.bounds_per_dim):
             raise ValueError("npts_per_dim and bounds_per_dim differ in length")
-        if any(n < 1 for n in self.npts_per_dim):
-            raise ValueError("every axis needs at least one support point")
-        for lo, hi in self.bounds_per_dim:
+        if not all(n >= 1 for n in self.npts_per_dim):
+            raise ValueError(f"npts_per_dim must be >= 1 per axis, got {self.npts_per_dim}")
+        for i, (lo, hi) in enumerate(self.bounds_per_dim):
             if not lo < hi:
-                raise ValueError(f"need lower < upper, got [{lo}, {hi}]")
+                raise ValueError(f"bounds_per_dim[{i}]: need lower < upper, got [{lo}, {hi}]")
 
     @property
     def param_length(self) -> int:

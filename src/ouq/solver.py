@@ -15,6 +15,7 @@ for one vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -59,13 +60,15 @@ class MeanConstraint:
     d: float
 
     def __post_init__(self):
-        if self.d <= 0.0:
-            raise ValueError("acceptable deviation d must be positive")
+        if not math.isfinite(self.m):
+            raise ValueError(f"band centre m must be finite, got {self.m}")
+        if not self.d > 0.0:
+            raise ValueError(f"acceptable deviation d must be positive, got {self.d}")
 
     @classmethod
     def from_band(cls, m1: float, m2: float) -> "MeanConstraint":
         if not m1 < m2:
-            raise ValueError(f"need m1 < m2, got [{m1}, {m2}]")
+            raise ValueError(f"mean band needs m1 < m2, got [{m1}, {m2}]")
         return cls(m=(m1 + m2) / 2.0, d=(m2 - m1) / 2.0)
 
     @property
@@ -84,8 +87,8 @@ class OUQProblem:
     outer_termination: Optional[TerminationRule] = None
 
     def __post_init__(self):
-        if self.failure_tolerance < 0.0:
-            raise ValueError("failure_tolerance must be nonnegative")
+        if not self.failure_tolerance >= 0.0:
+            raise ValueError(f"failure_tolerance must be nonnegative, got {self.failure_tolerance}")
 
     def failure_predicate(self) -> Callable[..., bool]:
         tol = self.failure_tolerance

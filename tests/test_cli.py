@@ -7,12 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ouq.registry as registry_mod
 import ouq.cli
 from ouq import ChangeOverGeneration, event_probability, flatten, ouq_solve, perforation_area
 from ouq.de import Strategy
-from ouq.errors import ConfigError, DomainError, InnerLoopFailed
+from ouq.errors import ConfigError, DomainError, InfeasibleConstrain, InnerLoopFailed
 from ouq.solver import impose_expectation
 from ouq.cli import build_problem, main, measure_from_dict, measure_to_dict
 from ouq.config import load_config
@@ -96,6 +99,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_unknown_keys_of_mixed_types_rejected(self, tmp_path):
+        path, _ = write_tiny_config(tmp_path)
+        path.write_text(path.read_text() + "1: 2\nbogus_key: 1\n")
+        with pytest.raises(ConfigError, match="1, bogus_key"):
+            load_config(path)
+
     def test_unknown_nested_key_rejected(self, tmp_path):
         path, _ = write_tiny_config(tmp_path, **{"npop: 40": "npop: 40\n  banana: 1"})
         with pytest.raises(ConfigError):
@@ -167,6 +176,52 @@ class TestLoadConfig:
         path.write_text("response: [unclosed\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("npts_per_dim: [2, 2, 2]", "npts_per_dim: [0, 2, 2]", "npts_per_dim"),
+            ("[2.1, 2.8]", "[2.8, 2.1]", r"\[2\.8, 2\.1\]"),
+            ("mean_band: [5.5, 7.5]", "mean_band: [7.5, 5.5]", r"\[7\.5, 5\.5\]"),
+            ("mean_band: [5.5, 7.5]", "mean_band: {m: 6.5, d: 0.0}", "mean_band"),
+            ("seed: 0", "failure_tolerance: -0.5\nseed: 0", "failure_tolerance"),
+            ("npop: 40", "npop: 3", "npop"),
+            ("max_generations: 15", "max_generations: 0", "max_generations"),
+            ("generations: 10}", "generations: 0}", "generations"),
+            ("tolerance: 1.0e-4", "tolerance: 0.0", "tolerance"),
+        ],
+        ids=[
+            "npts_0", "lower_above_upper", "m1_above_m2", "d_zero", "negative_failure_tolerance",
+            "npop_3", "max_generations_0", "generations_0", "tolerance_0",
+        ],
+    )
+    def test_range_rule_rejected(self, tmp_path, capsys, old, new, message):
+        # the rule is the type's own; the file is held to it before any output
+        path, outdir = write_tiny_config(tmp_path, **{old: new})
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not outdir.exists()
+
+    def test_non_utf8_file_rejected(self, tmp_path, capsys):
+        path, outdir = write_tiny_config(tmp_path)
+        path.write_bytes((path.read_text() + "# plate: 60 \u00b5m\n").encode("latin-1"))
+        with pytest.raises(ConfigError, match="utf-8"):
+            load_config(path)
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("value", ["~", "[a, b]", "''"], ids=["null", "list", "empty"])
+    def test_output_dir_must_be_a_nonempty_string(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.chdir(tmp_path)
+        path, _ = write_tiny_config(tmp_path, outdir=value)
+        with pytest.raises(ConfigError, match="output_dir"):
+            load_config(path)
+        assert main(["solve", str(path)]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["tiny.config"]
 
 
 class TestEval:
@@ -315,6 +370,13 @@ class TestSolve:
         assert last[:2] == [generations, -bound]
         assert last[2:] == flatten(measure_from_dict(result["maximizer"])).tolist()
 
+    def test_empty_output_dir_override_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        path, _ = write_tiny_config(tmp_path)
+        assert main(["solve", str(path), "--output-dir", ""]) == 1
+        assert "--output-dir" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["tiny.config"]
+
     def test_missing_config(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.config")]) == 1
 
@@ -397,6 +459,79 @@ class TestMeasureSerialization:
             ]
         )
         assert measure_from_dict(measure_to_dict(p)) == p
+
+
+@st.composite
+def small_configs(draw):
+    """A small config with at most one of its 18 values drawn from the
+    invalid side of its rule, and whether none is."""
+    broken = draw(st.sampled_from(range(-6, 18)))  # a negative index breaks none
+    valid = []
+
+    def pick(good, bad):
+        valid.append(len(valid) != broken)
+        return draw(st.sampled_from(good if valid[-1] else bad))
+
+    def de_settings():
+        return {
+            "npop": pick([4, 6], [3, 0]),
+            "max_generations": pick([1, 3], [0]),
+            "scaling_factor": pick([0.9], [0.0, -0.5]),
+        }
+
+    axes = [(1.524, 2.667), (0.0, 0.5), (2.1, 2.8)]
+    raw = {
+        "response": "sphir-perforation",
+        "npts_per_dim": [pick([1, 2], [0]) for _ in axes],
+        "bounds_per_dim": [pick([[lo, hi]], [[hi, lo], [lo, lo]]) for lo, hi in axes],
+        "mean_band": pick(
+            [[5.5, 7.5], [100.0, 101.0], {"m": 6.5, "d": 1.0}],
+            [[7.5, 5.5], {"m": 6.5, "d": 0.0}],
+        ),
+        "failure_tolerance": pick([0.0, 0.5], [-0.5]),
+        "outer": de_settings(),
+        "inner": de_settings(),
+        "outer_termination": pick(
+            [
+                {"rule": "change_over_generation", "tolerance": 1e-4, "generations": 2},
+                {"rule": "value_below", "tolerance": 0.0},
+            ],
+            [
+                {"rule": "change_over_generation", "tolerance": 0.0},
+                {"rule": "change_over_generation", "generations": 0},
+                {"rule": "value_below", "tolerance": -1.0},
+            ],
+        ),
+        "seed": pick([0, 7], [-1]),
+        "runs": pick([1], [0]),
+        "output_dir": pick(["out"], [None, ""]),
+    }
+    return raw, all(valid)
+
+
+class TestRandomConfigs:
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(case=small_configs())
+    def test_load_rejects_or_the_solve_ends_cleanly(self, tmp_path_factory, case):
+        """A config fails to load exactly when a value breaks a rule; a loaded
+        one solves or is infeasible before generation 1."""
+        raw, valid = case
+        path = tmp_path_factory.getbasetemp() / "random.config"
+        path.write_text(yaml.safe_dump(raw))
+        try:
+            config = load_config(path)
+        except ConfigError:
+            assert not valid
+            return
+        assert valid
+        generations = []
+        try:
+            ouq_solve(
+                build_problem(config, config.seed),
+                trace_hook=lambda generation, *_: generations.append(generation),
+            )
+        except InfeasibleConstrain:
+            assert generations == []
 
 
 class TestContract:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ouq import (
     unflatten,
     unpack,
 )
+from ouq.de import ValueBelow
 from ouq.errors import InfeasibleConstrain, InnerLoopFailed, ZeroMassMeasure
 from ouq.solver import build_bounds, constrain_params, cost_block, impose_expectation
 
@@ -64,6 +66,34 @@ class TestMeanConstraint:
     def test_rejects_empty_band(self):
         with pytest.raises(ValueError):
             MeanConstraint(m=1.0, d=0.0)
+
+
+NAN = float("nan")
+
+
+class TestNaNRejected:
+    """Each type's range rule fails NaN, so a NaN setting never reaches a solve."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DESettings(scaling_factor=NAN),
+            lambda: DESettings(cross_probability=NAN),
+            lambda: ChangeOverGeneration(tolerance=NAN),
+            lambda: ValueBelow(NAN),
+            lambda: MeanConstraint(6.5, NAN),
+            lambda: MeanConstraint(NAN, 1.0),
+            lambda: MeanConstraint.from_band(NAN, 7.5),
+            lambda: replace(paper_problem(), failure_tolerance=NAN),
+        ],
+        ids=[
+            "scaling_factor", "cross_probability", "change_tolerance", "value_below_tolerance",
+            "mean_d", "mean_m", "band_m1", "failure_tolerance",
+        ],
+    )
+    def test_nan_rejected(self, build):
+        with pytest.raises(ValueError, match="nan"):
+            build()
 
 
 class TestBuildBounds:
