@@ -7,7 +7,8 @@
 `trace_<k>.csv` (generation, best_cost, then the flattened parameters in
 layout order) and `result_<k>.json` (bound, expectation, maximizer
 measure), plus a `summary.json` naming the best run.  A run's files are
-written only once its solve has returned.  Exit codes: 0 ok, 1 usage or
+written only once its solve has returned, each to a temporary file that is
+then renamed into place.  Exit codes: 0 ok, 1 usage or
 configuration error, 2 solver error, 3 I/O error.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -59,6 +61,18 @@ def _trace_header(npts_per_dim: tuple[int, ...]) -> list[str]:
     return cols
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then rename it into
+    place, so a failed write leaves neither a partial `path` nor the temporary."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def run_solve(config: RunConfig) -> int:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -70,12 +84,11 @@ def run_solve(config: RunConfig) -> int:
     for k in range(config.runs):
         seed = config.seed + k
         result = ouq_solve(build_problem(config, seed))
-        with open(out_dir / f"trace_{k}.csv", "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for rec in result.report.trace:
-                row = [str(rec.generation), repr(rec.best_cost)]
-                row.extend(repr(v) for v in rec.best_params.tolist())
-                fh.write(",".join(row) + "\n")
+        rows = [header]
+        for rec in result.report.trace:
+            rows.append([str(rec.generation), repr(rec.best_cost)])
+            rows[-1].extend(repr(v) for v in rec.best_params.tolist())
+        _write_atomic(out_dir / f"trace_{k}.csv", "".join(",".join(r) + "\n" for r in rows))
 
         doc = {
             "probability_bound": result.probability_bound,
@@ -86,9 +99,7 @@ def run_solve(config: RunConfig) -> int:
             "evaluations": result.report.evaluations,
             "terminated_by": result.report.terminated_by,
         }
-        with open(out_dir / f"result_{k}.json", "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        _write_atomic(out_dir / f"result_{k}.json", json.dumps(doc, indent=2) + "\n")
 
         bounds.append(result.probability_bound)
         if best_bound is None or result.probability_bound > best_bound:
@@ -103,9 +114,7 @@ def run_solve(config: RunConfig) -> int:
         "runs": config.runs,
         "base_seed": config.seed,
     }
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_atomic(out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
     print(f"best bound = {best_bound:.6f} (run {best_run})")
     return 0
 

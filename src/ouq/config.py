@@ -16,7 +16,7 @@ Schema (all keys shown; unknown keys are rejected):
       rule: change_over_generation       # to outer.max_generations
       tolerance: 1.0e-4
       generations: 10
-    # or: outer_termination: {rule: value_below, tolerance: ...}
+    # or: outer_termination: {rule: value_below, tolerance: -0.3}  # cost -P
     seed: 0
     runs: 10
     output_dir: out

@@ -72,8 +72,8 @@ class ValueBelow:
     name = "value_below"
 
     def __post_init__(self):
-        if not self.tolerance >= 0.0:
-            raise ValueError(f"tolerance must be nonnegative, got {self.tolerance}")
+        if not math.isfinite(self.tolerance):
+            raise ValueError(f"tolerance must be finite, got {self.tolerance}")
 
 
 TerminationRule = ChangeOverGeneration | ValueBelow
@@ -137,44 +137,83 @@ class SolveReport:
     terminated_by: str
 
 
-def mutate_best1exp(
-    best: np.ndarray,
-    c1: np.ndarray,
-    c2: np.ndarray,
-    target: np.ndarray,
-    settings: DESettings,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Build one Best1Exp trial vector from the current best and two candidates.
+class _TrialBuilder:
+    """Builds each generation's Best1Exp trials from raw PCG64 words.
 
-    Standard strategy: starting at a random coordinate, copy
-    best + F*(c1 - c2) into consecutive (cyclic) coordinates of the target
-    while successive uniform draws stay below the cross probability; at
-    least one coordinate is always mutated.  Snippet strategy: with
-    probability (1 - CR) return best unchanged, otherwise mutate the whole
-    vector at once.
+    The words are read exactly as the per-slot numpy calls read them, so the
+    trials and the stream match bit for bit.  `rng.choice(others, 2,
+    replace=False)` is Floyd's algorithm: bounded draws in [0, n-2] and
+    [0, n-1] (the second becomes n-1 if it repeats the first), then one in
+    [0, 1] that swaps them when 0.  Bounded draws, `rng.integers(d)` too, use
+    Lemire's 32-bit method with rejection on the low, then the high half of a
+    word; a range of 0 draws nothing.  `rng.random()` takes a whole word w as
+    (w >> 11) * 2**-53.  Unused words and a pending high half carry over to
+    the next generation, so nothing else may draw from the generator.
     """
-    d = best.size
-    if not (c1.size == d and c2.size == d and target.size == d):
-        raise ValueError(
-            f"vector lengths differ: {best.size}, {c1.size}, {c2.size}, {target.size}"
-        )
-    f = settings.scaling_factor
-    if settings.strategy is Strategy.BEST1EXP_PAPER_SNIPPET:
-        if rng.random() >= settings.cross_probability:
-            return best.copy()
-        return best + f * (c1 - c2)
 
-    trial = target.copy()
-    i = int(rng.integers(d))
-    mutated = 0
-    while True:
-        trial[i] = best[i] + f * (c1[i] - c2[i])
-        mutated += 1
-        i = (i + 1) % d
-        if mutated >= d or rng.random() >= settings.cross_probability:
-            break
-    return trial
+    def __init__(self, rng: np.random.Generator, settings: DESettings):
+        state = rng.bit_generator.state
+        self._raw, self._settings, self._words = rng.bit_generator.random_raw, settings, []
+        self._half = state["uinteger"] if state["has_uint32"] else None
+
+    def __call__(self, pop: np.ndarray, best: np.ndarray) -> np.ndarray:
+        """Trials best + F*(pop[c1] - pop[c2]) over a cyclic run of each slot's
+        row (standard), or over all of it unless the slot keeps best (snippet)."""
+        npop, d = pop.shape
+        if best.shape != (d,):
+            raise ValueError(f"vector lengths differ: population rows {d}, best {best.size}")
+        need = npop * (2 + max(d - 1, 1))  # the most a generation takes without rejections
+        self._words += self._raw(max(need - len(self._words), 0)).tolist()
+        while True:
+            try:
+                a, b, start, run = map(np.array, self._draw(npop, d))
+                break
+            except IndexError:  # rejections took more than `need`
+                self._words += self._raw(npop).tolist()
+        donors = best + self._settings.scaling_factor * (pop[a] - pop[b])
+        if self._settings.strategy is Strategy.BEST1EXP_PAPER_SNIPPET:
+            return np.where(run[:, None], best, donors)
+        return np.where((np.arange(d) - start[:, None]) % d < run[:, None], donors, pop)
+
+    def _draw(self, npop: int, d: int):
+        """Per slot: the rows of both candidates, and the crossover start and
+        run length (standard) or keep-best flag (snippet)."""
+        words, pos, half = self._words, 0, self._half
+        cr = self._settings.cross_probability
+        snippet = self._settings.strategy is Strategy.BEST1EXP_PAPER_SNIPPET
+
+        def bounded(hi):
+            nonlocal pos, half
+            while hi:
+                if half is None:
+                    u, half, pos = words[pos] & 0xFFFFFFFF, words[pos] >> 32, pos + 1
+                else:
+                    u, half = half, None
+                if (u * (hi + 1)) & 0xFFFFFFFF >= (0xFFFFFFFF - hi) % (hi + 1):
+                    return (u * (hi + 1)) >> 32
+            return 0
+
+        a, b, start, run = [], [], [], []
+        for slot in range(npop):
+            x, y = bounded(npop - 3), bounded(npop - 2)  # indices into the other slots
+            y = npop - 2 if y == x else y
+            x, y = (x, y) if bounded(1) else (y, x)
+            a.append(x + (x >= slot))
+            b.append(y + (y >= slot))
+            if snippet:
+                pos += 1
+                run.append((words[pos - 1] >> 11) * 2**-53 >= cr)
+                continue
+            start.append(bounded(d - 1))
+            length = 1
+            while length < d:
+                pos += 1
+                if (words[pos - 1] >> 11) * 2**-53 >= cr:
+                    break
+                length += 1
+            run.append(length)
+        self._words, self._half = words[pos:], half
+        return a, b, start, run
 
 
 def _one_row_at_a_time(cost, constrain):
@@ -213,10 +252,13 @@ def de_solve(
     """Minimize `cost` over the box with differential evolution.
 
     Each generation builds all `npop` trials against the generation-start
-    population, then clips them to the box, passes them through the
-    constraint function, re-clips and evaluates them as one block; a trial
-    replaces its population slot only on strict improvement, so the
-    best-cost history is monotone non-increasing.
+    population in one pass over raw PCG64 words of the seeded generator
+    (`_TrialBuilder`, which reads them as numpy's `choice`, `integers` and
+    `random` did, so the stream is defined here, not by those methods),
+    then clips them to the box, passes them through the constraint
+    function, re-clips and evaluates them as one block; a trial replaces
+    its population slot only on strict improvement, so the best-cost
+    history is monotone non-increasing.
 
     By default `cost(params)` takes one vector and returns a float, and
     `constrain(params, generation, slot)` returns the repaired vector or
@@ -269,29 +311,15 @@ def de_solve(
     best_idx = int(np.argmin(costs))
     history = [float(costs[best_idx])]
     trace: list[GenerationRecord] = []
-    terminated_by = "max_generations"
-    generations_run = 0
 
-    if termination is not None and termination_met(termination, history):
-        return SolveReport(
-            opt_params=pop[best_idx].copy(),
-            opt_cost=float(costs[best_idx]),
-            generations_run=0,
-            evaluations=evaluations,
-            trace=trace,
-            terminated_by=termination.name,
-        )
+    def stop() -> bool:
+        return termination is not None and termination_met(termination, history)
 
-    for gen in range(1, settings.max_generations + 1):
-        best_vec = pop[best_idx].copy()
-        trials = np.empty_like(pop)
-        for slot in range(settings.npop):
-            others = slots[slots != slot]
-            c1, c2 = rng.choice(others, size=2, replace=False)
-            trials[slot] = mutate_best1exp(
-                best_vec, pop[c1], pop[c2], pop[slot], settings, rng
-            )
-        trials, trial_costs = evaluate(trials, gen)
+    build_trials = None if stop() else _TrialBuilder(rng, settings)  # many inner runs stop here
+    gen = 0
+    while gen < settings.max_generations and not stop():
+        gen += 1
+        trials, trial_costs = evaluate(build_trials(pop, pop[best_idx]), gen)
         improved = trial_costs < costs
         pop[improved] = trials[improved]
         costs[improved] = trial_costs[improved]
@@ -299,19 +327,15 @@ def de_solve(
         best_idx = int(np.argmin(costs))
         best_cost = float(costs[best_idx])
         history.append(best_cost)
-        generations_run = gen
         trace.append(GenerationRecord(gen, best_cost, pop[best_idx].copy()))
         if trace_hook is not None:
             trace_hook(gen, best_cost, pop[best_idx].copy())
-        if termination is not None and termination_met(termination, history):
-            terminated_by = termination.name
-            break
 
     return SolveReport(
         opt_params=pop[best_idx].copy(),
         opt_cost=float(costs[best_idx]),
-        generations_run=generations_run,
+        generations_run=gen,
         evaluations=evaluations,
         trace=trace,
-        terminated_by=terminated_by,
+        terminated_by=termination.name if stop() else "max_generations",
     )

@@ -89,6 +89,12 @@ class OUQProblem:
     def __post_init__(self):
         if not self.failure_tolerance >= 0.0:
             raise ValueError(f"failure_tolerance must be nonnegative, got {self.failure_tolerance}")
+        rule = self.outer_termination
+        if isinstance(rule, ValueBelow) and not rule.tolerance < 0.0:
+            raise ValueError(
+                "outer value_below tolerance must be negative (the outer cost is -P;"
+                f" -0.3 stops at bound 0.3), got {rule.tolerance}"
+            )
 
     def failure_predicate(self) -> Callable[..., bool]:
         tol = self.failure_tolerance

@@ -1,4 +1,5 @@
 import importlib
+import errno
 import inspect
 import json
 import math
@@ -370,6 +371,60 @@ class TestSolve:
         assert last[:2] == [generations, -bound]
         assert last[2:] == flatten(measure_from_dict(result["maximizer"])).tolist()
 
+    def paper_config(self, tmp_path, outer_termination):
+        path = tmp_path / "paper.config"
+        text = PAPER_CONFIG.read_text()
+        start = text.index("outer_termination:")
+        end = text.index("seed:", start)
+        path.write_text(text[:start] + outer_termination + "\n" + text[end:])
+        return path
+
+    def test_outer_value_below_needs_a_negative_target(self, tmp_path, capsys):
+        # the outer cost is -P <= 0, so a target >= 0 would stop at generation 0
+        path = self.paper_config(tmp_path, "outer_termination: {rule: value_below, tolerance: 0.5}")
+        with pytest.raises(ConfigError, match="outer cost is -P"):
+            load_config(path)
+        outdir = tmp_path / "out"
+        assert main(["solve", str(path), "--output-dir", str(outdir)]) == 1
+        assert not outdir.exists()
+
+    def test_outer_value_below_stops_at_the_target(self, tmp_path, capsys):
+        path = self.paper_config(tmp_path, "outer_termination: {rule: value_below, tolerance: -0.3}")
+        args = ["solve", str(path), "--seed", "0", "--runs", "1", "--output-dir", str(tmp_path)]
+        assert main(args) == 0
+        result = json.loads((tmp_path / "result_0.json").read_text())
+        assert result["terminated_by"] == "value_below"
+        assert result["probability_bound"] >= 0.3
+
+    def test_failed_write_leaves_no_partial_artifact(self, tmp_path, monkeypatch, capsys):
+        path, outdir = write_tiny_config(tmp_path)
+        real_open = open
+
+        class FullDisk:
+            """A file that takes part of the first write, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return FullDisk(fh) if "result_0" in str(file) else fh
+
+        monkeypatch.setattr(ouq.cli, "open", failing_open, raising=False)
+        assert main(["solve", str(path)]) == 3
+        assert "No space left" in capsys.readouterr().err
+        assert sorted(p.name for p in outdir.iterdir()) == ["trace_0.csv"]
+
     def test_empty_output_dir_override_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         path, _ = write_tiny_config(tmp_path)
@@ -494,12 +549,12 @@ def small_configs(draw):
         "outer_termination": pick(
             [
                 {"rule": "change_over_generation", "tolerance": 1e-4, "generations": 2},
-                {"rule": "value_below", "tolerance": 0.0},
+                {"rule": "value_below", "tolerance": -1.0},
             ],
             [
                 {"rule": "change_over_generation", "tolerance": 0.0},
                 {"rule": "change_over_generation", "generations": 0},
-                {"rule": "value_below", "tolerance": -1.0},
+                {"rule": "value_below", "tolerance": 0.0},
             ],
         ),
         "seed": pick([0, 7], [-1]),

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ouq import Bounds, ChangeOverGeneration, DESettings, de_solve
-from ouq.de import Strategy, ValueBelow, mutate_best1exp, termination_met
+from ouq.de import Strategy, ValueBelow, _TrialBuilder, termination_met
 from ouq.errors import InfeasibleConstrain, InnerLoopFailed
 
 
@@ -20,6 +24,36 @@ class TestSettings:
             DESettings(cross_probability=1.5)
 
 
+def per_slot_trials(pop, best, settings, rng):
+    """The per-slot Best1Exp path that _TrialBuilder replaces: the oracle."""
+    npop, d = pop.shape
+    slots = np.arange(npop)
+    f, cr = settings.scaling_factor, settings.cross_probability
+    trials = np.empty_like(pop)
+    for slot in range(npop):
+        c1, c2 = rng.choice(slots[slots != slot], size=2, replace=False)
+        c1, c2 = pop[c1], pop[c2]
+        if settings.strategy is Strategy.BEST1EXP_PAPER_SNIPPET:
+            trials[slot] = best.copy() if rng.random() >= cr else best + f * (c1 - c2)
+            continue
+        trial = pop[slot].copy()
+        i = int(rng.integers(d))
+        mutated = 0
+        while True:
+            trial[i] = best[i] + f * (c1[i] - c2[i])
+            mutated += 1
+            i = (i + 1) % d
+            if mutated >= d or rng.random() >= cr:
+                break
+        trials[slot] = trial
+    return trials
+
+
+def build_trials(settings, pop, best, seed=0):
+    builder = _TrialBuilder(np.random.default_rng(seed), settings)
+    return builder(np.asarray(pop, dtype=float), np.asarray(best, dtype=float))
+
+
 class TestMutate:
     def make(self, **kw):
         return DESettings(npop=10, **kw)
@@ -27,65 +61,118 @@ class TestMutate:
     def test_zero_scaling_standard(self):
         settings = self.make(scaling_factor=1e-300, strategy=Strategy.BEST1EXP_STANDARD)
         best = np.array([1.0, 2.0, 3.0])
-        target = np.array([9.0, 9.0, 9.0])
-        rng = np.random.default_rng(0)
-        trial = mutate_best1exp(best, np.array([5.0, 5.0, 5.0]), np.array([1.0, 1.0, 1.0]), target, settings, rng)
-        # every mutated coordinate carries best's value, the rest target's
-        for t, b, g in zip(trial, best, target):
-            assert t == pytest.approx(b, abs=1e-12) or t == g
+        pop = 9.0 + np.arange(10.0)[:, None] + np.zeros(3)
+        trials = build_trials(settings, pop, best)
+        # every mutated coordinate carries best's value, the rest the target's
+        for trial, target in zip(trials, pop):
+            for t, b, g in zip(trial, best, target):
+                assert t == pytest.approx(b, abs=1e-12) or t == g
 
     def test_equal_candidates_give_best(self):
         settings = self.make()
         best = np.array([1.0, 2.0])
         c = np.array([4.0, -3.0])
-        rng = np.random.default_rng(1)
-        trial = mutate_best1exp(best, c, c, np.array([7.0, 7.0]), settings, rng)
-        for t, b in zip(trial, best):
-            assert t == b or t == 7.0
+        trials = build_trials(settings, np.tile(c, (10, 1)), best, seed=1)
+        for trial in trials:
+            for t, b, g in zip(trial, best, c):
+                assert t == b or t == g
 
     def test_paper_snippet_whole_vector(self):
         settings = self.make(
             strategy=Strategy.BEST1EXP_PAPER_SNIPPET, cross_probability=0.9, scaling_factor=0.9
         )
-        rng = np.random.default_rng(0)
-        assert rng.random() < 0.9  # the first draw of seed 0 takes the mutation branch
-        rng = np.random.default_rng(0)
-        trial = mutate_best1exp(
-            np.array([1.0, 1.0]),
-            np.array([2.0, 0.0]),
-            np.array([0.0, 0.0]),
-            np.array([5.0, 5.0]),
-            settings,
-            rng,
-        )
-        assert trial == pytest.approx([2.8, 1.0])
+        best = np.array([1.0, 1.0])
+        pop = np.arange(10.0)[:, None] * np.array([1.0, 2.0])
+        trials = build_trials(settings, pop, best)
+        mutated = 0
+        for slot, trial in enumerate(trials):
+            if np.array_equal(trial, best):
+                continue
+            # best + F*(c1 - c2) over the whole vector, from two other slots
+            others = [i for i in range(10) if i != slot]
+            assert any(
+                np.array_equal(trial, best + 0.9 * (pop[i] - pop[j]))
+                for i in others for j in others if i != j
+            )
+            mutated += 1
+        assert mutated > 0
 
     def test_paper_snippet_no_mutation_branch(self):
         settings = self.make(strategy=Strategy.BEST1EXP_PAPER_SNIPPET, cross_probability=0.0)
         best = np.array([1.0, 2.0])
-        trial = mutate_best1exp(
-            best, np.array([9.0, 9.0]), np.array([0.0, 0.0]), np.array([5.0, 5.0]),
-            settings, np.random.default_rng(3),
-        )
-        assert np.array_equal(trial, best)
+        pop = np.arange(20.0).reshape(10, 2)
+        trials = build_trials(settings, pop, best, seed=3)
+        assert all(np.array_equal(trial, best) for trial in trials)
 
     def test_standard_mutates_at_least_one_coordinate(self):
         settings = self.make(cross_probability=0.0)
         best = np.array([10.0, 10.0, 10.0])
-        target = np.zeros(3)
+        pop = np.zeros((10, 3))
         for seed in range(20):
-            trial = mutate_best1exp(
-                best, np.zeros(3), np.zeros(3), target, settings, np.random.default_rng(seed)
-            )
-            assert np.sum(trial != target) == 1
+            trials = build_trials(settings, pop, best, seed=seed)
+            assert np.all(np.sum(trials != pop, axis=1) == 1)
 
     def test_dimension_mismatch(self):
         settings = self.make()
         with pytest.raises(ValueError, match="vector lengths differ"):
-            mutate_best1exp(
-                np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(3), settings,
-                np.random.default_rng(0),
-            )
+            build_trials(settings, np.zeros((10, 2)), np.zeros(3))
+
+
+@st.composite
+def generation_cases(draw):
+    npop = draw(st.integers(4, 50))
+    d = draw(st.integers(1, 14))
+    settings = DESettings(
+        npop=npop,
+        cross_probability=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        scaling_factor=draw(st.floats(0.1, 2.0)),
+        strategy=draw(st.sampled_from(list(Strategy))),
+    )
+    return settings, d, draw(st.integers(0, 5)), draw(st.integers(0, 2**32))
+
+
+class TestTrialBuilder:
+    """_TrialBuilder reads raw PCG64 words exactly as the per-slot numpy calls."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(case=generation_cases())
+    def test_matches_per_slot_path(self, case):
+        de, d, draws_before, seed = case
+        oracle_rng, builder_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (oracle_rng, builder_rng):
+            rng.uniform(size=3)
+            for _ in range(draws_before):  # one 32-bit draw each: leaves a half pending when odd
+                rng.integers(7)
+        assert oracle_rng.bit_generator.state["has_uint32"] == draws_before % 2
+        builder = _TrialBuilder(builder_rng, de)
+        pop = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, size=(de.npop, d))
+        for generation in range(3):
+            best = pop[generation % de.npop]
+            expected = per_slot_trials(pop, best, de, oracle_rng)
+            assert np.array_equal(builder(pop, best), expected)
+            pop = expected
+        # the stream continues where the per-slot path left it
+        state = oracle_rng.bit_generator.state
+        assert builder._half == (state["uinteger"] if state["has_uint32"] else None)
+        word = builder._words[0] if builder._words else int(builder_rng.bit_generator.random_raw())
+        assert oracle_rng.random() == (word >> 11) * 2**-53
+
+    def test_lemire_rejection_takes_the_next_half_word(self):
+        # npop 39: the first candidate draw has 37 values, whose rejection
+        # threshold is 2**32 % 37 = 7, so a low half of 0 is rejected and the
+        # high half 3 * 2**30 gives (3 * 2**30 * 37) >> 32 = 27; the second
+        # draw (38 values) takes the low half 2**31 + 12345 of the next word,
+        # giving 19, and its high half 2**31 draws 1 in [0, 1]: no swap; the
+        # other slots of slot 0 are rows 1..38, so the candidates are rows 28, 20
+        settings = DESettings(npop=39, strategy=Strategy.BEST1EXP_PAPER_SNIPPET)
+        rng = np.random.default_rng(0)
+        builder = _TrialBuilder(rng, settings)
+        filler = rng.bit_generator.random_raw(200).tolist()
+        builder._words = [3 << 62, (1 << 63) | (1 << 31) + 12345] + filler
+        a, b, _, keep = builder._draw(39, 1)
+        assert (a[0], b[0]) == (28, 20)
+        # slot 0's random() took the third word, as the next slot starts after it
+        assert keep[0] == ((filler[0] >> 11) * 2**-53 >= settings.cross_probability)
 
 
 class TestTermination:
@@ -100,6 +187,13 @@ class TestTermination:
     def test_value_below(self):
         assert termination_met(ValueBelow(1.0), [5.0, 2.0, 0.81]) is True
         assert termination_met(ValueBelow(1.0), [5.0, 1.2]) is False
+
+    def test_value_below_takes_any_finite_target(self):
+        assert termination_met(ValueBelow(-0.3), [-0.1, -0.31]) is True
+        assert termination_met(ValueBelow(-0.3), [-0.1, -0.29]) is False
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                ValueBelow(bad)
 
 
 class TestDeSolve:

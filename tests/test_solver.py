@@ -96,6 +96,19 @@ class TestNaNRejected:
             build()
 
 
+class TestOuterValueBelow:
+    """The outer cost is -P <= 0, so an outer value_below target must be negative."""
+
+    @pytest.mark.parametrize("target", [0.0, 0.5])
+    def test_nonnegative_target_rejected(self, target):
+        with pytest.raises(ValueError, match="outer cost is -P"):
+            replace(paper_problem(), outer_termination=ValueBelow(target))
+
+    def test_negative_target_accepted(self):
+        problem = replace(paper_problem(), outer_termination=ValueBelow(-0.3))
+        assert problem.outer_termination.tolerance == -0.3
+
+
 class TestBuildBounds:
     def test_paper_box(self):
         b = build_bounds(PAPER_LAYOUT)
