@@ -6,10 +6,10 @@
 `solve` executes `runs` independent seeded restarts and writes, per run k,
 `trace_<k>.csv` (generation, best_cost, then the flattened parameters in
 layout order) and `result_<k>.json` (bound, expectation, maximizer
-measure), plus a `summary.json` naming the best run.  A run's files are
-written only once its solve has returned, each to a temporary file that is
-then renamed into place.  Exit codes: 0 ok, 1 usage or
-configuration error, 2 solver error, 3 I/O error.
+measure, outer and inner DE counts), plus a `summary.json` naming the best
+run.  A run's files are written only once its solve has returned, each to
+a temporary file that is then renamed into place.  Exit codes: 0 ok, 1
+usage or configuration error, 2 solver error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -98,6 +98,9 @@ def run_solve(config: RunConfig) -> int:
             "generations": result.report.generations_run,
             "evaluations": result.report.evaluations,
             "terminated_by": result.report.terminated_by,
+            "inner_runs": result.inner.runs,
+            "inner_generations": result.inner.generations,
+            "inner_evaluations": result.inner.evaluations,
         }
         _write_atomic(out_dir / f"result_{k}.json", json.dumps(doc, indent=2) + "\n")
 

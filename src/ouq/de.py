@@ -4,7 +4,9 @@ The engine supports a pluggable parameter-constraint function applied to
 every trial before cost evaluation, and solver-independent termination
 rules evaluated on the best-cost history.  Cost and constraint may work one
 vector at a time or on a whole generation at once (`vectorized=True`).
-Runs are fully deterministic given the seed.
+`de_lockstep` runs several independently seeded runs side by side and
+evaluates each generation of all of them as one block; `de_solve` is that
+loop with one run.  Runs are fully deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -238,6 +240,122 @@ def _one_row_at_a_time(cost, constrain):
     return cost_block, constrain_block
 
 
+class _Run:
+    """One run of a lockstep: its generator, population, costs and best-cost history."""
+
+    def __init__(self, seed: int, settings: DESettings, bounds: Bounds):
+        self.rng = np.random.default_rng(seed)
+        self.pop = self.rng.uniform(bounds.lower, bounds.upper, size=(settings.npop, len(bounds)))
+        self.costs = self.build = None
+        self.best, self.evaluations = 0, 0
+        self.history: list[float] = []
+        self.trace: list[GenerationRecord] = []
+
+    def report(self, termination: Optional[TerminationRule]) -> SolveReport:
+        return SolveReport(
+            opt_params=self.pop[self.best].copy(),
+            opt_cost=float(self.costs[self.best]),
+            generations_run=len(self.history) - 1,
+            evaluations=self.evaluations,
+            trace=self.trace,
+            terminated_by=termination.name if self.stopped(termination) else "max_generations",
+        )
+
+    def stopped(self, termination: Optional[TerminationRule]) -> bool:
+        return termination is not None and termination_met(termination, self.history)
+
+
+def de_lockstep(
+    cost: Callable,
+    bounds: Bounds,
+    settings: DESettings,
+    seeds: Sequence[int],
+    constrain: Optional[Callable] = None,
+    termination: Optional[TerminationRule] = None,
+    *,
+    initial: Optional[Sequence[np.ndarray]] = None,
+    trace_hook: Optional[Callable[[int, float, np.ndarray], None]] = None,
+) -> list[SolveReport | InfeasibleConstrain]:
+    """Run one DE per seed in lockstep; `settings.seed` is not used.
+
+    Each run is the run `de_solve` makes with that seed (see there): its own
+    generator, uniform initial population (`initial[k]` in slot 0 when
+    given), trial builder and best-cost history, so its result does not
+    depend on the other runs.  What the runs share is the evaluation: each
+    generation the populations of all still-running runs are stacked into
+    one (runs * npop, d) block, which is clipped, passed to
+    `constrain(block, generation, slots)` (slots numbered 0..npop-1 per run)
+    and costed with one call of each, in the block forms of
+    `de_solve(vectorized=True)`.  A run leaves the block once its
+    termination rule holds or after `settings.max_generations`.
+
+    Returns one entry per seed: the run's SolveReport, or, if no member of
+    its initial population was feasible, the InfeasibleConstrain that
+    `de_solve` would raise.  `trace_hook` is called for every run at every
+    generation, in seed order.
+    """
+    npop, d = settings.npop, len(bounds)
+    slots = np.arange(npop)
+    runs = [_Run(seed, settings, bounds) for seed in seeds]
+    if not runs:
+        return []
+    if initial is not None:
+        if len(initial) != len(runs):
+            raise ValueError(f"{len(initial)} initial vectors for {len(runs)} runs")
+        for run, row in zip(runs, initial):
+            run.pop[0] = np.asarray(row, dtype=float)
+
+    def evaluate(block, generation):
+        """Per run: params and costs of its trials (infeasible ones cost +inf),
+        and how many were evaluated."""
+        block = bounds.clip(block)
+        feasible = np.ones(len(block), dtype=bool)
+        if constrain is not None:
+            repaired, feasible = constrain(block, generation, np.tile(slots, len(block) // npop))
+            feasible = np.asarray(feasible, dtype=bool)
+            repaired = bounds.clip(np.asarray(repaired, dtype=float))
+            block = np.where(feasible[:, None], repaired, block)
+        costs = np.full(len(block), math.inf)
+        if feasible.any():
+            costs[feasible] = cost(block[feasible])
+        counts = np.count_nonzero(feasible.reshape(-1, npop), axis=1).tolist()
+        return zip(block.reshape(-1, npop, d), costs.reshape(-1, npop), counts)
+
+    live = []
+    for run, (pop, costs, count) in zip(runs, evaluate(np.concatenate([r.pop for r in runs]), 0)):
+        run.pop, run.costs, run.evaluations = pop, costs, count
+        if count == 0:
+            continue
+        run.best = int(np.argmin(costs))
+        run.history.append(float(costs[run.best]))
+        if not run.stopped(termination):  # many inner runs stop here
+            run.build = _TrialBuilder(run.rng, settings)
+            live.append(run)
+
+    generation = 0
+    while live and generation < settings.max_generations:
+        generation += 1
+        block = np.concatenate([run.build(run.pop, run.pop[run.best]) for run in live])
+        for run, (trials, trial_costs, count) in zip(live, evaluate(block, generation)):
+            run.evaluations += count
+            improved = trial_costs < run.costs
+            run.pop[improved] = trials[improved]
+            run.costs[improved] = trial_costs[improved]
+            run.best = int(np.argmin(run.costs))
+            best_cost = float(run.costs[run.best])
+            run.history.append(best_cost)
+            run.trace.append(GenerationRecord(generation, best_cost, run.pop[run.best].copy()))
+            if trace_hook is not None:
+                trace_hook(generation, best_cost, run.pop[run.best].copy())
+        live = [run for run in live if not run.stopped(termination)]
+
+    return [
+        run.report(termination) if run.history
+        else InfeasibleConstrain("constrain rejected the entire initial population")
+        for run in runs
+    ]
+
+
 def de_solve(
     cost: Callable,
     bounds: Bounds,
@@ -258,7 +376,8 @@ def de_solve(
     then clips them to the box, passes them through the constraint
     function, re-clips and evaluates them as one block; a trial replaces
     its population slot only on strict improvement, so the best-cost
-    history is monotone non-increasing.
+    history is monotone non-increasing.  This is `de_lockstep` with the
+    one seed `settings.seed`.
 
     By default `cost(params)` takes one vector and returns a float, and
     `constrain(params, generation, slot)` returns the repaired vector or
@@ -279,63 +398,16 @@ def de_solve(
     """
     if not vectorized:
         cost, constrain = _one_row_at_a_time(cost, constrain)
-
-    d = len(bounds)
-    rng = np.random.default_rng(settings.seed)
-    evaluations = 0
-    slots = np.arange(settings.npop)
-
-    def evaluate(block, generation):
-        """Returns (params, costs) of a block of trials; infeasible ones cost +inf."""
-        nonlocal evaluations
-        block = bounds.clip(block)
-        feasible = np.ones(len(block), dtype=bool)
-        if constrain is not None:
-            repaired, feasible = constrain(block, generation, slots)
-            feasible = np.asarray(feasible, dtype=bool)
-            repaired = bounds.clip(np.asarray(repaired, dtype=float))
-            block = np.where(feasible[:, None], repaired, block)
-        costs = np.full(len(block), math.inf)
-        if feasible.any():
-            costs[feasible] = cost(block[feasible])
-            evaluations += int(np.count_nonzero(feasible))
-        return block, costs
-
-    pop = rng.uniform(bounds.lower, bounds.upper, size=(settings.npop, d))
-    if initial is not None:
-        pop[0] = np.asarray(initial, dtype=float)
-    pop, costs = evaluate(pop, 0)
-    if evaluations == 0:
-        raise InfeasibleConstrain("constrain rejected the entire initial population")
-
-    best_idx = int(np.argmin(costs))
-    history = [float(costs[best_idx])]
-    trace: list[GenerationRecord] = []
-
-    def stop() -> bool:
-        return termination is not None and termination_met(termination, history)
-
-    build_trials = None if stop() else _TrialBuilder(rng, settings)  # many inner runs stop here
-    gen = 0
-    while gen < settings.max_generations and not stop():
-        gen += 1
-        trials, trial_costs = evaluate(build_trials(pop, pop[best_idx]), gen)
-        improved = trial_costs < costs
-        pop[improved] = trials[improved]
-        costs[improved] = trial_costs[improved]
-
-        best_idx = int(np.argmin(costs))
-        best_cost = float(costs[best_idx])
-        history.append(best_cost)
-        trace.append(GenerationRecord(gen, best_cost, pop[best_idx].copy()))
-        if trace_hook is not None:
-            trace_hook(gen, best_cost, pop[best_idx].copy())
-
-    return SolveReport(
-        opt_params=pop[best_idx].copy(),
-        opt_cost=float(costs[best_idx]),
-        generations_run=gen,
-        evaluations=evaluations,
-        trace=trace,
-        terminated_by=termination.name if stop() else "max_generations",
+    (report,) = de_lockstep(
+        cost,
+        bounds,
+        settings,
+        [settings.seed],
+        constrain,
+        termination,
+        initial=None if initial is None else [initial],
+        trace_hook=trace_hook,
     )
+    if isinstance(report, InfeasibleConstrain):
+        raise report
+    return report

@@ -7,17 +7,19 @@ weights are renormalized per factor, and if the expected response leaves
 the admissible band [m-d, m+d] a nested differential-evolution run imposes
 it (least-squares distance to the target mean, value-to-reach d^2).
 
-Both loops hand `de_solve` whole generations: repair and cost work on
+Both loops work on whole generations: repair and cost take
 (m, param_length) blocks through the block kernels of `measures`, and the
-response is called once per block.  `constrain_params` is the same repair
-for one vector.
+response is called once per block.  The nested runs that one outer
+generation starts run in lockstep (`de_lockstep`), so each inner
+generation of all of them is one block too.  `constrain_params` is the
+same repair for one vector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .de import (
     SolveReport,
     TerminationRule,
     ValueBelow,
+    de_lockstep,
     de_solve,
 )
 from .errors import ConstraintViolation, InfeasibleConstrain, InnerLoopFailed, ZeroMassMeasure
@@ -103,11 +106,30 @@ class OUQProblem:
 
 
 @dataclass
+class InnerCounts:
+    """Totals over the nested-DE repair runs of a solve; they depend only on the seed."""
+
+    runs: int = 0
+    generations: int = 0
+    evaluations: int = 0
+
+    def add(self, reports: list[SolveReport | InfeasibleConstrain]):
+        """Count the runs of one lockstep; a run that failed at the start ran
+        no generation and evaluated nothing."""
+        self.runs += len(reports)
+        for report in reports:
+            if isinstance(report, SolveReport):
+                self.generations += report.generations_run
+                self.evaluations += report.evaluations
+
+
+@dataclass
 class OUQResult:
     probability_bound: float
     maximizer: ProductMeasure
     expectation_at_maximizer: float
     report: SolveReport
+    inner: InnerCounts
 
 
 @dataclass
@@ -158,30 +180,38 @@ def cost_block(
 
 
 def impose_expectation(
-    params: np.ndarray,
+    block: np.ndarray,
     problem: OUQProblem,
-    seed: Optional[int] = None,
-) -> np.ndarray:
-    """Move a normalized parameter vector into the admissible expectation band.
+    seeds: Sequence[int],
+    counts: Optional[InnerCounts] = None,
+) -> tuple[np.ndarray, dict[int, ConstraintViolation]]:
+    """Move every row of a block of normalized parameter vectors into the
+    admissible expectation band.
 
-    Runs a nested DE minimizing (E[response] - m)^2 over the same box as
-    the outer problem, terminating at value-to-reach d^2 (i.e. |E - m| <= d),
-    for at most `problem.inner.max_generations` generations.  The incoming
-    vector takes slot 0 of the inner population; the other slots are drawn
-    uniformly from the box.  Each inner generation is renormalized and
-    costed as one block.
+    Each row gets its own nested DE, seeded with `seeds[row]`, minimizing
+    (E[response] - m)^2 over the same box as the outer problem,
+    terminating at value-to-reach d^2 (i.e. |E - m| <= d), for at most
+    `problem.inner.max_generations` generations.  The row takes slot 0 of
+    its run's population; the other slots are drawn uniformly from the box.
+    The runs go in lockstep (`de_lockstep`): each inner generation of all
+    still-running runs is renormalized and costed as one block, and a
+    run's result is the one it would reach alone.
 
-    The result is the parameter vector of the best inner member, which need
-    not be related to the incoming one.  When any member of the initial
+    A row's result is the parameter vector of its run's best member, which
+    need not be related to the row.  When any member of the initial
     population already lies in the band (on the reference problem every one
-    of the 900 inner calls of seed 0 does), the run stops at generation 0
+    of the 900 inner runs of seed 0 does), the run stops at generation 0
     and returns the initial member whose expectation is nearest m.  The
     repair is then a random restart near the band centre, not a small move
     of the trial.
+
+    Returns the repaired block and, for each row whose run failed, its
+    InnerLoopFailed: the whole initial population was degenerate, or the
+    run ended above d^2.  Failed rows are returned unchanged.  The runs'
+    counts are added to `counts` when given.
     """
     con = problem.constraint
     layout = problem.layout
-    settings = problem.inner if seed is None else replace(problem.inner, seed=seed)
 
     def inner_cost(block: np.ndarray) -> np.ndarray:
         return (expectation_block(block, layout, problem.response) - con.m) ** 2
@@ -189,36 +219,43 @@ def impose_expectation(
     def renormalize_weights(block, generation, slots):
         return normalize_block(block, layout)
 
-    try:
-        report = de_solve(
-            inner_cost,
-            build_bounds(layout),
-            settings,
-            constrain=renormalize_weights,
-            termination=ValueBelow(con.d**2),
-            initial=params,
-            vectorized=True,
-        )
-    except InfeasibleConstrain as exc:
-        raise InnerLoopFailed(f"inner population was entirely degenerate: {exc}")
-    if report.opt_cost > con.d**2:
-        raise InnerLoopFailed(
-            f"inner loop exhausted {settings.max_generations} generations at "
-            f"cost {report.opt_cost:.6g} > d^2 = {con.d ** 2:.6g}"
-        )
-    return report.opt_params
+    reports = de_lockstep(
+        inner_cost,
+        build_bounds(layout),
+        problem.inner,
+        seeds,
+        constrain=renormalize_weights,
+        termination=ValueBelow(con.d**2),
+        initial=block,
+    )
+    out = np.array(block, dtype=float)
+    failures: dict[int, ConstraintViolation] = {}
+    for row, report in enumerate(reports):
+        if isinstance(report, InfeasibleConstrain):
+            failures[row] = InnerLoopFailed(f"inner population was entirely degenerate: {report}")
+        elif report.opt_cost > con.d**2:
+            failures[row] = InnerLoopFailed(
+                f"inner loop exhausted {problem.inner.max_generations} generations at "
+                f"cost {report.opt_cost:.6g} > d^2 = {con.d ** 2:.6g}"
+            )
+        else:
+            out[row] = report.opt_params
+    if counts is not None:
+        counts.add(reports)
+    return out, failures
 
 
 def repair_block(
     block: np.ndarray,
     problem: OUQProblem,
-    inner_seed: Callable[[int], Optional[int]],
+    inner_seed: Callable[[int], int],
+    counts: Optional[InnerCounts] = None,
 ) -> tuple[np.ndarray, dict[int, ConstraintViolation]]:
     """Repair every row of a trial block: renormalize weights, then impose the mean band.
 
     A factor whose mass is off 1 by more than MASS_TOL is renormalized;
-    the expectation is then computed for the whole block, and each row
-    outside [m-d, m+d] goes through the nested optimization on its own,
+    the expectation is then computed for the whole block, and the rows
+    outside [m-d, m+d] go through one `impose_expectation` call, row `row`
     seeded with `inner_seed(row)`.  Returns the repaired block and, for
     each row that cannot be repaired, its ConstraintViolation:
     ZeroMassMeasure for all-zero weights, InnerLoopFailed when the band
@@ -232,12 +269,12 @@ def repair_block(
     rows = np.flatnonzero(nonzero)
     lo, hi = problem.constraint.band
     e = expectation_block(out[rows], problem.layout, problem.response)
-    for row, value in zip(rows.tolist(), e.tolist()):
-        if not lo <= value <= hi:
-            try:
-                out[row] = impose_expectation(out[row], problem, seed=inner_seed(row))
-            except ConstraintViolation as exc:
-                failures[row] = exc
+    rows = rows[~((lo <= e) & (e <= hi))]
+    if rows.size:
+        out[rows], inner_failures = impose_expectation(
+            out[rows], problem, [inner_seed(row) for row in rows.tolist()], counts
+        )
+        failures.update((int(rows[i]), exc) for i, exc in inner_failures.items())
     return out, failures
 
 
@@ -259,7 +296,8 @@ def constrain_params(
             f"expected {layout.param_length} finite parameters for layout "
             f"{layout.npts_per_dim}, got {params.tolist()}"
         )
-    out, failures = repair_block(params[None, :], problem, lambda row: inner_seed)
+    seed = problem.inner.seed if inner_seed is None else inner_seed
+    out, failures = repair_block(params[None, :], problem, lambda row: seed)
     if failures:
         raise failures[0]
     return out[0]
@@ -287,16 +325,18 @@ def ouq_solve(
 
     Each outer generation is repaired and costed as one block
     (`de_solve(vectorized=True)`); only its out-of-band rows run the
-    nested DE, one row at a time, each with an inner seed derived from
-    (outer seed, generation, slot).
+    nested DE, all of them in lockstep, each with an inner seed derived
+    from (outer seed, generation, slot).  The result's `inner` holds the
+    totals of those runs.
     """
     outer_seed = problem.outer.seed
+    inner = InnerCounts()
 
     def repair(block: np.ndarray, generation: int, slots: np.ndarray):
         def inner_seed(row: int) -> int:
             return _derive_inner_seed(outer_seed, generation, int(slots[row]))
 
-        out, failures = repair_block(block, problem, inner_seed)
+        out, failures = repair_block(block, problem, inner_seed, inner)
         feasible = np.ones(len(block), dtype=bool)
         feasible[list(failures)] = False
         return out, feasible
@@ -316,4 +356,5 @@ def ouq_solve(
         maximizer=maximizer,
         expectation_at_maximizer=expectation(maximizer, problem.response),
         report=report,
+        inner=inner,
     )

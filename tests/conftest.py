@@ -5,13 +5,15 @@ import ouq.solver as solver_mod
 
 @pytest.fixture
 def de_reports(monkeypatch):
-    """Records the report of every `de_solve` call made by the solver module."""
+    """Records, run by run, every nested DE the solver module starts: each
+    lockstep run's SolveReport, or the InfeasibleConstrain it failed with."""
     reports = []
-    real = solver_mod.de_solve
+    real = solver_mod.de_lockstep
 
     def recording(*args, **kwargs):
-        reports.append(real(*args, **kwargs))
-        return reports[-1]
+        runs = real(*args, **kwargs)
+        reports.extend(runs)
+        return runs
 
-    monkeypatch.setattr(solver_mod, "de_solve", recording)
+    monkeypatch.setattr(solver_mod, "de_lockstep", recording)
     return reports

@@ -168,8 +168,11 @@ class TestLoadConfig:
         params = np.array(
             [0.5, 0.5, 1.524, 2.667, 0.5, 0.5, 0.0, 0.1, 0.5, 0.5, 2.2885, 2.8]
         )
-        with pytest.raises(InnerLoopFailed, match="exhausted 3 generations"):
-            impose_expectation(params, problem, seed=1)
+        out, failures = impose_expectation(params[None, :], problem, [1])
+        assert list(failures) == [0]
+        assert isinstance(failures[0], InnerLoopFailed)
+        assert "exhausted 3 generations" in str(failures[0])
+        assert np.array_equal(out[0], params)
         assert [r.generations_run for r in de_reports] == [3]
 
     def test_parse_error(self, tmp_path):
@@ -370,6 +373,27 @@ class TestSolve:
         last = [float(x) for x in rows[-1].split(",")]
         assert last[:2] == [generations, -bound]
         assert last[2:] == flatten(measure_from_dict(result["maximizer"])).tolist()
+
+    @pytest.mark.parametrize(
+        "band, counts",
+        [
+            ("[5.5, 7.5]", (72, 2919, 900, 0, 18000)),
+            ("[6.4, 6.6]", (30, 1239, 1118, 865, 39649)),
+        ],
+        ids=["reference", "narrow_band"],
+    )
+    def test_seed_0_inner_counts_pinned(self, tmp_path, capsys, band, counts):
+        # the nested runs of seed 0, counted one de_solve per row before they ran in lockstep
+        config = tmp_path / "paper.config"
+        config.write_text(
+            PAPER_CONFIG.read_text().replace("mean_band: [5.5, 7.5]", f"mean_band: {band}")
+        )
+        args = ["solve", str(config), "--seed", "0", "--runs", "1", "--output-dir", str(tmp_path)]
+        assert main(args) == 0
+        result = json.loads((tmp_path / "result_0.json").read_text())
+        keys = ("generations", "evaluations", "inner_runs", "inner_generations", "inner_evaluations")
+        assert tuple(result[k] for k in keys) == counts
+        assert list(result)[-3:] == list(keys[2:])  # the earlier keys keep their bytes
 
     def paper_config(self, tmp_path, outer_termination):
         path = tmp_path / "paper.config"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,12 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ouq import Bounds, ChangeOverGeneration, DESettings, de_solve
-from ouq.de import Strategy, ValueBelow, _TrialBuilder, termination_met
+from ouq.de import Strategy, ValueBelow, _TrialBuilder, de_lockstep, termination_met
 from ouq.errors import InfeasibleConstrain, InnerLoopFailed
 
 
 def sphere(x):
     return float(np.sum(np.asarray(x) ** 2))
+
+
+def sphere_block(block):
+    return np.sum(block**2, axis=1)
 
 
 class TestSettings:
@@ -378,9 +383,6 @@ class TestInfeasibleTrials:
             assert slots.tolist() == list(range(10))
             return block, block[:, 0] <= 1.0
 
-        def sphere_block(block):
-            return np.sum(block**2, axis=1)
-
         args = (Bounds.from_pairs([(-5.0, 5.0)] * 2), DESettings(npop=10, seed=13, max_generations=60))
         rows = de_solve(sphere, *args, constrain=reject_right_half)
         block = de_solve(sphere_block, *args, constrain=reject_right_half_block, vectorized=True)
@@ -405,3 +407,65 @@ class TestInfeasibleTrials:
                 DESettings(npop=6, seed=15, max_generations=10),
                 constrain=initial_infeasible,
             )
+
+
+class TestLockstep:
+    """Runs in lockstep give, run by run, what de_solve gives with the same seed."""
+
+    BOUNDS = Bounds.from_pairs([(-5.0, 5.0)] * 3)
+    SETTINGS = DESettings(npop=8, seed=0, max_generations=40)
+    SEEDS = [4, 17, 4, 99]
+
+    @staticmethod
+    def left_half(block, generation, slots):
+        return block, block[:, 0] <= 1.0
+
+    def test_each_run_matches_de_solve(self):
+        # value_below ends the runs at different generations
+        rule = ValueBelow(0.5)
+        runs = de_lockstep(
+            sphere_block, self.BOUNDS, self.SETTINGS, self.SEEDS, self.left_half, rule
+        )
+        assert len({r.generations_run for r in runs}) > 1
+        for seed, run in zip(self.SEEDS, runs):
+            alone = de_solve(
+                sphere_block, self.BOUNDS, replace(self.SETTINGS, seed=seed), self.left_half,
+                rule, vectorized=True,
+            )
+            assert (run.opt_cost, run.generations_run, run.evaluations, run.terminated_by) == (
+                alone.opt_cost, alone.generations_run, alone.evaluations, alone.terminated_by)
+            assert np.array_equal(run.opt_params, alone.opt_params)
+            assert [(r.generation, r.best_cost, r.best_params.tolist()) for r in run.trace] == [
+                (r.generation, r.best_cost, r.best_params.tolist()) for r in alone.trace
+            ]
+
+    def test_infeasible_run_fails_alone(self):
+        npop = self.SETTINGS.npop
+
+        def second_run_infeasible_at_start(block, generation, slots):
+            feasible = np.ones(len(block), dtype=bool)
+            if generation == 0:
+                feasible[npop:2 * npop] = False
+            return block, feasible
+
+        initial = np.zeros((3, 3))
+        runs = de_lockstep(
+            sphere_block, self.BOUNDS, self.SETTINGS, [1, 2, 3],
+            second_run_infeasible_at_start, initial=initial,
+        )
+        assert isinstance(runs[1], InfeasibleConstrain)
+        assert "entire initial population" in str(runs[1])
+        for seed, run in [(1, runs[0]), (3, runs[2])]:
+            alone = de_solve(
+                sphere_block, self.BOUNDS, replace(self.SETTINGS, seed=seed),
+                initial=initial[0], vectorized=True,
+            )
+            assert (run.generations_run, run.evaluations) == (40, alone.evaluations)
+            assert np.array_equal(run.opt_params, alone.opt_params)
+
+    def test_no_seeds_no_runs(self):
+        assert de_lockstep(sphere_block, self.BOUNDS, self.SETTINGS, []) == []
+
+    def test_initial_count_must_match(self):
+        with pytest.raises(ValueError, match="2 initial vectors for 1 runs"):
+            de_lockstep(sphere_block, self.BOUNDS, self.SETTINGS, [0], initial=np.zeros((2, 3)))

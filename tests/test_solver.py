@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import ouq.solver as solver_mod
 from ouq import (
@@ -22,9 +24,17 @@ from ouq import (
     unflatten,
     unpack,
 )
-from ouq.de import ValueBelow
+from ouq.de import Strategy, ValueBelow, de_solve
 from ouq.errors import InfeasibleConstrain, InnerLoopFailed, ZeroMassMeasure
-from ouq.solver import build_bounds, constrain_params, cost_block, impose_expectation
+from ouq.measures import expectation_block, normalize_block
+from ouq.solver import (
+    InnerCounts,
+    build_bounds,
+    constrain_params,
+    cost_block,
+    impose_expectation,
+    repair_block,
+)
 
 PAPER_LAYOUT = ParamLayout(
     (2, 2, 2), ((1.524, 2.667), (0.0, math.pi / 6), (2.1, 2.8))
@@ -149,44 +159,35 @@ class TestConstrainParams:
         out = constrain_params(params, problem)
         assert np.array_equal(out, params)
 
-    def test_normalization_only(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(
-            solver_mod,
-            "impose_expectation",
-            lambda *a, **k: calls.append(1) or (_ for _ in ()).throw(AssertionError),
-        )
+    def test_normalization_only(self, de_reports):
         problem = paper_problem()
         params = np.array(
             [1.26, 0.74, 1.524, 2.667, 2.0, 0.0, 0.0, 0.1, 1.0, 0.0, 2.2885, 2.8]
         )
         out = constrain_params(params, problem)
-        assert calls == []
+        assert de_reports == []  # no nested run started
         assert out[:2] == pytest.approx([0.63, 0.37])
         assert out[4:6] == pytest.approx([1.0, 0.0])
         assert out[2:4].tolist() == [1.524, 2.667]  # positions untouched
 
-    def test_output_is_fixed_point_without_inner_loop(self, monkeypatch):
+    def test_output_is_fixed_point_without_inner_loop(self, de_reports):
         problem = paper_problem(seed=5)
         rng = np.random.default_rng(99)
         bounds = build_bounds(problem.layout)
+        repaired_by_inner_loop = 0
         for trial in range(20):
             params = rng.uniform(bounds.lower, bounds.upper)
+            de_reports.clear()
             try:
                 repaired = constrain_params(params, problem, inner_seed=trial)
             except (ZeroMassMeasure, InnerLoopFailed):
                 continue
-            calls = []
-            real = solver_mod.impose_expectation
-            monkeypatch.setattr(
-                solver_mod,
-                "impose_expectation",
-                lambda *a, **k: calls.append(1) or real(*a, **k),
-            )
+            repaired_by_inner_loop += len(de_reports)
+            de_reports.clear()
             again = constrain_params(repaired, problem)
-            monkeypatch.setattr(solver_mod, "impose_expectation", real)
-            assert calls == []  # band already satisfied: no inner loop
+            assert de_reports == []  # band already satisfied: no inner loop
             assert again == pytest.approx(repaired, abs=1e-12)
+        assert repaired_by_inner_loop > 0  # some trials did go through the inner loop
 
     def test_zero_mass_rejected(self):
         problem = paper_problem()
@@ -205,36 +206,235 @@ class TestImposeExpectation:
         )
         e0 = expectation(unflatten(params, problem.layout), perforation_area)
         assert 5.5 <= e0 <= 7.5
-        out = impose_expectation(params, problem, seed=1)
-        e1 = expectation(unflatten(out, problem.layout), perforation_area)
+        out, failures = impose_expectation(params[None, :], problem, [1])
+        assert failures == {}
+        e1 = expectation(unflatten(out[0], problem.layout), perforation_area)
         cost0 = (e0 - 6.5) ** 2
         cost1 = (e1 - 6.5) ** 2
         assert cost1 <= cost0 + 1e-12
 
-    def test_paper_setup_reaches_band(self):
+    def test_paper_setup_reaches_band(self, de_reports):
         problem = paper_problem(seed=3)
         rng = np.random.default_rng(17)
         bounds = build_bounds(problem.layout)
+        rows = []
         for k in range(5):
             raw = unflatten(rng.uniform(bounds.lower, bounds.upper), problem.layout)
-            params = flatten(pack([normalize(f) for f in unpack(raw)]))
-            out = impose_expectation(params, problem, seed=k)
-            assert 5.5 <= expectation(unflatten(out, problem.layout), perforation_area) <= 7.5
+            rows.append(flatten(pack([normalize(f) for f in unpack(raw)])))
+        out, failures = impose_expectation(np.array(rows), problem, range(5))
+        assert failures == {}
+        assert len(de_reports) == 5  # one nested run per row
+        for row in out:
+            assert 5.5 <= expectation(unflatten(row, problem.layout), perforation_area) <= 7.5
 
-    def test_1d_toy(self):
+    def test_1d_toy(self, de_reports):
         problem = toy_problem(lambda x: x, band=(4.5, 5.5), seed=2)
-        out = impose_expectation(np.array([0.5, 0.5, 0.5, 1.0]), problem, seed=7)
-        assert 4.5 <= unflatten(out, problem.layout).factors[0].mean() <= 5.5
+        out, failures = impose_expectation(np.array([[0.5, 0.5, 0.5, 1.0]]), problem, [7])
+        assert failures == {}
+        assert [r.terminated_by for r in de_reports] == ["value_below"]
+        assert 4.5 <= unflatten(out[0], problem.layout).factors[0].mean() <= 5.5
 
-    def test_unreachable_band_fails(self):
+    def test_unreachable_band_fails(self, de_reports):
         problem = toy_problem(
             lambda x: x,
             band=(99.0, 101.0),
             seed=2,
             inner=DESettings(npop=10, seed=2, max_generations=5),
         )
-        with pytest.raises(InnerLoopFailed):
-            impose_expectation(np.array([0.5, 0.5, 4.0, 6.0]), problem, seed=1)
+        params = np.array([[0.5, 0.5, 4.0, 6.0]])
+        out, failures = impose_expectation(params, problem, [1])
+        assert list(failures) == [0]
+        assert isinstance(failures[0], InnerLoopFailed)
+        assert [r.generations_run for r in de_reports] == [5]
+        assert np.array_equal(out, params)  # a failed row comes back unchanged
+
+
+def per_row_impose(params, problem, seed):
+    """The nested repair as one de_solve per row, which the lockstep
+    impose_expectation replaces: the oracle.  Returns (vector, report, failure)."""
+    con = problem.constraint
+    layout = problem.layout
+
+    def inner_cost(block):
+        return (expectation_block(block, layout, problem.response) - con.m) ** 2
+
+    def renormalize_weights(block, generation, slots):
+        return normalize_block(block, layout)
+
+    try:
+        report = de_solve(
+            inner_cost,
+            build_bounds(layout),
+            replace(problem.inner, seed=seed),
+            constrain=renormalize_weights,
+            termination=ValueBelow(con.d**2),
+            initial=params,
+            vectorized=True,
+        )
+    except InfeasibleConstrain as exc:
+        return params, None, f"inner population was entirely degenerate: {exc}"
+    if report.opt_cost > con.d**2:
+        return params, report, (
+            f"inner loop exhausted {problem.inner.max_generations} generations at "
+            f"cost {report.opt_cost:.6g} > d^2 = {con.d ** 2:.6g}"
+        )
+    return report.opt_params, report, None
+
+
+RESPONSES = [
+    lambda *xs: sum(xs),
+    lambda *xs: xs[0] ** 2 - 0.5 * np.tanh(xs[-1]),
+]
+
+
+@st.composite
+def lockstep_cases(draw):
+    """A small problem and a block of normalized rows, some with an all-zero factor."""
+    npts = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    lows = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(npts), max_size=len(npts)))
+    widths = draw(st.lists(st.floats(0.5, 5.0), min_size=len(npts), max_size=len(npts)))
+    bounds = tuple((lo, lo + w) for lo, w in zip(lows, widths))
+    response = draw(st.sampled_from(RESPONSES))
+    # the band is centred on a response value, or far above every one
+    at = [lo + draw(st.floats(0.0, 1.0)) * w for lo, w in zip(lows, widths)]
+    m = float(response(*at)) + draw(st.sampled_from([0.0, 0.0, 0.0, 100.0]))
+    d = draw(st.sampled_from([0.01, 0.1, 0.5, 2.0]))
+    inner = DESettings(
+        npop=draw(st.integers(4, 8)),
+        cross_probability=draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
+        scaling_factor=draw(st.sampled_from([0.5, 0.9])),
+        strategy=draw(st.sampled_from(list(Strategy))),
+        max_generations=draw(st.integers(1, 8)),
+    )
+    problem = OUQProblem(
+        response=response,
+        layout=ParamLayout(npts, bounds),
+        constraint=MeanConstraint(m, d),
+        inner=inner,
+    )
+    k = draw(st.sampled_from([4, 6, 1, 3, 5, 2]))
+    box = build_bounds(problem.layout)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    block, _ = normalize_block(rng.uniform(box.lower, box.upper, size=(k, len(box))), problem.layout)
+    for row in draw(st.lists(st.integers(0, k - 1), max_size=2)):
+        ws, _ = problem.layout.factor_slices()[0]
+        block[row, ws] = 0.0
+    seeds = draw(st.lists(st.integers(0, 2**63), min_size=k, max_size=k))
+    return problem, block, seeds
+
+
+def toy_case(band, max_generations, zero_rows=(), k=4):
+    """Rows of toy_problem (x on [0, 10], two points) for the oracle test."""
+    problem = toy_problem(
+        lambda x: x, band=band, inner=DESettings(npop=6, max_generations=max_generations)
+    )
+    rng = np.random.default_rng(5)
+    block = np.column_stack([np.full(k, 0.5), np.full(k, 0.5), rng.uniform(0, 10, (k, 2))])
+    block[list(zero_rows), :2] = 0.0
+    return problem, block, list(range(10, 10 + k))
+
+
+UNREACHABLE = toy_case((99.0, 101.0), 5)
+EXHAUSTED = toy_case((6.9, 7.1), 3)
+ZERO_WEIGHT_ROW = toy_case((6.0, 8.0), 4, zero_rows=[1])
+
+
+class TestLockstepOracle:
+    @settings(
+        max_examples=120, deadline=None, database=None, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(case=lockstep_cases())
+    @example(case=UNREACHABLE)
+    @example(case=EXHAUSTED)
+    @example(case=ZERO_WEIGHT_ROW)
+    def test_matches_one_de_solve_per_row(self, de_reports, case):
+        problem, block, seeds = case
+        de_reports.clear()
+        counts = InnerCounts()
+        out, failures = impose_expectation(block, problem, seeds, counts)
+        assert len(de_reports) == len(block)
+        for row, (params, seed, run) in enumerate(zip(block, seeds, de_reports)):
+            want, report, failure = per_row_impose(params, problem, seed)
+            assert np.array_equal(out[row], want)
+            assert (str(failures[row]) if row in failures else None) == failure
+            if report is None:
+                assert isinstance(run, InfeasibleConstrain)
+                continue
+            assert (run.generations_run, run.evaluations) == (
+                report.generations_run, report.evaluations)
+        assert all(isinstance(exc, InnerLoopFailed) for exc in failures.values())
+        reports = [r for r in de_reports if not isinstance(r, InfeasibleConstrain)]
+        assert counts == InnerCounts(
+            len(block),
+            sum(r.generations_run for r in reports),
+            sum(r.evaluations for r in reports),
+        )
+
+    @pytest.mark.parametrize(
+        "case, failed_rows, generations",
+        [
+            (UNREACHABLE, {0, 1, 2, 3}, [5, 5, 5, 5]),
+            # row 1 stops at generation 0 and row 2 leaves the lockstep at generation 2
+            (EXHAUSTED, {0, 3}, [3, 0, 2, 3]),
+            (ZERO_WEIGHT_ROW, set(), [0, 0, 1, 0]),
+        ],
+        ids=["unreachable", "exhausted", "zero_weight_row"],
+    )
+    def test_explicit_cases(self, de_reports, case, failed_rows, generations):
+        # the @example cases above show what they are named for
+        problem, block, seeds = case
+        _, failures = impose_expectation(block, problem, seeds)
+        assert set(failures) == failed_rows
+        assert [r.generations_run for r in de_reports] == generations
+        if case is ZERO_WEIGHT_ROW:
+            # slot 0 of row 1's run cannot be normalized, so it is never evaluated
+            assert de_reports[1].evaluations == problem.inner.npop - 1
+
+    def test_degenerate_run_fails_its_row_only(self, monkeypatch, de_reports):
+        problem, block, seeds = ZERO_WEIGHT_ROW
+        npop = problem.inner.npop
+        calls = []
+
+        def reject_run_1_at_start(rows, layout, tol=0.0):
+            out, nonzero = normalize_block(rows, layout, tol)
+            if not calls:  # the initial populations of all runs
+                nonzero[npop:2 * npop] = False
+            calls.append(len(rows))
+            return out, nonzero
+
+        monkeypatch.setattr(solver_mod, "normalize_block", reject_run_1_at_start)
+        counts = InnerCounts()
+        out, failures = impose_expectation(block, problem, seeds, counts)
+        assert calls[0] == 4 * npop
+        assert {row: str(exc) for row, exc in failures.items()} == {
+            1: "inner population was entirely degenerate: "
+            "constrain rejected the entire initial population"
+        }
+        assert isinstance(de_reports[1], InfeasibleConstrain)
+        assert np.array_equal(out[1], block[1])
+        others = [de_reports[row] for row in (0, 2, 3)]
+        assert counts == InnerCounts(
+            4, sum(r.generations_run for r in others), sum(r.evaluations for r in others)
+        )
+
+
+class TestRepairBlock:
+    def test_out_of_band_rows_go_through_one_lockstep(self, de_reports):
+        problem, rows, seeds = EXHAUSTED
+        in_band = [0.5, 0.5, 6.0, 8.0]
+        zero_mass = [0.0, 0.0, 6.0, 8.0]
+        block = np.vstack([in_band, zero_mass, rows])
+        counts = InnerCounts()
+        out, failures = repair_block(block, problem, lambda row: seeds[row - 2], counts)
+        assert len(de_reports) == len(rows)  # the in-band and zero-mass rows start no run
+        want, inner_failures = impose_expectation(rows, problem, seeds)
+        assert np.array_equal(out, np.vstack([in_band, zero_mass, want]))
+        assert isinstance(failures.pop(1), ZeroMassMeasure)
+        assert {row: str(exc) for row, exc in failures.items()} == {
+            row + 2: str(exc) for row, exc in inner_failures.items()
+        }
+        assert counts == InnerCounts(4, 3 + 0 + 2 + 3, sum(r.evaluations for r in de_reports[:4]))
 
 
 class TestRepairSemantics:
@@ -248,19 +448,20 @@ class TestRepairSemantics:
     def test_out_of_band_trial_is_replaced_at_generation_0(self, de_reports):
         problem = paper_problem(seed=0)
         assert expectation(unflatten(self.HIGH, problem.layout), perforation_area) > 7.5
-        out = impose_expectation(self.HIGH, problem, seed=0)
+        out, failures = impose_expectation(self.HIGH[None, :], problem, [0])
+        assert failures == {}
         assert [r.generations_run for r in de_reports] == [0]
-        assert 5.5 <= expectation(unflatten(out, problem.layout), perforation_area) <= 7.5
-        assert not np.array_equal(out, self.HIGH)
+        assert 5.5 <= expectation(unflatten(out[0], problem.layout), perforation_area) <= 7.5
+        assert not np.array_equal(out[0], self.HIGH)
 
     def test_result_does_not_depend_on_the_trial(self, de_reports):
         # the initial member nearest m wins, and the trial (slot 0) is not it
         problem = paper_problem(seed=0)
         assert expectation(unflatten(self.LOW, problem.layout), perforation_area) < 5.5
-        out_high = impose_expectation(self.HIGH, problem, seed=3)
-        out_low = impose_expectation(self.LOW, problem, seed=3)
+        out, failures = impose_expectation(np.stack([self.HIGH, self.LOW]), problem, [3, 3])
+        assert failures == {}
         assert [r.generations_run for r in de_reports] == [0, 0]
-        assert np.array_equal(out_high, out_low)
+        assert np.array_equal(out[0], out[1])
 
 
 class TestOuqSolve:
