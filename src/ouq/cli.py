@@ -8,8 +8,10 @@
 layout order) and `result_<k>.json` (bound, expectation, maximizer
 measure, outer and inner DE counts), plus a `summary.json` naming the best
 run.  A run's files are written only once its solve has returned, each to
-a temporary file that is then renamed into place.  Exit codes: 0 ok, 1
-usage or configuration error, 2 solver error, 3 I/O error.
+a temporary file that is then renamed into place.  If run k fails with a
+solver error, `summary.json` covers runs 0..k-1 and names the failed run
+under `failed_run`.  Exit codes: 0 ok, 1 usage or configuration error, 2
+solver error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -73,17 +75,35 @@ def _write_atomic(path: Path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _write_summary(out_dir: Path, config: RunConfig, bounds: list[float], **extra) -> int | None:
+    """Write `summary.json` over the finished runs; returns the best run's index."""
+    best_run = max(range(len(bounds)), key=bounds.__getitem__, default=None)
+    summary = {
+        "best_run": best_run,
+        "best_bound": None if best_run is None else bounds[best_run],
+        "bounds": bounds,
+        "runs": config.runs,
+        "base_seed": config.seed,
+        **extra,
+    }
+    _write_atomic(out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
+    return best_run
+
+
 def run_solve(config: RunConfig) -> int:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = _trace_header(config.npts_per_dim)
 
-    best_run = None
-    best_bound = None
     bounds = []
     for k in range(config.runs):
         seed = config.seed + k
-        result = ouq_solve(build_problem(config, seed))
+        try:
+            result = ouq_solve(build_problem(config, seed))
+        except OUQError as exc:
+            failed = {"run": k, "seed": seed, "error": f"{type(exc).__name__}: {exc}"}
+            _write_summary(out_dir, config, bounds, failed_run=failed)
+            raise
         rows = [header]
         for rec in result.report.trace:
             rows.append([str(rec.generation), repr(rec.best_cost)])
@@ -105,20 +125,10 @@ def run_solve(config: RunConfig) -> int:
         _write_atomic(out_dir / f"result_{k}.json", json.dumps(doc, indent=2) + "\n")
 
         bounds.append(result.probability_bound)
-        if best_bound is None or result.probability_bound > best_bound:
-            best_bound = result.probability_bound
-            best_run = k
         print(f"run {k} (seed {seed}): bound = {result.probability_bound:.6f}")
 
-    summary = {
-        "best_run": best_run,
-        "best_bound": best_bound,
-        "bounds": bounds,
-        "runs": config.runs,
-        "base_seed": config.seed,
-    }
-    _write_atomic(out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
-    print(f"best bound = {best_bound:.6f} (run {best_run})")
+    best_run = _write_summary(out_dir, config, bounds)
+    print(f"best bound = {bounds[best_run]:.6f} (run {best_run})")
     return 0
 
 

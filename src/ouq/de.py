@@ -6,7 +6,9 @@ rules evaluated on the best-cost history.  Cost and constraint may work one
 vector at a time or on a whole generation at once (`vectorized=True`).
 `de_lockstep` runs several independently seeded runs side by side and
 evaluates each generation of all of them as one block; `de_solve` is that
-loop with one run.  Runs are fully deterministic given the seed.
+loop with one run.  Runs are fully deterministic given the seed: each
+generation's trials come from one block of npop * (d + 2) uniforms of the
+run's own generator.
 """
 
 from __future__ import annotations
@@ -139,83 +141,31 @@ class SolveReport:
     terminated_by: str
 
 
-class _TrialBuilder:
-    """Builds each generation's Best1Exp trials from raw PCG64 words.
+def _trials(rng: np.random.Generator, pop: np.ndarray, best: np.ndarray, settings: DESettings):
+    """One generation's Best1Exp trials best + F*(pop[c1] - pop[c2]), from one
+    (npop, d + 2) block of uniforms u.
 
-    The words are read exactly as the per-slot numpy calls read them, so the
-    trials and the stream match bit for bit.  `rng.choice(others, 2,
-    replace=False)` is Floyd's algorithm: bounded draws in [0, n-2] and
-    [0, n-1] (the second becomes n-1 if it repeats the first), then one in
-    [0, 1] that swaps them when 0.  Bounded draws, `rng.integers(d)` too, use
-    Lemire's 32-bit method with rejection on the low, then the high half of a
-    word; a range of 0 draws nothing.  `rng.random()` takes a whole word w as
-    (w >> 11) * 2**-53.  Unused words and a pending high half carry over to
-    the next generation, so nothing else may draw from the generator.
+    Slot i takes its candidates i + a and i + b (mod npop), a uniform over
+    1..npop-1 from u0 and b uniform over the rest from u1, so the pair is
+    uniform over ordered pairs of other rows.  The standard strategy copies
+    the donor into slot i's row over a cyclic run starting at floor(u2*d),
+    of length 1 plus the number of leading u3.. below cr (geometric, at most
+    d); the snippet strategy takes the whole donor, or keeps best when u2 >= cr.
     """
-
-    def __init__(self, rng: np.random.Generator, settings: DESettings):
-        state = rng.bit_generator.state
-        self._raw, self._settings, self._words = rng.bit_generator.random_raw, settings, []
-        self._half = state["uinteger"] if state["has_uint32"] else None
-
-    def __call__(self, pop: np.ndarray, best: np.ndarray) -> np.ndarray:
-        """Trials best + F*(pop[c1] - pop[c2]) over a cyclic run of each slot's
-        row (standard), or over all of it unless the slot keeps best (snippet)."""
-        npop, d = pop.shape
-        if best.shape != (d,):
-            raise ValueError(f"vector lengths differ: population rows {d}, best {best.size}")
-        need = npop * (2 + max(d - 1, 1))  # the most a generation takes without rejections
-        self._words += self._raw(max(need - len(self._words), 0)).tolist()
-        while True:
-            try:
-                a, b, start, run = map(np.array, self._draw(npop, d))
-                break
-            except IndexError:  # rejections took more than `need`
-                self._words += self._raw(npop).tolist()
-        donors = best + self._settings.scaling_factor * (pop[a] - pop[b])
-        if self._settings.strategy is Strategy.BEST1EXP_PAPER_SNIPPET:
-            return np.where(run[:, None], best, donors)
-        return np.where((np.arange(d) - start[:, None]) % d < run[:, None], donors, pop)
-
-    def _draw(self, npop: int, d: int):
-        """Per slot: the rows of both candidates, and the crossover start and
-        run length (standard) or keep-best flag (snippet)."""
-        words, pos, half = self._words, 0, self._half
-        cr = self._settings.cross_probability
-        snippet = self._settings.strategy is Strategy.BEST1EXP_PAPER_SNIPPET
-
-        def bounded(hi):
-            nonlocal pos, half
-            while hi:
-                if half is None:
-                    u, half, pos = words[pos] & 0xFFFFFFFF, words[pos] >> 32, pos + 1
-                else:
-                    u, half = half, None
-                if (u * (hi + 1)) & 0xFFFFFFFF >= (0xFFFFFFFF - hi) % (hi + 1):
-                    return (u * (hi + 1)) >> 32
-            return 0
-
-        a, b, start, run = [], [], [], []
-        for slot in range(npop):
-            x, y = bounded(npop - 3), bounded(npop - 2)  # indices into the other slots
-            y = npop - 2 if y == x else y
-            x, y = (x, y) if bounded(1) else (y, x)
-            a.append(x + (x >= slot))
-            b.append(y + (y >= slot))
-            if snippet:
-                pos += 1
-                run.append((words[pos - 1] >> 11) * 2**-53 >= cr)
-                continue
-            start.append(bounded(d - 1))
-            length = 1
-            while length < d:
-                pos += 1
-                if (words[pos - 1] >> 11) * 2**-53 >= cr:
-                    break
-                length += 1
-            run.append(length)
-        self._words, self._half = words[pos:], half
-        return a, b, start, run
+    npop, d = pop.shape
+    if best.shape != (d,):
+        raise ValueError(f"vector lengths differ: population rows {d}, best {best.size}")
+    u = rng.random((npop, d + 2))
+    cr, slots = settings.cross_probability, np.arange(npop)
+    a = 1 + (u[:, 0] * (npop - 1)).astype(np.intp)
+    b = 1 + (u[:, 1] * (npop - 2)).astype(np.intp)
+    b += b >= a
+    donors = best + settings.scaling_factor * (pop[(slots + a) % npop] - pop[(slots + b) % npop])
+    if settings.strategy is Strategy.BEST1EXP_PAPER_SNIPPET:
+        return np.where(u[:, 2:3] >= cr, best, donors)
+    start = (u[:, 2] * d).astype(np.intp)
+    run = 1 + np.cumprod(u[:, 3:] < cr, axis=1).sum(axis=1)
+    return np.where((np.arange(d) - start[:, None]) % d < run[:, None], donors, pop)
 
 
 def _one_row_at_a_time(cost, constrain):
@@ -246,7 +196,7 @@ class _Run:
     def __init__(self, seed: int, settings: DESettings, bounds: Bounds):
         self.rng = np.random.default_rng(seed)
         self.pop = self.rng.uniform(bounds.lower, bounds.upper, size=(settings.npop, len(bounds)))
-        self.costs = self.build = None
+        self.costs = None
         self.best, self.evaluations = 0, 0
         self.history: list[float] = []
         self.trace: list[GenerationRecord] = []
@@ -280,7 +230,7 @@ def de_lockstep(
 
     Each run is the run `de_solve` makes with that seed (see there): its own
     generator, uniform initial population (`initial[k]` in slot 0 when
-    given), trial builder and best-cost history, so its result does not
+    given), trial draws and best-cost history, so its result does not
     depend on the other runs.  What the runs share is the evaluation: each
     generation the populations of all still-running runs are stacked into
     one (runs * npop, d) block, which is clipped, passed to
@@ -329,13 +279,14 @@ def de_lockstep(
         run.best = int(np.argmin(costs))
         run.history.append(float(costs[run.best]))
         if not run.stopped(termination):  # many inner runs stop here
-            run.build = _TrialBuilder(run.rng, settings)
             live.append(run)
 
     generation = 0
     while live and generation < settings.max_generations:
         generation += 1
-        block = np.concatenate([run.build(run.pop, run.pop[run.best]) for run in live])
+        block = np.concatenate(
+            [_trials(run.rng, run.pop, run.pop[run.best], settings) for run in live]
+        )
         for run, (trials, trial_costs, count) in zip(live, evaluate(block, generation)):
             run.evaluations += count
             improved = trial_costs < run.costs
@@ -370,14 +321,12 @@ def de_solve(
     """Minimize `cost` over the box with differential evolution.
 
     Each generation builds all `npop` trials against the generation-start
-    population in one pass over raw PCG64 words of the seeded generator
-    (`_TrialBuilder`, which reads them as numpy's `choice`, `integers` and
-    `random` did, so the stream is defined here, not by those methods),
-    then clips them to the box, passes them through the constraint
-    function, re-clips and evaluates them as one block; a trial replaces
-    its population slot only on strict improvement, so the best-cost
-    history is monotone non-increasing.  This is `de_lockstep` with the
-    one seed `settings.seed`.
+    population from one draw of npop * (d + 2) uniforms from the seeded
+    generator (`_trials`), then clips them to the box, passes them through
+    the constraint function, re-clips and evaluates them as one block; a
+    trial replaces its population slot only on strict improvement, so the
+    best-cost history is monotone non-increasing.  This is `de_lockstep`
+    with the one seed `settings.seed`.
 
     By default `cost(params)` takes one vector and returns a float, and
     `constrain(params, generation, slot)` returns the repaired vector or

@@ -348,12 +348,14 @@ class TestSolve:
         assert main(["solve", str(path)]) == 2
         assert "initial population" in capsys.readouterr().err
         assert not (outdir / "trace_0.csv").exists()
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert (summary["best_run"], summary["bounds"], summary["failed_run"]["run"]) == (None, [], 0)
 
     @pytest.mark.parametrize(
         "band, generations, evaluations, bound",
         [
-            ("[5.5, 7.5]", 72, 2919, 0.3787993042859375),
-            ("[6.4, 6.6]", 30, 1239, 0.2646433756770121),
+            ("[5.5, 7.5]", 30, 1240, 0.35400970124433406),
+            ("[6.4, 6.6]", 15, 640, 0.20319230159872861),
         ],
         ids=["reference", "narrow_band"],
     )
@@ -377,13 +379,13 @@ class TestSolve:
     @pytest.mark.parametrize(
         "band, counts",
         [
-            ("[5.5, 7.5]", (72, 2919, 900, 0, 18000)),
-            ("[6.4, 6.6]", (30, 1239, 1118, 865, 39649)),
+            ("[5.5, 7.5]", (30, 1240, 496, 0, 9920)),
+            ("[6.4, 6.6]", (15, 640, 586, 395, 19614)),
         ],
         ids=["reference", "narrow_band"],
     )
     def test_seed_0_inner_counts_pinned(self, tmp_path, capsys, band, counts):
-        # the nested runs of seed 0, counted one de_solve per row before they ran in lockstep
+        # the totals of the nested repairs of seed 0
         config = tmp_path / "paper.config"
         config.write_text(
             PAPER_CONFIG.read_text().replace("mean_band: [5.5, 7.5]", f"mean_band: {band}")
@@ -448,6 +450,39 @@ class TestSolve:
         assert main(["solve", str(path)]) == 3
         assert "No space left" in capsys.readouterr().err
         assert sorted(p.name for p in outdir.iterdir()) == ["trace_0.csv"]
+
+    def test_failed_run_still_writes_the_summary(self, tmp_path, monkeypatch, capsys):
+        path, outdir = write_tiny_config(tmp_path)
+        assert main(["solve", str(path), "--runs", "2"]) == 0
+        bounds = [json.loads((outdir / f"result_{k}.json").read_text())["probability_bound"]
+                  for k in range(2)]
+        best = max(range(2), key=bounds.__getitem__)
+        summary = {"best_run": best, "best_bound": bounds[best], "bounds": bounds, "runs": 2,
+                   "base_seed": 0}
+        assert (outdir / "summary.json").read_text() == json.dumps(summary, indent=2) + "\n"
+
+        real_solve, seeds = ouq.cli.ouq_solve, []
+
+        def fail_second_run(problem):
+            seeds.append(problem.outer.seed)
+            if len(seeds) == 2:
+                raise InfeasibleConstrain("constrain rejected the entire initial population")
+            return real_solve(problem)
+
+        monkeypatch.setattr(ouq.cli, "ouq_solve", fail_second_run)
+        failed_dir = tmp_path / "failed"
+        assert main(["solve", str(path), "--runs", "3", "--output-dir", str(failed_dir)]) == 2
+        assert "initial population" in capsys.readouterr().err
+        assert seeds == [0, 1]
+        assert sorted(p.name for p in failed_dir.iterdir()) == [
+            "result_0.json", "summary.json", "trace_0.csv"]
+        assert json.loads((failed_dir / "summary.json").read_text()) == {
+            "best_run": 0, "best_bound": bounds[0], "bounds": bounds[:1], "runs": 3,
+            "base_seed": 0, "failed_run": {
+                "run": 1, "seed": 1,
+                "error": "InfeasibleConstrain: constrain rejected the entire initial population",
+            },
+        }
 
     def test_empty_output_dir_override_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

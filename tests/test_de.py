@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ouq import Bounds, ChangeOverGeneration, DESettings, de_solve
-from ouq.de import Strategy, ValueBelow, _TrialBuilder, de_lockstep, termination_met
+from ouq.de import Strategy, ValueBelow, _trials, de_lockstep, termination_met
 from ouq.errors import InfeasibleConstrain, InnerLoopFailed
 
 
@@ -29,34 +29,9 @@ class TestSettings:
             DESettings(cross_probability=1.5)
 
 
-def per_slot_trials(pop, best, settings, rng):
-    """The per-slot Best1Exp path that _TrialBuilder replaces: the oracle."""
-    npop, d = pop.shape
-    slots = np.arange(npop)
-    f, cr = settings.scaling_factor, settings.cross_probability
-    trials = np.empty_like(pop)
-    for slot in range(npop):
-        c1, c2 = rng.choice(slots[slots != slot], size=2, replace=False)
-        c1, c2 = pop[c1], pop[c2]
-        if settings.strategy is Strategy.BEST1EXP_PAPER_SNIPPET:
-            trials[slot] = best.copy() if rng.random() >= cr else best + f * (c1 - c2)
-            continue
-        trial = pop[slot].copy()
-        i = int(rng.integers(d))
-        mutated = 0
-        while True:
-            trial[i] = best[i] + f * (c1[i] - c2[i])
-            mutated += 1
-            i = (i + 1) % d
-            if mutated >= d or rng.random() >= cr:
-                break
-        trials[slot] = trial
-    return trials
-
-
 def build_trials(settings, pop, best, seed=0):
-    builder = _TrialBuilder(np.random.default_rng(seed), settings)
-    return builder(np.asarray(pop, dtype=float), np.asarray(best, dtype=float))
+    pop, best = np.asarray(pop, dtype=float), np.asarray(best, dtype=float)
+    return _trials(np.random.default_rng(seed), pop, best, settings)
 
 
 class TestMutate:
@@ -130,54 +105,121 @@ def generation_cases(draw):
     settings = DESettings(
         npop=npop,
         cross_probability=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
-        scaling_factor=draw(st.floats(0.1, 2.0)),
+        scaling_factor=1.0,
         strategy=draw(st.sampled_from(list(Strategy))),
     )
-    return settings, d, draw(st.integers(0, 5)), draw(st.integers(0, 2**32))
+    return settings, d, draw(st.integers(0, 2**32))
 
 
-class TestTrialBuilder:
-    """_TrialBuilder reads raw PCG64 words exactly as the per-slot numpy calls."""
+def indexed(npop, d):
+    """A population whose row i is 2**i in every coordinate, and best 0.5: with
+    F = 1 a donor coordinate is 0.5 + 2**c1 - 2**c2, never a target's value."""
+    return np.repeat(2.0 ** np.arange(npop), d).reshape(npop, d), np.full(d, 0.5)
+
+
+def candidates(donor):
+    """The rows (c1, c2) of a donor value 0.5 + 2**c1 - 2**c2 of `indexed`."""
+    diff = int(donor - 0.5)
+    m = abs(diff)
+    hi, lo = m.bit_length(), (m & -m).bit_length() - 1
+    assert diff != 0 and donor - 0.5 == diff and m == 2**hi - 2**lo
+    return (hi, lo) if diff > 0 else (lo, hi)
+
+
+class _Spy:
+    """A generator that records every block of uniforms it hands out."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, []
+
+    def random(self, shape):
+        self.drawn.append(self.rng.random(shape))
+        return self.drawn[-1]
+
+
+class _Fixed:
+    """A generator whose every row of uniforms is `row` (a scalar fills it)."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def random(self, shape):
+        return np.broadcast_to(self.row, shape).copy()
+
+
+class TestTrials:
+    """_trials draws Best1Exp choices with the distributions of DE/best/1/exp."""
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(case=generation_cases())
-    def test_matches_per_slot_path(self, case):
-        de, d, draws_before, seed = case
-        oracle_rng, builder_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for rng in (oracle_rng, builder_rng):
-            rng.uniform(size=3)
-            for _ in range(draws_before):  # one 32-bit draw each: leaves a half pending when odd
-                rng.integers(7)
-        assert oracle_rng.bit_generator.state["has_uint32"] == draws_before % 2
-        builder = _TrialBuilder(builder_rng, de)
-        pop = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, size=(de.npop, d))
-        for generation in range(3):
-            best = pop[generation % de.npop]
-            expected = per_slot_trials(pop, best, de, oracle_rng)
-            assert np.array_equal(builder(pop, best), expected)
-            pop = expected
-        # the stream continues where the per-slot path left it
-        state = oracle_rng.bit_generator.state
-        assert builder._half == (state["uinteger"] if state["has_uint32"] else None)
-        word = builder._words[0] if builder._words else int(builder_rng.bit_generator.random_raw())
-        assert oracle_rng.random() == (word >> 11) * 2**-53
+    def test_trials_are_best1exp(self, case):
+        de, d, seed = case
+        pop, best = indexed(de.npop, d)
+        trials = _trials(np.random.default_rng(seed), pop, best, de)
+        for slot, (trial, target) in enumerate(zip(trials, pop)):
+            if de.strategy is Strategy.BEST1EXP_PAPER_SNIPPET:
+                if np.array_equal(trial, best):
+                    assert de.cross_probability < 1.0
+                    continue
+                assert de.cross_probability > 0.0 and np.all(trial == trial[0])
+                mutated = np.ones(d, dtype=bool)
+            else:
+                mutated = trial != target
+                # one cyclic run: at most one mutated coordinate follows an unmutated one
+                assert 1 <= mutated.sum() and np.sum(mutated & ~np.roll(mutated, 1)) <= 1
+                if de.cross_probability == 1.0:
+                    assert mutated.all()
+                if de.cross_probability == 0.0:
+                    assert mutated.sum() == 1
+            assert np.all(trial[mutated] == trial[mutated][0])
+            c1, c2 = candidates(trial[mutated][0])
+            assert len({slot, c1, c2}) == 3 and max(c1, c2) < de.npop
 
-    def test_lemire_rejection_takes_the_next_half_word(self):
-        # npop 39: the first candidate draw has 37 values, whose rejection
-        # threshold is 2**32 % 37 = 7, so a low half of 0 is rejected and the
-        # high half 3 * 2**30 gives (3 * 2**30 * 37) >> 32 = 27; the second
-        # draw (38 values) takes the low half 2**31 + 12345 of the next word,
-        # giving 19, and its high half 2**31 draws 1 in [0, 1]: no swap; the
-        # other slots of slot 0 are rows 1..38, so the candidates are rows 28, 20
-        settings = DESettings(npop=39, strategy=Strategy.BEST1EXP_PAPER_SNIPPET)
-        rng = np.random.default_rng(0)
-        builder = _TrialBuilder(rng, settings)
-        filler = rng.bit_generator.random_raw(200).tolist()
-        builder._words = [3 << 62, (1 << 63) | (1 << 31) + 12345] + filler
-        a, b, _, keep = builder._draw(39, 1)
-        assert (a[0], b[0]) == (28, 20)
-        # slot 0's random() took the third word, as the next slot starts after it
-        assert keep[0] == ((filler[0] >> 11) * 2**-53 >= settings.cross_probability)
+    def test_every_pair_and_start_occurs(self):
+        de = DESettings(npop=4, cross_probability=0.0, scaling_factor=1.0)
+        pop, best = indexed(4, 3)
+        seen = [set() for _ in range(4)]
+        for seed in range(200):
+            trials = _trials(np.random.default_rng(seed), pop, best, de)
+            for slot, (trial, target) in enumerate(zip(trials, pop)):
+                (start,) = np.flatnonzero(trial != target)
+                seen[slot].add((candidates(trial[start]), start))
+        for slot, pairs in enumerate(seen):
+            others = [row for row in range(4) if row != slot]
+            assert pairs == {((i, j), k) for i in others for j in others if i != j for k in range(3)}
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_one_call_reads_npop_times_d_plus_2_words(self, strategy):
+        de, d = DESettings(npop=7, strategy=strategy), 5
+        rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+        spy = _Spy(rng)
+        pop = rng.uniform(size=(7, d))
+        twin.uniform(size=(7, d))
+        _trials(spy, pop, pop[0], de)
+        words = twin.bit_generator.random_raw(7 * (d + 2))
+        assert len(spy.drawn) == 1
+        assert np.array_equal(spy.drawn[0], ((words >> 11) * 2**-53).reshape(7, d + 2))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    # u just below 1 takes the two rows before the slot and mutates the last
+    # coordinate only; u = 0 takes the two rows after it and mutates all
+    @pytest.mark.parametrize("u, offsets", [(1 - 2**-53, (-1, -2)), (0.0, (1, 2))])
+    def test_extreme_uniforms_keep_indices_in_range(self, u, offsets):
+        for npop in range(4, 51):
+            for d in (1, 2, 13):
+                pop, best = indexed(npop, d)
+                trials = _trials(_Fixed(u), pop, best, DESettings(npop=npop, scaling_factor=1.0))
+                for slot, (trial, target) in enumerate(zip(trials, pop)):
+                    mutated = np.flatnonzero(trial != target).tolist()
+                    assert mutated == ([d - 1] if u else list(range(d)))
+                    assert candidates(trial[d - 1]) == tuple((slot + o) % npop for o in offsets)
+
+
+    def test_run_ends_at_the_first_uniform_not_below_cr(self):
+        pop, best = indexed(4, 5)
+        u = [0.0, 0.0, 0.0, 0.1, 0.95, 0.1, 0.1]  # start 0, then one continuation
+        trials = _trials(_Fixed(u), pop, best, DESettings(npop=4, cross_probability=0.9))
+        assert [np.flatnonzero(t != p).tolist() for t, p in zip(trials, pop)] == [[0, 1]] * 4
 
 
 class TestTermination:
@@ -344,7 +386,7 @@ class TestInfeasibleTrials:
         report = de_solve(
             recording_cost,
             Bounds.from_pairs([(-5.0, 5.0)] * 2),
-            DESettings(npop=10, seed=13, max_generations=60),
+            DESettings(npop=10, seed=14, max_generations=60),
             constrain=right_half_infeasible,
         )
         assert len(rejected) > 100

@@ -353,7 +353,7 @@ class TestRandomizedProperties:
     positions=st.lists(st.floats(-50.0, 50.0), min_size=5, max_size=5),
     target=st.floats(-100.0, 100.0),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
 def test_set_mean_hits_target_hypothesis(weights, positions, target):
     m = dm(weights, positions[: len(weights)], lower=-100.0, upper=100.0)
     assert set_mean(m, target).mean() == pytest.approx(target, abs=1e-9)
@@ -395,7 +395,7 @@ def unnormalized_blocks(draw):
 
 
 @given(unnormalized_blocks())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
 def test_block_kernels_match_per_measure_functions(case):
     layout, raw = case
     products = [pack([normalize(f) for f in unpack(unflatten(row, layout))]) for row in raw]

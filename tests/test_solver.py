@@ -335,7 +335,7 @@ def toy_case(band, max_generations, zero_rows=(), k=4):
 
 
 UNREACHABLE = toy_case((99.0, 101.0), 5)
-EXHAUSTED = toy_case((6.9, 7.1), 3)
+EXHAUSTED = toy_case((7.0, 7.2), 4)
 ZERO_WEIGHT_ROW = toy_case((6.0, 8.0), 4, zero_rows=[1])
 
 
@@ -375,8 +375,8 @@ class TestLockstepOracle:
         "case, failed_rows, generations",
         [
             (UNREACHABLE, {0, 1, 2, 3}, [5, 5, 5, 5]),
-            # row 1 stops at generation 0 and row 2 leaves the lockstep at generation 2
-            (EXHAUSTED, {0, 3}, [3, 0, 2, 3]),
+            # row 1 stops at generation 0 and row 0 leaves the lockstep at generation 3
+            (EXHAUSTED, {2, 3}, [3, 0, 4, 4]),
             (ZERO_WEIGHT_ROW, set(), [0, 0, 1, 0]),
         ],
         ids=["unreachable", "exhausted", "zero_weight_row"],
@@ -434,7 +434,7 @@ class TestRepairBlock:
         assert {row: str(exc) for row, exc in failures.items()} == {
             row + 2: str(exc) for row, exc in inner_failures.items()
         }
-        assert counts == InnerCounts(4, 3 + 0 + 2 + 3, sum(r.evaluations for r in de_reports[:4]))
+        assert counts == InnerCounts(4, 3 + 0 + 4 + 4, sum(r.evaluations for r in de_reports[:4]))
 
 
 class TestRepairSemantics:
