@@ -15,6 +15,8 @@ The block kernels (`factor_masses`, `normalize_block`, `expectation_block`,
 `event_probability_block`) work on an (m, param_length) block of such
 vectors at once, without building measure objects, and repeat the
 arithmetic of their per-measure counterparts operation for operation.
+`conditional_expectations_block`, which the band repair uses, has no
+per-measure counterpart.
 """
 
 from __future__ import annotations
@@ -331,6 +333,16 @@ def _sum_atoms(terms: np.ndarray) -> np.ndarray:
     return total
 
 
+def _response_values(f: Callable, positions: list[np.ndarray]) -> np.ndarray:
+    """(m, A) response values at every atom; DomainError if any is non-finite."""
+    values = np.broadcast_to(np.asarray(f(*positions), dtype=float), positions[0].shape)
+    if not np.isfinite(values).all():
+        row, atom = np.argwhere(~np.isfinite(values))[0]
+        at = tuple(float(x[row, atom]) for x in positions)
+        raise DomainError(f"response is {values[row, atom]} at {at}")
+    return values
+
+
 def expectation_block(block: np.ndarray, layout: ParamLayout, f: Callable) -> np.ndarray:
     """E[f] under the measure of every row of an (m, param_length) block.
 
@@ -343,12 +355,30 @@ def expectation_block(block: np.ndarray, layout: ParamLayout, f: Callable) -> np
     DomainError if any response value is non-finite.
     """
     weights, positions = _atoms(block, layout)
-    values = np.broadcast_to(np.asarray(f(*positions), dtype=float), weights.shape)
-    if not np.isfinite(values).all():
-        row, atom = np.argwhere(~np.isfinite(values))[0]
-        at = tuple(float(x[row, atom]) for x in positions)
-        raise DomainError(f"response is {values[row, atom]} at {at}")
-    return _sum_atoms(weights * values)
+    return _sum_atoms(weights * _response_values(f, positions))
+
+
+def conditional_expectations_block(
+    block: np.ndarray, layout: ParamLayout, f: Callable
+) -> list[np.ndarray]:
+    """Per factor k, the (m, n_k) conditional expectations g_kj = E[f | x_k = x_kj].
+
+    g_kj sums f over the atoms whose factor-k point is j, each weighted by
+    the product of its other factors' weights, so E[f] = sum_j w_kj g_kj
+    for every k: E is affine in each factor's weights.  The response is
+    called once, as in expectation_block.
+    """
+    w_cols, _ = _atom_columns(layout)
+    _, positions = _atoms(block, layout)
+    values = _response_values(f, positions)
+    out = []
+    for k, (ws, _) in enumerate(layout.factor_slices()):
+        others = np.array(block, dtype=float)
+        others[:, ws] = 1.0  # so the atom weights leave out factor k
+        point = w_cols[k] - ws.start  # each atom's point index in factor k
+        onehot = point[:, None] == np.arange(ws.stop - ws.start)
+        out.append((_atoms(others, layout)[0] * values) @ onehot)
+    return out
 
 
 def event_probability_block(

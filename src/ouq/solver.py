@@ -1,16 +1,22 @@
-"""The OUQ outer loop and the nested mean-constraint inner loop.
+"""The OUQ outer loop and the mean-band repair.
 
 The outer loop maximizes the probability of the failure event over product
 measures of weighted Dirac masses (recast as minimizing the negative).
 Each trial parameter vector is first repaired by the constraint function:
 weights are renormalized per factor, and if the expected response leaves
-the admissible band [m-d, m+d] a nested differential-evolution run imposes
-it (least-squares distance to the target mean, value-to-reach d^2).
+the admissible band [m-d, m+d] the trial's weights are moved to bring it
+back.  E is affine in each factor's weights, so moving weight within one
+factor reaches the nearest band edge exactly whenever the conditional
+expectation at one of that factor's points lies past it
+(`shift_weights`); the positions, and with them the outer DE's mutation,
+are kept.  A trial that no single factor can bring
+back goes to the fallback, a nested differential-evolution run
+(least-squares distance to the target mean, value-to-reach d^2).
 
 Both loops work on whole generations: repair and cost take
 (m, param_length) blocks through the block kernels of `measures`, and the
 response is called once per block.  The nested runs that one outer
-generation starts run in lockstep (`de_lockstep`), so each inner
+generation falls back to run in lockstep (`de_lockstep`), so each inner
 generation of all of them is one block too.  `constrain_params` is the
 same repair for one vector.
 """
@@ -40,6 +46,7 @@ from .measures import (
     MASS_TOL,
     ParamLayout,
     ProductMeasure,
+    conditional_expectations_block,
     event_probability,
     event_probability_block,
     expectation,
@@ -53,6 +60,8 @@ from .measures import (
 
 # Slack on the expectation band that FeasibilityAudit allows.
 BAND_TOL = 1e-6
+# shift_weights aims this share of the band width inside the nearest edge.
+BAND_NUDGE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -107,11 +116,19 @@ class OUQProblem:
 
 @dataclass
 class InnerCounts:
-    """Totals over the nested-DE repair runs of a solve; they depend only on the seed."""
+    """Totals over the band repairs of a solve; they depend only on the seed.
+
+    `runs`, `generations` and `evaluations` count the nested-DE runs of
+    the fallback; `repair_rows` counts the out-of-band rows that reached
+    the weight move and `fallback_rows` those of them handed to the
+    nested DE, one run each.
+    """
 
     runs: int = 0
     generations: int = 0
     evaluations: int = 0
+    repair_rows: int = 0
+    fallback_rows: int = 0
 
     def add(self, reports: list[SolveReport | InfeasibleConstrain]):
         """Count the runs of one lockstep; a run that failed at the start ran
@@ -185,11 +202,12 @@ def impose_expectation(
     seeds: Sequence[int],
     counts: Optional[InnerCounts] = None,
 ) -> tuple[np.ndarray, dict[int, ConstraintViolation]]:
-    """Move every row of a block of normalized parameter vectors into the
-    admissible expectation band.
+    """The fallback repair: move every row of a block of normalized parameter
+    vectors into the admissible expectation band with a nested DE.
 
-    Each row gets its own nested DE, seeded with `seeds[row]`, minimizing
-    (E[response] - m)^2 over the same box as the outer problem,
+    `repair_block` calls it only for the rows that `shift_weights` cannot
+    repair.  Each row gets its own nested DE, seeded with `seeds[row]`,
+    minimizing (E[response] - m)^2 over the same box as the outer problem,
     terminating at value-to-reach d^2 (i.e. |E - m| <= d), for at most
     `problem.inner.max_generations` generations.  The row takes slot 0 of
     its run's population; the other slots are drawn uniformly from the box.
@@ -200,7 +218,7 @@ def impose_expectation(
     A row's result is the parameter vector of its run's best member, which
     need not be related to the row.  When any member of the initial
     population already lies in the band (on the reference problem every one
-    of the 900 inner runs of seed 0 does), the run stops at generation 0
+    of the 15 fallback runs of seed 0 does), the run stops at generation 0
     and returns the initial member whose expectation is nearest m.  The
     repair is then a random restart near the band centre, not a small move
     of the trial.
@@ -245,6 +263,55 @@ def impose_expectation(
     return out, failures
 
 
+def shift_weights(block: np.ndarray, expect: np.ndarray, problem: OUQProblem) -> np.ndarray:
+    """Move each out-of-band row's expectation to the nearest band edge by
+    moving weight within one factor; positions are not touched.
+
+    `expect` holds the rows' expectations, each outside the band.  The
+    target is the nearest edge, nudged inside by BAND_NUDGE of the band
+    width.  E is affine in each factor's weights, E = sum_j w_kj g_kj with
+    g_kj = E[f | x_k = x_kj], so per factor the smallest move in L1 takes
+    mass to the point with the highest g (the lowest, when E is above the
+    band) from the other points, the farthest in g first, until E reaches
+    the target.  A row takes the factor whose move is smallest in L1, the
+    first on ties; a row that no factor can move to the target comes back
+    unchanged.  Each factor's weights stay on the simplex.
+    """
+    layout = problem.layout
+    lo, hi = problem.constraint.band
+    nudge = BAND_NUDGE * (hi - lo)
+    up = expect < lo
+    sign = np.where(up, 1.0, -1.0)[:, None]
+    need = np.where(up, lo + nudge - expect, expect - (hi - nudge))[:, None]
+    out = np.array(block, dtype=float)
+    every = np.arange(len(block))
+    l1s, moves = [], []
+    for (ws, _), g in zip(
+        layout.factor_slices(), conditional_expectations_block(block, layout, problem.response)
+    ):
+        h = sign * g  # in units of the move's direction: h must rise by `need`
+        dest = np.argmax(h, axis=1)
+        gap = h[every, dest][:, None] - h
+        order = np.argsort(-gap, axis=1, kind="stable")
+        gap = np.take_along_axis(gap, order, axis=1)
+        w = np.take_along_axis(block[:, ws], order, axis=1)
+        gain = w * gap
+        before = np.cumsum(gain, axis=1) - gain  # what the farther points reach
+        with np.errstate(divide="ignore", invalid="ignore"):
+            take = np.where(gap > 0.0, np.clip((need - before) / gap, 0.0, w), 0.0)
+        moved = take.sum(axis=1)
+        weights = block[:, ws].copy()
+        np.put_along_axis(weights, order, w - take, axis=1)
+        weights[every, dest] += moved
+        l1s.append(np.where(gain.sum(axis=1) >= need[:, 0], 2.0 * moved, np.inf))
+        moves.append(weights)
+    l1s = np.stack(l1s)
+    choice = np.where(np.isfinite(l1s).any(axis=0), np.argmin(l1s, axis=0), -1)
+    for k, ((ws, _), weights) in enumerate(zip(layout.factor_slices(), moves)):
+        out[choice == k, ws] = weights[choice == k]
+    return out
+
+
 def repair_block(
     block: np.ndarray,
     problem: OUQProblem,
@@ -254,22 +321,36 @@ def repair_block(
     """Repair every row of a trial block: renormalize weights, then impose the mean band.
 
     A factor whose mass is off 1 by more than MASS_TOL is renormalized;
-    the expectation is then computed for the whole block, and the rows
-    outside [m-d, m+d] go through one `impose_expectation` call, row `row`
-    seeded with `inner_seed(row)`.  Returns the repaired block and, for
-    each row that cannot be repaired, its ConstraintViolation:
+    the expectation is then computed for the whole block.  Each row
+    outside [m-d, m+d] first gets the exact weight move of
+    `shift_weights`, and keeps it if `expectation_block` finds the moved
+    row in the band.  The rows left over, unchanged, go to the fallback:
+    one `impose_expectation` call, row `row` seeded with `inner_seed(row)`,
+    which is called for those rows only.  Returns the repaired block and,
+    for each row that cannot be repaired, its ConstraintViolation:
     ZeroMassMeasure for all-zero weights, InnerLoopFailed when the band
     cannot be reached.  The caller treats those rows as infeasible.
     """
-    out, nonzero = normalize_block(block, problem.layout, tol=MASS_TOL)
+    layout, response = problem.layout, problem.response
+    out, nonzero = normalize_block(block, layout, tol=MASS_TOL)
     failures: dict[int, ConstraintViolation] = {
         row: ZeroMassMeasure("cannot normalize a measure with zero total mass")
         for row in np.flatnonzero(~nonzero).tolist()
     }
     rows = np.flatnonzero(nonzero)
     lo, hi = problem.constraint.band
-    e = expectation_block(out[rows], problem.layout, problem.response)
-    rows = rows[~((lo <= e) & (e <= hi))]
+    e = expectation_block(out[rows], layout, response)
+    outside = ~((lo <= e) & (e <= hi))
+    rows, e = rows[outside], e[outside]
+    if rows.size:
+        moved = shift_weights(out[rows], e, problem)
+        e = expectation_block(moved, layout, response)
+        fixed = (lo <= e) & (e <= hi)
+        out[rows[fixed]] = moved[fixed]
+        if counts is not None:
+            counts.repair_rows += rows.size
+            counts.fallback_rows += rows.size - int(np.count_nonzero(fixed))
+        rows = rows[~fixed]
     if rows.size:
         out[rows], inner_failures = impose_expectation(
             out[rows], problem, [inner_seed(row) for row in rows.tolist()], counts
@@ -324,10 +405,11 @@ def ouq_solve(
     returns a non-finite value.
 
     Each outer generation is repaired and costed as one block
-    (`de_solve(vectorized=True)`); only its out-of-band rows run the
-    nested DE, all of them in lockstep, each with an inner seed derived
-    from (outer seed, generation, slot).  The result's `inner` holds the
-    totals of those runs.
+    (`de_solve(vectorized=True)`).  Its out-of-band rows get the weight
+    move; only those it cannot repair run the nested DE, all of them in
+    lockstep, each with an inner seed derived from (outer seed,
+    generation, slot).  The result's `inner` holds the repair counts and
+    the totals of those runs.
     """
     outer_seed = problem.outer.seed
     inner = InnerCounts()

@@ -354,8 +354,8 @@ class TestSolve:
     @pytest.mark.parametrize(
         "band, generations, evaluations, bound",
         [
-            ("[5.5, 7.5]", 30, 1240, 0.35400970124433406),
-            ("[6.4, 6.6]", 15, 640, 0.20319230159872861),
+            ("[5.5, 7.5]", 33, 1360, 0.3788062337636784),
+            ("[6.4, 6.6]", 45, 1839, 0.27715900889713896),
         ],
         ids=["reference", "narrow_band"],
     )
@@ -379,13 +379,13 @@ class TestSolve:
     @pytest.mark.parametrize(
         "band, counts",
         [
-            ("[5.5, 7.5]", (30, 1240, 496, 0, 9920)),
-            ("[6.4, 6.6]", (15, 640, 586, 395, 19614)),
+            ("[5.5, 7.5]", (33, 1360, 15, 0, 300, 396, 15)),
+            ("[6.4, 6.6]", (45, 1839, 45, 40, 1700, 1104, 45)),
         ],
         ids=["reference", "narrow_band"],
     )
     def test_seed_0_inner_counts_pinned(self, tmp_path, capsys, band, counts):
-        # the totals of the nested repairs of seed 0
+        # the totals of the band repairs of seed 0
         config = tmp_path / "paper.config"
         config.write_text(
             PAPER_CONFIG.read_text().replace("mean_band: [5.5, 7.5]", f"mean_band: {band}")
@@ -393,9 +393,12 @@ class TestSolve:
         args = ["solve", str(config), "--seed", "0", "--runs", "1", "--output-dir", str(tmp_path)]
         assert main(args) == 0
         result = json.loads((tmp_path / "result_0.json").read_text())
-        keys = ("generations", "evaluations", "inner_runs", "inner_generations", "inner_evaluations")
+        keys = (
+            "generations", "evaluations", "inner_runs", "inner_generations", "inner_evaluations",
+            "repair_rows", "fallback_rows",
+        )
         assert tuple(result[k] for k in keys) == counts
-        assert list(result)[-3:] == list(keys[2:])  # the earlier keys keep their bytes
+        assert list(result)[-5:] == list(keys[2:])  # the earlier keys keep their bytes
 
     def paper_config(self, tmp_path, outer_termination):
         path = tmp_path / "paper.config"

@@ -25,6 +25,7 @@ from ouq import (
 from ouq.errors import DomainError, ZeroMassMeasure
 from ouq.measures import (
     SupportPoint,
+    conditional_expectations_block,
     event_probability_block,
     expectation_block,
     factor_masses,
@@ -414,6 +415,16 @@ def test_block_kernels_match_per_measure_functions(case):
     assert expectation_block(block, layout, smooth) == pytest.approx(
         [expectation(p, smooth) for p in products], rel=1e-12, abs=1e-12
     )
+    # g_kj is E[poly] with factor k replaced by a Dirac mass at its point j
+    for k, g in enumerate(conditional_expectations_block(block, layout, poly)):
+        want = [
+            [
+                expectation(pack(p.factors[:k] + (dm([1.0], [x]),) + p.factors[k + 1:]), poly)
+                for x in p.factors[k].coords()
+            ]
+            for p in products
+        ]
+        assert np.allclose(g, want, rtol=1e-12, atol=1e-12)
 
 
 class TestBlockKernels:

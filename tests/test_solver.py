@@ -34,6 +34,7 @@ from ouq.solver import (
     cost_block,
     impose_expectation,
     repair_block,
+    shift_weights,
 )
 
 PAPER_LAYOUT = ParamLayout(
@@ -434,7 +435,10 @@ class TestRepairBlock:
         assert {row: str(exc) for row, exc in failures.items()} == {
             row + 2: str(exc) for row, exc in inner_failures.items()
         }
-        assert counts == InnerCounts(4, 3 + 0 + 4 + 4, sum(r.evaluations for r in de_reports[:4]))
+        assert counts == InnerCounts(
+            4, 3 + 0 + 4 + 4, sum(r.evaluations for r in de_reports[:4]),
+            repair_rows=4, fallback_rows=4,  # each row's points lie on one side of [7, 7.2]
+        )
 
 
 class TestRepairSemantics:
@@ -462,6 +466,149 @@ class TestRepairSemantics:
         assert failures == {}
         assert [r.generations_run for r in de_reports] == [0, 0]
         assert np.array_equal(out[0], out[1])
+
+
+@st.composite
+def shift_cases(draw):
+    """A problem whose band lies among the expectations of a block of
+    normalized rows, so that some rows lie below it and some above."""
+    npts = draw(st.sampled_from([(1,), (2,), (3, 1, 2), (2, 2, 2)]))
+    lows = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(npts), max_size=len(npts)))
+    widths = draw(st.lists(st.floats(0.5, 5.0), min_size=len(npts), max_size=len(npts)))
+    layout = ParamLayout(npts, tuple((lo, lo + w) for lo, w in zip(lows, widths)))
+    response = draw(st.sampled_from(RESPONSES))
+    box = build_bounds(layout)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    block, _ = normalize_block(rng.uniform(box.lower, box.upper, size=(8, len(box))), layout)
+    e = expectation_block(block, layout, response)
+    q = sorted(draw(st.lists(st.floats(0.05, 0.95), min_size=2, max_size=2)))
+    lo, hi = np.quantile(e, q)
+    problem = OUQProblem(
+        response=response,
+        layout=layout,
+        constraint=MeanConstraint.from_band(lo, max(hi, lo + 1e-3)),
+    )
+    return problem, block, rng
+
+
+def in_band(e, problem):
+    lo, hi = problem.constraint.band
+    return (lo <= e) & (e <= hi)
+
+
+class TestShiftWeights:
+    """The exact weight move that repairs out-of-band rows before the fallback."""
+
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(case=shift_cases())
+    def test_move(self, case):
+        problem, block, rng = case
+        layout = problem.layout
+        e = expectation_block(block, layout, problem.response)
+        rows = block[~in_band(e, problem)]
+        moved = shift_weights(rows, e[~in_band(e, problem)], problem)
+        slices = layout.factor_slices()
+        moved_e = expectation_block(moved, layout, problem.response)
+        for row, out, e_out in zip(rows, moved, moved_e):
+            for ws, xs in slices:
+                assert np.array_equal(out[xs], row[xs])  # positions bit-unchanged
+                assert (out[ws] >= 0.0).all()
+                assert math.fsum(out[ws]) == pytest.approx(1.0, abs=1e-12)
+            changed = [k for k, (ws, _) in enumerate(slices) if not np.array_equal(out[ws], row[ws])]
+            assert len(changed) <= 1  # one factor moves
+            if changed:
+                assert in_band(e_out, problem)
+            # every in-band weight vector of any one factor moves at least as far
+            l1 = np.abs(out - row).sum()
+            for ws, _ in slices:
+                n = ws.stop - ws.start
+                samples = np.vstack([np.eye(n), rng.dirichlet(np.full(n, 0.3), size=64)])
+                tries = np.repeat(row[None, :], len(samples), axis=0)
+                tries[:, ws] = samples
+                feasible = in_band(expectation_block(tries, layout, problem.response), problem)
+                if not changed:
+                    assert not feasible.any()
+                    continue
+                assert (l1 <= np.abs(samples - row[ws]).sum(axis=1)[feasible] + 1e-6).all()
+
+    def test_repair_depends_on_the_trial(self, de_reports):
+        # the opposite of TestRepairSemantics, where the nested DE maps two
+        # trials to one measure: the weight move keeps each trial's positions
+        problem = paper_problem(seed=0)
+        trials = np.array([
+            # thin and thick plate at top speed: expectation ~7.76, above the band
+            [0.5, 0.5, 1.524, 2.667, 1.0, 0.0, 0.0, 0.1, 0.5, 0.5, 2.79, 2.8],
+            # the same plates at low speed: expectation ~4.27, below the band
+            [0.5, 0.5, 1.524, 2.667, 0.5, 0.5, 0.0, 0.1, 0.5, 0.5, 2.1, 2.15],
+        ])
+        out, failures = repair_block(trials, problem, lambda row: 3)
+        assert failures == {} and de_reports == []
+        assert not np.array_equal(out[0], out[1])
+        for row, trial in zip(out, trials):
+            for ws, xs in problem.layout.factor_slices():
+                assert np.array_equal(row[xs], trial[xs])
+        assert in_band(expectation_block(out, problem.layout, perforation_area), problem).all()
+
+
+def sum_problem():
+    """x + y on [0, 10]^2 with band [14, 16]: a row whose points all lie
+    below 7 cannot reach the band by moving weight within one factor."""
+    return toy_problem(
+        lambda x, y: x + y, npts=(2, 2), bounds=((0.0, 10.0), (0.0, 10.0)), band=(14.0, 16.0)
+    )
+
+
+class TestFallback:
+    STUCK = np.array([0.5, 0.5, 1.0, 2.0, 0.5, 0.5, 1.0, 2.0])  # E = 3
+    MOVABLE = np.array([0.5, 0.5, 6.0, 7.0, 0.5, 0.5, 1.0, 9.5])  # E = 11.75; y = 9.5 reaches 14
+    IN_BAND = np.array([0.5, 0.5, 7.0, 8.0, 0.5, 0.5, 7.0, 8.0])  # E = 15
+
+    def test_stuck_row_matches_impose_expectation(self, de_reports):
+        problem = sum_problem()
+        out, failures = repair_block(self.STUCK[None, :], problem, lambda row: 11)
+        want, want_failures = impose_expectation(self.STUCK[None, :], problem, [11])
+        assert len(de_reports) == 2  # one fallback run, then the oracle's
+        assert np.array_equal(out, want)
+        assert {r: str(x) for r, x in failures.items()} == {
+            r: str(x) for r, x in want_failures.items()}
+        assert not np.array_equal(out[0], self.STUCK)  # the nested DE moved it
+
+    def test_inner_seeds_only_for_fallback_rows(self, de_reports):
+        problem = sum_problem()
+        zero_mass = np.zeros(8)
+        block = np.stack([self.IN_BAND, self.MOVABLE, zero_mass, self.STUCK])
+        asked = []
+        counts = InnerCounts()
+        out, failures = repair_block(block, problem, lambda row: asked.append(row) or row, counts)
+        assert asked == [3]
+        assert list(failures) == [2]
+        assert (counts.repair_rows, counts.fallback_rows, counts.runs) == (2, 1, 1)
+        assert np.array_equal(out[0], self.IN_BAND)
+        assert np.array_equal(out[1, :4], self.MOVABLE[:4])  # only y's weights move
+        assert np.array_equal(out[1, 6:], self.MOVABLE[6:])
+        assert in_band(expectation_block(out[[0, 1, 3]], problem.layout, problem.response),
+                       problem).all()
+
+    @pytest.mark.parametrize("edge", [4.5, 5.5])
+    @pytest.mark.parametrize("offset", [-1e-12, -1e-15, 0.0, 1e-15, 1e-12])
+    def test_band_edge(self, de_reports, edge, offset):
+        problem = toy_problem(lambda x: x)
+        row = np.array([[0.5, 0.5, edge - 2.0 + offset, edge + 2.0]])
+        e = expectation_block(row, problem.layout, problem.response)[0]
+        assert abs(e - (edge + offset / 2.0)) <= 1e-14
+        out, failures = repair_block(row, problem, lambda row: 0)
+        assert failures == {} and de_reports == []
+        assert in_band(expectation_block(out, problem.layout, problem.response), problem)[0]
+
+
+def test_three_points_per_axis_do_not_beat_two():
+    # with one moment constraint two points per marginal suffice
+    # (Owhadi et al. 2013), so three may not find a higher bound
+    two = max(ouq_solve(paper_problem(seed=s)).probability_bound for s in range(3))
+    three_points = ParamLayout((3, 3, 3), PAPER_LAYOUT.bounds_per_dim)
+    for s in range(3):
+        bound = ouq_solve(replace(paper_problem(seed=s), layout=three_points)).probability_bound
+        assert bound <= two + 0.005
 
 
 class TestOuqSolve:
