@@ -122,7 +122,6 @@ def run_solve(config: RunConfig) -> int:
             "inner_generations": result.inner.generations,
             "inner_evaluations": result.inner.evaluations,
             "repair_rows": result.inner.repair_rows,
-            "fallback_rows": result.inner.fallback_rows,
         }
         _write_atomic(out_dir / f"result_{k}.json", json.dumps(doc, indent=2) + "\n")
 

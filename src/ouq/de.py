@@ -1,8 +1,8 @@
 """Differential-evolution global minimizer (Best1Exp) with strict bounds.
 
-The engine supports a pluggable parameter-constraint function applied to
-every trial before cost evaluation, and solver-independent termination
-rules evaluated on the best-cost history.  Cost and constraint may work one
+The engine supports a pluggable constraint function applied to each
+generation's block of trials before cost evaluation, and solver-independent
+termination rules evaluated on the best-cost history.  Cost may work one
 vector at a time or on a whole generation at once (`vectorized=True`).
 `de_lockstep` runs several independently seeded runs side by side and
 evaluates each generation of all of them as one block; `de_solve` is that
@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConstraintViolation, InfeasibleConstrain
+from .errors import InfeasibleConstrain
 
 
 class Strategy(str, enum.Enum):
@@ -168,28 +168,6 @@ def _trials(rng: np.random.Generator, pop: np.ndarray, best: np.ndarray, setting
     return np.where((np.arange(d) - start[:, None]) % d < run[:, None], donors, pop)
 
 
-def _one_row_at_a_time(cost, constrain):
-    """Block forms of a per-vector cost and constrain, for de_solve."""
-
-    def cost_block(block):
-        return [cost(row) for row in block]
-
-    if constrain is None:
-        return cost_block, None
-
-    def constrain_block(block, generation, slots):
-        out = block.copy()
-        feasible = np.ones(len(block), dtype=bool)
-        for i, slot in enumerate(slots.tolist()):
-            try:
-                out[i] = constrain(block[i], generation, slot)
-            except ConstraintViolation:
-                feasible[i] = False
-        return out, feasible
-
-    return cost_block, constrain_block
-
-
 class _Run:
     """One run of a lockstep: its generator, population, costs and best-cost history."""
 
@@ -229,13 +207,14 @@ def de_lockstep(
     """Run one DE per seed in lockstep; `settings.seed` is not used.
 
     Each run is the run `de_solve` makes with that seed (see there): its own
-    generator, uniform initial population (`initial[k]` in slot 0 when
-    given), trial draws and best-cost history, so its result does not
-    depend on the other runs.  What the runs share is the evaluation: each
-    generation the populations of all still-running runs are stacked into
-    one (runs * npop, d) block, which is clipped, passed to
-    `constrain(block, generation, slots)` (slots numbered 0..npop-1 per run)
-    and costed with one call of each, in the block forms of
+    generator, uniform initial population, trial draws and best-cost
+    history, so its result does not depend on the other runs.  `initial[k]`,
+    when given, takes slot 0 of run k's initial population; this is how the
+    fallback repair starts each run from its row.  What the runs share is
+    the evaluation: each generation the populations of all still-running
+    runs are stacked into one (runs * npop, d) block, which is clipped,
+    passed to `constrain(block, generation, slots)` (slots numbered
+    0..npop-1 per run) and costed with one call of each, in the forms of
     `de_solve(vectorized=True)`.  A run leaves the block once its
     termination rule holds or after `settings.max_generations`.
 
@@ -314,7 +293,6 @@ def de_solve(
     constrain: Optional[Callable] = None,
     termination: Optional[TerminationRule] = None,
     *,
-    initial: Optional[np.ndarray] = None,
     trace_hook: Optional[Callable[[int, float, np.ndarray], None]] = None,
     vectorized: bool = False,
 ) -> SolveReport:
@@ -328,33 +306,29 @@ def de_solve(
     best-cost history is monotone non-increasing.  This is `de_lockstep`
     with the one seed `settings.seed`.
 
-    By default `cost(params)` takes one vector and returns a float, and
-    `constrain(params, generation, slot)` returns the repaired vector or
-    raises ConstraintViolation.  With `vectorized=True` both take a block:
-    `cost(block)` gets an (m, d) array and returns m costs, and
     `constrain(block, generation, slots)` gets the (npop, d) trials with
     their slot numbers and returns `(block, feasible)`, where `feasible`
-    is a boolean mask.  Either way a repair can derive per-trial seeds from
-    its position in the run; generation 0 is the initial population.
-    Out-of-box trials are always clipped, never rejected.
+    is a boolean mask; a repair can derive per-trial seeds from its
+    position in the run, and generation 0 is the initial population.
+    By default `cost(params)` takes one vector and returns a float; with
+    `vectorized=True` `cost(block)` gets an (m, d) array and returns m
+    costs.  Out-of-box trials are always clipped, never rejected.
 
-    An infeasible trial (ConstraintViolation, or False in `feasible`)
-    costs +inf, is never evaluated and never replaces a population member,
-    so a generation of infeasible trials leaves the population unchanged.
-    An infeasible initial member holds its slot, clipped but unrepaired,
-    at cost +inf until a feasible trial replaces it; if no initial member
-    is feasible, InfeasibleConstrain is raised.
+    An infeasible trial (False in `feasible`) costs +inf, is never
+    evaluated and never replaces a population member, so a generation of
+    infeasible trials leaves the population unchanged.  An infeasible
+    initial member holds its slot, clipped but unrepaired, at cost +inf
+    until a feasible trial replaces it; if no initial member is feasible,
+    InfeasibleConstrain is raised.
     """
-    if not vectorized:
-        cost, constrain = _one_row_at_a_time(cost, constrain)
+    block_cost = cost if vectorized else lambda block: [cost(row) for row in block]
     (report,) = de_lockstep(
-        cost,
+        block_cost,
         bounds,
         settings,
         [settings.seed],
         constrain,
         termination,
-        initial=None if initial is None else [initial],
         trace_hook=trace_hook,
     )
     if isinstance(report, InfeasibleConstrain):

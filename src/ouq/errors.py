@@ -17,8 +17,9 @@ class ConfigError(OUQError):
 class ConstraintViolation(OUQError):
     """A trial parameter vector cannot be made feasible.
 
-    The optimizer treats trials raising this (or a subclass) as
-    infeasible rather than aborting the run.
+    The band repair returns one (a subclass) per row it cannot repair,
+    and `ouq_solve` marks those rows infeasible in the mask it hands the
+    optimizer, rather than aborting the run.
     """
 
 

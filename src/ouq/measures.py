@@ -368,16 +368,17 @@ def conditional_expectations_block(
     for every k: E is affine in each factor's weights.  The response is
     called once, as in expectation_block.
     """
-    w_cols, _ = _atom_columns(layout)
-    _, positions = _atoms(block, layout)
-    values = _response_values(f, positions)
+    w_cols, x_cols = _atom_columns(layout)
+    values = _response_values(f, [block[:, cols] for cols in x_cols])
+    factor_weights = [block[:, cols] for cols in w_cols]
     out = []
     for k, (ws, _) in enumerate(layout.factor_slices()):
-        others = np.array(block, dtype=float)
-        others[:, ws] = 1.0  # so the atom weights leave out factor k
+        others = np.ones_like(values)
+        for w in factor_weights[:k] + factor_weights[k + 1:]:
+            others = others * w  # factor order, as _atoms
         point = w_cols[k] - ws.start  # each atom's point index in factor k
         onehot = point[:, None] == np.arange(ws.stop - ws.start)
-        out.append((_atoms(others, layout)[0] * values) @ onehot)
+        out.append((others * values) @ onehot)
     return out
 
 

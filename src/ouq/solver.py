@@ -119,16 +119,14 @@ class InnerCounts:
     """Totals over the band repairs of a solve; they depend only on the seed.
 
     `runs`, `generations` and `evaluations` count the nested-DE runs of
-    the fallback; `repair_rows` counts the out-of-band rows that reached
-    the weight move and `fallback_rows` those of them handed to the
-    nested DE, one run each.
+    the fallback, one run per row handed to it; `repair_rows` counts the
+    out-of-band rows that reached the weight move.
     """
 
     runs: int = 0
     generations: int = 0
     evaluations: int = 0
     repair_rows: int = 0
-    fallback_rows: int = 0
 
     def add(self, reports: list[SolveReport | InfeasibleConstrain]):
         """Count the runs of one lockstep; a run that failed at the start ran
@@ -349,7 +347,6 @@ def repair_block(
         out[rows[fixed]] = moved[fixed]
         if counts is not None:
             counts.repair_rows += rows.size
-            counts.fallback_rows += rows.size - int(np.count_nonzero(fixed))
         rows = rows[~fixed]
     if rows.size:
         out[rows], inner_failures = impose_expectation(

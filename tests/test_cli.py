@@ -379,8 +379,8 @@ class TestSolve:
     @pytest.mark.parametrize(
         "band, counts",
         [
-            ("[5.5, 7.5]", (33, 1360, 15, 0, 300, 396, 15)),
-            ("[6.4, 6.6]", (45, 1839, 45, 40, 1700, 1104, 45)),
+            ("[5.5, 7.5]", (33, 1360, 15, 0, 300, 396)),
+            ("[6.4, 6.6]", (45, 1839, 45, 40, 1700, 1104)),
         ],
         ids=["reference", "narrow_band"],
     )
@@ -395,10 +395,10 @@ class TestSolve:
         result = json.loads((tmp_path / "result_0.json").read_text())
         keys = (
             "generations", "evaluations", "inner_runs", "inner_generations", "inner_evaluations",
-            "repair_rows", "fallback_rows",
+            "repair_rows",
         )
         assert tuple(result[k] for k in keys) == counts
-        assert list(result)[-5:] == list(keys[2:])  # the earlier keys keep their bytes
+        assert list(result)[-4:] == list(keys[2:])  # the earlier keys keep their bytes
 
     def paper_config(self, tmp_path, outer_termination):
         path = tmp_path / "paper.config"
@@ -679,6 +679,12 @@ class TestContract:
         params = inspect.signature(ouq.cli.ouq_solve).parameters
         assert [(p.name, p.default) for p in params.values()] == [
             ("problem", inspect.Parameter.empty), ("audit", None), ("trace_hook", None),
+        ]
+        # one constraint protocol, the block form, and no option without a caller
+        params = inspect.signature(ouq.de_solve).parameters
+        assert [(p.name, p.kind is inspect.Parameter.KEYWORD_ONLY) for p in params.values()] == [
+            ("cost", False), ("bounds", False), ("settings", False), ("constrain", False),
+            ("termination", False), ("trace_hook", True), ("vectorized", True),
         ]
         assert "limit_func" in inspect.signature(registry_mod.register_response).parameters
 

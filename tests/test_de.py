@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ouq import Bounds, ChangeOverGeneration, DESettings, de_solve
 from ouq.de import Strategy, ValueBelow, _trials, de_lockstep, termination_met
-from ouq.errors import InfeasibleConstrain, InnerLoopFailed
+from ouq.errors import InfeasibleConstrain
 
 
 def sphere(x):
@@ -261,10 +261,10 @@ class TestDeSolve:
         assert report.opt_params[0] == pytest.approx(2.0, abs=1e-4)
 
     def test_constraint_projection_applied_before_evaluation(self):
-        def pin_first(v, generation, slot):
-            v = v.copy()
-            v[0] = 1.0
-            return v
+        def pin_first(block, generation, slots):
+            block = block.copy()
+            block[:, 0] = 1.0
+            return block, np.ones(len(block), dtype=bool)
 
         report = de_solve(
             sphere,
@@ -344,15 +344,24 @@ class TestDeSolve:
         assert report.terminated_by == "value_below"
 
     def test_initial_member_seeds_population(self):
-        start = np.array([0.25])
-        report = de_solve(
-            lambda x: abs(x[0] - 0.25),
+        # de_lockstep's initial takes slot 0, as the fallback repair seeds its runs
+        blocks = []
+
+        def record(block, generation, slots):
+            blocks.append(block.copy())
+            return block, np.ones(len(block), dtype=bool)
+
+        (report,) = de_lockstep(
+            lambda block: np.abs(block[:, 0] - 0.25),
             Bounds.from_pairs([(0.0, 1.0)]),
-            DESettings(npop=5, seed=11, max_generations=50),
-            initial=start,
-            termination=ValueBelow(0.0),
+            DESettings(npop=5, max_generations=50),
+            [11],
+            record,
+            ValueBelow(0.0),
+            initial=[np.array([0.25])],
         )
-        assert report.generations_run == 0
+        assert report.generations_run == 0 and len(blocks) == 1
+        assert blocks[0][0].tolist() == [0.25]
         assert report.opt_cost == 0.0
 
     def test_trace_hook_invoked_per_generation(self):
@@ -367,17 +376,16 @@ class TestDeSolve:
 
 
 class TestInfeasibleTrials:
-    """A trial whose constrain raises ConstraintViolation is never committed."""
+    """A trial that constrain marks infeasible is never committed."""
 
     def test_rejected_vectors_never_enter_population_or_trace(self):
         # the unconstrained minimum (3, 0) lies in the rejected half x0 > 1
         rejected, evaluated = [], []
 
-        def right_half_infeasible(v, generation, slot):
-            if v[0] > 1.0:
-                rejected.append(v.copy())
-                raise InnerLoopFailed("x0 > 1")
-            return v
+        def right_half_infeasible(block, generation, slots):
+            feasible = block[:, 0] <= 1.0
+            rejected.extend(block[~feasible])
+            return block, feasible
 
         def recording_cost(x):
             evaluated.append(x.copy())
@@ -396,10 +404,8 @@ class TestInfeasibleTrials:
         assert report.opt_params == pytest.approx([1.0, 0.0], abs=1e-2)
 
     def test_all_infeasible_generation_leaves_population_unchanged(self):
-        def generation_3_infeasible(v, generation, slot):
-            if generation == 3:
-                raise InnerLoopFailed("generation 3")
-            return v
+        def generation_3_infeasible(block, generation, slots):
+            return block, np.full(len(block), generation != 3)
 
         report = de_solve(
             sphere,
@@ -416,18 +422,14 @@ class TestInfeasibleTrials:
         assert report.trace[-1].best_cost < during.best_cost
 
     def test_vectorized_matches_one_row_at_a_time(self):
-        def reject_right_half(v, generation, slot):
-            if v[0] > 1.0:
-                raise InnerLoopFailed("x0 > 1")
-            return v
-
-        def reject_right_half_block(block, generation, slots):
+        # a per-vector cost and a block cost give one trajectory
+        def reject_right_half(block, generation, slots):
             assert slots.tolist() == list(range(10))
             return block, block[:, 0] <= 1.0
 
         args = (Bounds.from_pairs([(-5.0, 5.0)] * 2), DESettings(npop=10, seed=13, max_generations=60))
         rows = de_solve(sphere, *args, constrain=reject_right_half)
-        block = de_solve(sphere_block, *args, constrain=reject_right_half_block, vectorized=True)
+        block = de_solve(sphere_block, *args, constrain=reject_right_half, vectorized=True)
         assert block.evaluations == rows.evaluations
         assert (block.opt_cost, block.generations_run, block.terminated_by) == (
             rows.opt_cost, rows.generations_run, rows.terminated_by)
@@ -437,10 +439,8 @@ class TestInfeasibleTrials:
         ]
 
     def test_all_infeasible_initial_population_raises(self):
-        def initial_infeasible(v, generation, slot):
-            if generation == 0:
-                raise InnerLoopFailed("initial population")
-            return v
+        def initial_infeasible(block, generation, slots):
+            return block, np.full(len(block), generation != 0)
 
         with pytest.raises(InfeasibleConstrain, match="initial population"):
             de_solve(
@@ -498,9 +498,8 @@ class TestLockstep:
         assert isinstance(runs[1], InfeasibleConstrain)
         assert "entire initial population" in str(runs[1])
         for seed, run in [(1, runs[0]), (3, runs[2])]:
-            alone = de_solve(
-                sphere_block, self.BOUNDS, replace(self.SETTINGS, seed=seed),
-                initial=initial[0], vectorized=True,
+            (alone,) = de_lockstep(
+                sphere_block, self.BOUNDS, self.SETTINGS, [seed], initial=[initial[0]]
             )
             assert (run.generations_run, run.evaluations) == (40, alone.evaluations)
             assert np.array_equal(run.opt_params, alone.opt_params)

@@ -24,7 +24,7 @@ from ouq import (
     unflatten,
     unpack,
 )
-from ouq.de import Strategy, ValueBelow, de_solve
+from ouq.de import Strategy, ValueBelow, de_lockstep
 from ouq.errors import InfeasibleConstrain, InnerLoopFailed, ZeroMassMeasure
 from ouq.measures import expectation_block, normalize_block
 from ouq.solver import (
@@ -251,8 +251,9 @@ class TestImposeExpectation:
 
 
 def per_row_impose(params, problem, seed):
-    """The nested repair as one de_solve per row, which the lockstep
-    impose_expectation replaces: the oracle.  Returns (vector, report, failure)."""
+    """The nested repair as one single-run de_lockstep per row, which the
+    lockstep of all rows in impose_expectation replaces: the oracle.
+    Returns (vector, report, failure)."""
     con = problem.constraint
     layout = problem.layout
 
@@ -262,18 +263,17 @@ def per_row_impose(params, problem, seed):
     def renormalize_weights(block, generation, slots):
         return normalize_block(block, layout)
 
-    try:
-        report = de_solve(
-            inner_cost,
-            build_bounds(layout),
-            replace(problem.inner, seed=seed),
-            constrain=renormalize_weights,
-            termination=ValueBelow(con.d**2),
-            initial=params,
-            vectorized=True,
-        )
-    except InfeasibleConstrain as exc:
-        return params, None, f"inner population was entirely degenerate: {exc}"
+    (report,) = de_lockstep(
+        inner_cost,
+        build_bounds(layout),
+        problem.inner,
+        [seed],
+        constrain=renormalize_weights,
+        termination=ValueBelow(con.d**2),
+        initial=[params],
+    )
+    if isinstance(report, InfeasibleConstrain):
+        return params, None, f"inner population was entirely degenerate: {report}"
     if report.opt_cost > con.d**2:
         return params, report, (
             f"inner loop exhausted {problem.inner.max_generations} generations at "
@@ -437,7 +437,7 @@ class TestRepairBlock:
         }
         assert counts == InnerCounts(
             4, 3 + 0 + 4 + 4, sum(r.evaluations for r in de_reports[:4]),
-            repair_rows=4, fallback_rows=4,  # each row's points lie on one side of [7, 7.2]
+            repair_rows=4,  # each row's points lie on one side of [7, 7.2], so all 4 fall back
         )
 
 
@@ -582,7 +582,7 @@ class TestFallback:
         out, failures = repair_block(block, problem, lambda row: asked.append(row) or row, counts)
         assert asked == [3]
         assert list(failures) == [2]
-        assert (counts.repair_rows, counts.fallback_rows, counts.runs) == (2, 1, 1)
+        assert (counts.repair_rows, counts.runs) == (2, 1)  # one fallback run, for STUCK
         assert np.array_equal(out[0], self.IN_BAND)
         assert np.array_equal(out[1, :4], self.MOVABLE[:4])  # only y's weights move
         assert np.array_equal(out[1, 6:], self.MOVABLE[6:])
