@@ -17,18 +17,14 @@ class ConfigError(OUQError):
 class ConstraintViolation(OUQError):
     """A trial parameter vector cannot be made feasible.
 
-    The band repair returns one (a subclass) per row it cannot repair,
-    and `ouq_solve` marks those rows infeasible in the mask it hands the
-    optimizer, rather than aborting the run.
+    Raised by `constrain_params`, the one-vector form of the band repair.
+    The block repair that `ouq_solve` runs raises none: it marks such rows
+    False in the mask it hands the optimizer.
     """
 
 
 class ZeroMassMeasure(ConstraintViolation):
     """All weights of a discrete measure are zero; normalization is undefined."""
-
-
-class InnerLoopFailed(ConstraintViolation):
-    """The nested mean-constraint optimization did not reach its target."""
 
 
 class InfeasibleConstrain(OUQError):

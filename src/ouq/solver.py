@@ -38,7 +38,7 @@ from .de import (
     de_lockstep,
     de_solve,
 )
-from .errors import ConstraintViolation, InfeasibleConstrain, InnerLoopFailed, ZeroMassMeasure
+from .errors import ConstraintViolation, InfeasibleConstrain, ZeroMassMeasure
 # event_probability, flatten and normalize are not called here, but
 # ouq.solver keeps naming the whole measure layer: perfbench wraps these
 # names on this module
@@ -198,8 +198,8 @@ def impose_expectation(
     block: np.ndarray,
     problem: OUQProblem,
     seeds: Sequence[int],
-    counts: Optional[InnerCounts] = None,
-) -> tuple[np.ndarray, dict[int, ConstraintViolation]]:
+    counts: InnerCounts,
+) -> tuple[np.ndarray, np.ndarray]:
     """The fallback repair: move every row of a block of normalized parameter
     vectors into the admissible expectation band with a nested DE.
 
@@ -221,10 +221,10 @@ def impose_expectation(
     repair is then a random restart near the band centre, not a small move
     of the trial.
 
-    Returns the repaired block and, for each row whose run failed, its
-    InnerLoopFailed: the whole initial population was degenerate, or the
-    run ended above d^2.  Failed rows are returned unchanged.  The runs'
-    counts are added to `counts` when given.
+    Returns the repaired block and the mask `reached`: True where the
+    row's run ended at cost <= d^2, False where it ended above d^2 or its
+    whole initial population was degenerate.  Rows not reached are
+    returned unchanged.  The runs' counts are added to `counts`.
     """
     con = problem.constraint
     layout = problem.layout
@@ -244,21 +244,14 @@ def impose_expectation(
         termination=ValueBelow(con.d**2),
         initial=block,
     )
+    counts.add(reports)
     out = np.array(block, dtype=float)
-    failures: dict[int, ConstraintViolation] = {}
-    for row, report in enumerate(reports):
-        if isinstance(report, InfeasibleConstrain):
-            failures[row] = InnerLoopFailed(f"inner population was entirely degenerate: {report}")
-        elif report.opt_cost > con.d**2:
-            failures[row] = InnerLoopFailed(
-                f"inner loop exhausted {problem.inner.max_generations} generations at "
-                f"cost {report.opt_cost:.6g} > d^2 = {con.d ** 2:.6g}"
-            )
-        else:
-            out[row] = report.opt_params
-    if counts is not None:
-        counts.add(reports)
-    return out, failures
+    reached = np.array(
+        [isinstance(r, SolveReport) and r.opt_cost <= con.d**2 for r in reports], dtype=bool
+    )
+    for row in np.flatnonzero(reached):
+        out[row] = reports[row].opt_params
+    return out, reached
 
 
 def shift_weights(block: np.ndarray, expect: np.ndarray, problem: OUQProblem) -> np.ndarray:
@@ -314,8 +307,8 @@ def repair_block(
     block: np.ndarray,
     problem: OUQProblem,
     inner_seed: Callable[[int], int],
-    counts: Optional[InnerCounts] = None,
-) -> tuple[np.ndarray, dict[int, ConstraintViolation]]:
+    counts: InnerCounts,
+) -> tuple[np.ndarray, np.ndarray]:
     """Repair every row of a trial block: renormalize weights, then impose the mean band.
 
     A factor whose mass is off 1 by more than MASS_TOL is renormalized;
@@ -324,18 +317,13 @@ def repair_block(
     `shift_weights`, and keeps it if `expectation_block` finds the moved
     row in the band.  The rows left over, unchanged, go to the fallback:
     one `impose_expectation` call, row `row` seeded with `inner_seed(row)`,
-    which is called for those rows only.  Returns the repaired block and,
-    for each row that cannot be repaired, its ConstraintViolation:
-    ZeroMassMeasure for all-zero weights, InnerLoopFailed when the band
-    cannot be reached.  The caller treats those rows as infeasible.
+    which is called for those rows only.  Returns the repaired block and
+    the constraint protocol's mask `feasible`: False for a row with a
+    zero-mass factor, and for a row the fallback did not reach.
     """
     layout, response = problem.layout, problem.response
-    out, nonzero = normalize_block(block, layout, tol=MASS_TOL)
-    failures: dict[int, ConstraintViolation] = {
-        row: ZeroMassMeasure("cannot normalize a measure with zero total mass")
-        for row in np.flatnonzero(~nonzero).tolist()
-    }
-    rows = np.flatnonzero(nonzero)
+    out, feasible = normalize_block(block, layout, tol=MASS_TOL)
+    rows = np.flatnonzero(feasible)
     lo, hi = problem.constraint.band
     e = expectation_block(out[rows], layout, response)
     outside = ~((lo <= e) & (e <= hi))
@@ -345,15 +333,13 @@ def repair_block(
         e = expectation_block(moved, layout, response)
         fixed = (lo <= e) & (e <= hi)
         out[rows[fixed]] = moved[fixed]
-        if counts is not None:
-            counts.repair_rows += rows.size
+        counts.repair_rows += rows.size
         rows = rows[~fixed]
     if rows.size:
-        out[rows], inner_failures = impose_expectation(
+        out[rows], feasible[rows] = impose_expectation(
             out[rows], problem, [inner_seed(row) for row in rows.tolist()], counts
         )
-        failures.update((int(rows[i]), exc) for i, exc in inner_failures.items())
-    return out, failures
+    return out, feasible
 
 
 def constrain_params(
@@ -361,11 +347,11 @@ def constrain_params(
     problem: OUQProblem,
     inner_seed: Optional[int] = None,
 ) -> np.ndarray:
-    """Repair one trial vector as repair_block does; raises its ConstraintViolation.
+    """Repair one trial vector as repair_block does.
 
-    Raises ZeroMassMeasure for all-zero weights and InnerLoopFailed when
-    the band cannot be reached; the caller treats either as an infeasible
-    trial.
+    Raises ZeroMassMeasure for all-zero weights of a factor and
+    ConstraintViolation when the band cannot be reached; the caller
+    treats either as an infeasible trial.
     """
     layout = problem.layout
     params = np.asarray(params, dtype=float)
@@ -375,10 +361,12 @@ def constrain_params(
             f"{layout.npts_per_dim}, got {params.tolist()}"
         )
     seed = problem.inner.seed if inner_seed is None else inner_seed
-    out, failures = repair_block(params[None, :], problem, lambda row: seed)
-    if failures:
-        raise failures[0]
-    return out[0]
+    out, feasible = repair_block(params[None, :], problem, lambda row: seed, InnerCounts())
+    if feasible[0]:
+        return out[0]
+    if not (factor_masses(params[None, :], layout) > 0.0).all():
+        raise ZeroMassMeasure("cannot normalize a measure with zero total mass")
+    raise ConstraintViolation("the fallback repair did not reach the mean band")
 
 
 def _derive_inner_seed(outer_seed: int, generation: int, slot: int) -> int:
@@ -415,10 +403,7 @@ def ouq_solve(
         def inner_seed(row: int) -> int:
             return _derive_inner_seed(outer_seed, generation, int(slots[row]))
 
-        out, failures = repair_block(block, problem, inner_seed, inner)
-        feasible = np.ones(len(block), dtype=bool)
-        feasible[list(failures)] = False
-        return out, feasible
+        return repair_block(block, problem, inner_seed, inner)
 
     report = de_solve(
         lambda block: cost_block(block, problem, audit=audit),

@@ -16,8 +16,8 @@ import ouq.registry as registry_mod
 import ouq.cli
 from ouq import ChangeOverGeneration, event_probability, flatten, ouq_solve, perforation_area
 from ouq.de import Strategy
-from ouq.errors import ConfigError, DomainError, InfeasibleConstrain, InnerLoopFailed
-from ouq.solver import impose_expectation
+from ouq.errors import ConfigError, DomainError, InfeasibleConstrain
+from ouq.solver import InnerCounts, impose_expectation
 from ouq.cli import build_problem, main, measure_from_dict, measure_to_dict
 from ouq.config import load_config
 from ouq.registry import ResponseEntry, get_response
@@ -168,10 +168,11 @@ class TestLoadConfig:
         params = np.array(
             [0.5, 0.5, 1.524, 2.667, 0.5, 0.5, 0.0, 0.1, 0.5, 0.5, 2.2885, 2.8]
         )
-        out, failures = impose_expectation(params[None, :], problem, [1])
-        assert list(failures) == [0]
-        assert isinstance(failures[0], InnerLoopFailed)
-        assert "exhausted 3 generations" in str(failures[0])
+        counts = InnerCounts()
+        out, reached = impose_expectation(params[None, :], problem, [1], counts)
+        assert reached.tolist() == [False]
+        assert counts.generations == 3  # the run exhausted its 3 generations
+        assert de_reports[0].opt_cost > problem.constraint.d**2
         assert np.array_equal(out[0], params)
         assert [r.generations_run for r in de_reports] == [3]
 

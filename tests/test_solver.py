@@ -25,7 +25,7 @@ from ouq import (
     unpack,
 )
 from ouq.de import Strategy, ValueBelow, de_lockstep
-from ouq.errors import InfeasibleConstrain, InnerLoopFailed, ZeroMassMeasure
+from ouq.errors import ConstraintViolation, InfeasibleConstrain, ZeroMassMeasure
 from ouq.measures import expectation_block, normalize_block
 from ouq.solver import (
     InnerCounts,
@@ -181,7 +181,7 @@ class TestConstrainParams:
             de_reports.clear()
             try:
                 repaired = constrain_params(params, problem, inner_seed=trial)
-            except (ZeroMassMeasure, InnerLoopFailed):
+            except ConstraintViolation:
                 continue
             repaired_by_inner_loop += len(de_reports)
             de_reports.clear()
@@ -198,6 +198,17 @@ class TestConstrainParams:
         with pytest.raises(ZeroMassMeasure):
             constrain_params(params, problem)
 
+    def test_unreachable_band_rejected(self):
+        problem = toy_problem(
+            lambda x: x,
+            band=(99.0, 101.0),
+            seed=2,
+            inner=DESettings(npop=10, seed=2, max_generations=5),
+        )
+        with pytest.raises(ConstraintViolation) as info:
+            constrain_params(np.array([0.5, 0.5, 4.0, 6.0]), problem)
+        assert not isinstance(info.value, ZeroMassMeasure)
+
 
 class TestImposeExpectation:
     def test_returns_immediately_when_in_band(self):
@@ -207,8 +218,8 @@ class TestImposeExpectation:
         )
         e0 = expectation(unflatten(params, problem.layout), perforation_area)
         assert 5.5 <= e0 <= 7.5
-        out, failures = impose_expectation(params[None, :], problem, [1])
-        assert failures == {}
+        out, reached = impose_expectation(params[None, :], problem, [1], InnerCounts())
+        assert reached.tolist() == [True]
         e1 = expectation(unflatten(out[0], problem.layout), perforation_area)
         cost0 = (e0 - 6.5) ** 2
         cost1 = (e1 - 6.5) ** 2
@@ -222,16 +233,18 @@ class TestImposeExpectation:
         for k in range(5):
             raw = unflatten(rng.uniform(bounds.lower, bounds.upper), problem.layout)
             rows.append(flatten(pack([normalize(f) for f in unpack(raw)])))
-        out, failures = impose_expectation(np.array(rows), problem, range(5))
-        assert failures == {}
+        out, reached = impose_expectation(np.array(rows), problem, range(5), InnerCounts())
+        assert reached.tolist() == [True] * 5
         assert len(de_reports) == 5  # one nested run per row
         for row in out:
             assert 5.5 <= expectation(unflatten(row, problem.layout), perforation_area) <= 7.5
 
     def test_1d_toy(self, de_reports):
         problem = toy_problem(lambda x: x, band=(4.5, 5.5), seed=2)
-        out, failures = impose_expectation(np.array([[0.5, 0.5, 0.5, 1.0]]), problem, [7])
-        assert failures == {}
+        out, reached = impose_expectation(
+            np.array([[0.5, 0.5, 0.5, 1.0]]), problem, [7], InnerCounts()
+        )
+        assert reached.tolist() == [True]
         assert [r.terminated_by for r in de_reports] == ["value_below"]
         assert 4.5 <= unflatten(out[0], problem.layout).factors[0].mean() <= 5.5
 
@@ -243,17 +256,17 @@ class TestImposeExpectation:
             inner=DESettings(npop=10, seed=2, max_generations=5),
         )
         params = np.array([[0.5, 0.5, 4.0, 6.0]])
-        out, failures = impose_expectation(params, problem, [1])
-        assert list(failures) == [0]
-        assert isinstance(failures[0], InnerLoopFailed)
+        out, reached = impose_expectation(params, problem, [1], InnerCounts())
+        assert reached.tolist() == [False]
         assert [r.generations_run for r in de_reports] == [5]
+        assert de_reports[0].opt_cost > problem.constraint.d**2
         assert np.array_equal(out, params)  # a failed row comes back unchanged
 
 
 def per_row_impose(params, problem, seed):
     """The nested repair as one single-run de_lockstep per row, which the
     lockstep of all rows in impose_expectation replaces: the oracle.
-    Returns (vector, report, failure)."""
+    Returns (vector, report, reached)."""
     con = problem.constraint
     layout = problem.layout
 
@@ -273,13 +286,10 @@ def per_row_impose(params, problem, seed):
         initial=[params],
     )
     if isinstance(report, InfeasibleConstrain):
-        return params, None, f"inner population was entirely degenerate: {report}"
+        return params, None, False
     if report.opt_cost > con.d**2:
-        return params, report, (
-            f"inner loop exhausted {problem.inner.max_generations} generations at "
-            f"cost {report.opt_cost:.6g} > d^2 = {con.d ** 2:.6g}"
-        )
-    return report.opt_params, report, None
+        return params, report, False
+    return report.opt_params, report, True
 
 
 RESPONSES = [
@@ -353,18 +363,18 @@ class TestLockstepOracle:
         problem, block, seeds = case
         de_reports.clear()
         counts = InnerCounts()
-        out, failures = impose_expectation(block, problem, seeds, counts)
+        out, reached = impose_expectation(block, problem, seeds, counts)
         assert len(de_reports) == len(block)
+        assert reached.dtype == bool and reached.shape == (len(block),)
         for row, (params, seed, run) in enumerate(zip(block, seeds, de_reports)):
-            want, report, failure = per_row_impose(params, problem, seed)
+            want, report, want_reached = per_row_impose(params, problem, seed)
             assert np.array_equal(out[row], want)
-            assert (str(failures[row]) if row in failures else None) == failure
+            assert reached[row] == want_reached
             if report is None:
                 assert isinstance(run, InfeasibleConstrain)
                 continue
             assert (run.generations_run, run.evaluations) == (
                 report.generations_run, report.evaluations)
-        assert all(isinstance(exc, InnerLoopFailed) for exc in failures.values())
         reports = [r for r in de_reports if not isinstance(r, InfeasibleConstrain)]
         assert counts == InnerCounts(
             len(block),
@@ -385,8 +395,8 @@ class TestLockstepOracle:
     def test_explicit_cases(self, de_reports, case, failed_rows, generations):
         # the @example cases above show what they are named for
         problem, block, seeds = case
-        _, failures = impose_expectation(block, problem, seeds)
-        assert set(failures) == failed_rows
+        _, reached = impose_expectation(block, problem, seeds, InnerCounts())
+        assert set(np.flatnonzero(~reached).tolist()) == failed_rows
         assert [r.generations_run for r in de_reports] == generations
         if case is ZERO_WEIGHT_ROW:
             # slot 0 of row 1's run cannot be normalized, so it is never evaluated
@@ -406,12 +416,9 @@ class TestLockstepOracle:
 
         monkeypatch.setattr(solver_mod, "normalize_block", reject_run_1_at_start)
         counts = InnerCounts()
-        out, failures = impose_expectation(block, problem, seeds, counts)
+        out, reached = impose_expectation(block, problem, seeds, counts)
         assert calls[0] == 4 * npop
-        assert {row: str(exc) for row, exc in failures.items()} == {
-            1: "inner population was entirely degenerate: "
-            "constrain rejected the entire initial population"
-        }
+        assert reached.tolist() == [True, False, True, True]
         assert isinstance(de_reports[1], InfeasibleConstrain)
         assert np.array_equal(out[1], block[1])
         others = [de_reports[row] for row in (0, 2, 3)]
@@ -427,14 +434,12 @@ class TestRepairBlock:
         zero_mass = [0.0, 0.0, 6.0, 8.0]
         block = np.vstack([in_band, zero_mass, rows])
         counts = InnerCounts()
-        out, failures = repair_block(block, problem, lambda row: seeds[row - 2], counts)
+        out, feasible = repair_block(block, problem, lambda row: seeds[row - 2], counts)
         assert len(de_reports) == len(rows)  # the in-band and zero-mass rows start no run
-        want, inner_failures = impose_expectation(rows, problem, seeds)
+        want, reached = impose_expectation(rows, problem, seeds, InnerCounts())
         assert np.array_equal(out, np.vstack([in_band, zero_mass, want]))
-        assert isinstance(failures.pop(1), ZeroMassMeasure)
-        assert {row: str(exc) for row, exc in failures.items()} == {
-            row + 2: str(exc) for row, exc in inner_failures.items()
-        }
+        assert feasible.tolist() == [True, False] + reached.tolist()
+        assert reached.tolist() == [True, True, False, False]
         assert counts == InnerCounts(
             4, 3 + 0 + 4 + 4, sum(r.evaluations for r in de_reports[:4]),
             repair_rows=4,  # each row's points lie on one side of [7, 7.2], so all 4 fall back
@@ -452,8 +457,8 @@ class TestRepairSemantics:
     def test_out_of_band_trial_is_replaced_at_generation_0(self, de_reports):
         problem = paper_problem(seed=0)
         assert expectation(unflatten(self.HIGH, problem.layout), perforation_area) > 7.5
-        out, failures = impose_expectation(self.HIGH[None, :], problem, [0])
-        assert failures == {}
+        out, reached = impose_expectation(self.HIGH[None, :], problem, [0], InnerCounts())
+        assert reached.tolist() == [True]
         assert [r.generations_run for r in de_reports] == [0]
         assert 5.5 <= expectation(unflatten(out[0], problem.layout), perforation_area) <= 7.5
         assert not np.array_equal(out[0], self.HIGH)
@@ -462,8 +467,10 @@ class TestRepairSemantics:
         # the initial member nearest m wins, and the trial (slot 0) is not it
         problem = paper_problem(seed=0)
         assert expectation(unflatten(self.LOW, problem.layout), perforation_area) < 5.5
-        out, failures = impose_expectation(np.stack([self.HIGH, self.LOW]), problem, [3, 3])
-        assert failures == {}
+        out, reached = impose_expectation(
+            np.stack([self.HIGH, self.LOW]), problem, [3, 3], InnerCounts()
+        )
+        assert reached.tolist() == [True, True]
         assert [r.generations_run for r in de_reports] == [0, 0]
         assert np.array_equal(out[0], out[1])
 
@@ -541,8 +548,8 @@ class TestShiftWeights:
             # the same plates at low speed: expectation ~4.27, below the band
             [0.5, 0.5, 1.524, 2.667, 0.5, 0.5, 0.0, 0.1, 0.5, 0.5, 2.1, 2.15],
         ])
-        out, failures = repair_block(trials, problem, lambda row: 3)
-        assert failures == {} and de_reports == []
+        out, feasible = repair_block(trials, problem, lambda row: 3, InnerCounts())
+        assert feasible.tolist() == [True, True] and de_reports == []
         assert not np.array_equal(out[0], out[1])
         for row, trial in zip(out, trials):
             for ws, xs in problem.layout.factor_slices():
@@ -565,12 +572,11 @@ class TestFallback:
 
     def test_stuck_row_matches_impose_expectation(self, de_reports):
         problem = sum_problem()
-        out, failures = repair_block(self.STUCK[None, :], problem, lambda row: 11)
-        want, want_failures = impose_expectation(self.STUCK[None, :], problem, [11])
+        out, feasible = repair_block(self.STUCK[None, :], problem, lambda row: 11, InnerCounts())
+        want, reached = impose_expectation(self.STUCK[None, :], problem, [11], InnerCounts())
         assert len(de_reports) == 2  # one fallback run, then the oracle's
         assert np.array_equal(out, want)
-        assert {r: str(x) for r, x in failures.items()} == {
-            r: str(x) for r, x in want_failures.items()}
+        assert feasible.tolist() == reached.tolist() == [True]
         assert not np.array_equal(out[0], self.STUCK)  # the nested DE moved it
 
     def test_inner_seeds_only_for_fallback_rows(self, de_reports):
@@ -579,9 +585,9 @@ class TestFallback:
         block = np.stack([self.IN_BAND, self.MOVABLE, zero_mass, self.STUCK])
         asked = []
         counts = InnerCounts()
-        out, failures = repair_block(block, problem, lambda row: asked.append(row) or row, counts)
+        out, feasible = repair_block(block, problem, lambda row: asked.append(row) or row, counts)
         assert asked == [3]
-        assert list(failures) == [2]
+        assert feasible.tolist() == [True, True, False, True]
         assert (counts.repair_rows, counts.runs) == (2, 1)  # one fallback run, for STUCK
         assert np.array_equal(out[0], self.IN_BAND)
         assert np.array_equal(out[1, :4], self.MOVABLE[:4])  # only y's weights move
@@ -596,8 +602,8 @@ class TestFallback:
         row = np.array([[0.5, 0.5, edge - 2.0 + offset, edge + 2.0]])
         e = expectation_block(row, problem.layout, problem.response)[0]
         assert abs(e - (edge + offset / 2.0)) <= 1e-14
-        out, failures = repair_block(row, problem, lambda row: 0)
-        assert failures == {} and de_reports == []
+        out, feasible = repair_block(row, problem, lambda row: 0, InnerCounts())
+        assert feasible.tolist() == [True] and de_reports == []
         assert in_band(expectation_block(out, problem.layout, problem.response), problem)[0]
 
 
