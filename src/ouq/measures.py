@@ -281,21 +281,19 @@ def factor_masses(block: np.ndarray, layout: ParamLayout) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def normalize_block(
-    block: np.ndarray, layout: ParamLayout, tol: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rescale to mass 1 every factor whose mass is off 1 by more than tol.
+def normalize_block(block: np.ndarray, layout: ParamLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Rescale every factor of every row of a block to mass 1.
 
-    Works row by row on a block of flat vectors, dividing the weights by
-    the factor mass as normalize() does; positions are untouched.  Returns
-    the rescaled copy and a mask that is False for rows with a zero-mass
-    factor, which cannot be normalized.
+    Divides the weights by the factor mass as normalize() does; dividing
+    by a mass of exactly 1 is exact, so such factors keep their bits.
+    Positions are untouched.  Returns the rescaled copy and a mask that
+    is False for rows with a zero-mass factor, which cannot be normalized.
     """
     out = np.array(block, dtype=float)
     masses = factor_masses(out, layout)
     nonzero = masses > 0.0
     for k, (ws, _) in enumerate(layout.factor_slices()):
-        rows = nonzero[:, k] & (np.abs(masses[:, k] - 1.0) > tol)
+        rows = nonzero[:, k]
         out[rows, ws] = out[rows, ws] / masses[rows, k, None]
     return out, nonzero.all(axis=1)
 

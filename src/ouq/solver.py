@@ -216,7 +216,7 @@ def impose_expectation(
     A row's result is the parameter vector of its run's best member, which
     need not be related to the row.  When any member of the initial
     population already lies in the band (on the reference problem every one
-    of the 15 fallback runs of seed 0 does), the run stops at generation 0
+    of the 16 fallback runs of seed 0 does), the run stops at generation 0
     and returns the initial member whose expectation is nearest m.  The
     repair is then a random restart near the band centre, not a small move
     of the trial.
@@ -311,8 +311,8 @@ def repair_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Repair every row of a trial block: renormalize weights, then impose the mean band.
 
-    A factor whose mass is off 1 by more than MASS_TOL is renormalized;
-    the expectation is then computed for the whole block.  Each row
+    Every factor is renormalized, so the outer DE finds no slack in the
+    factor masses; the expectation is then computed for the whole block.  Each row
     outside [m-d, m+d] first gets the exact weight move of
     `shift_weights`, and keeps it if `expectation_block` finds the moved
     row in the band.  The rows left over, unchanged, go to the fallback:
@@ -322,7 +322,7 @@ def repair_block(
     zero-mass factor, and for a row the fallback did not reach.
     """
     layout, response = problem.layout, problem.response
-    out, feasible = normalize_block(block, layout, tol=MASS_TOL)
+    out, feasible = normalize_block(block, layout)
     rows = np.flatnonzero(feasible)
     lo, hi = problem.constraint.band
     e = expectation_block(out[rows], layout, response)

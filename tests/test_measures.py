@@ -453,9 +453,3 @@ class TestBlockKernels:
         out, feasible = normalize_block(raw, self.LAYOUT)
         assert feasible.tolist() == [True, False]
         assert np.array_equal(out[0], self.BLOCK[0])
-
-    def test_tolerance_leaves_near_unit_masses(self):
-        raw = self.BLOCK.copy()
-        raw[0, :2] = [0.25, 0.75 + 1e-12]
-        out, _ = normalize_block(raw, self.LAYOUT, tol=1e-9)
-        assert np.array_equal(out, raw)

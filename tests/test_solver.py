@@ -407,8 +407,8 @@ class TestLockstepOracle:
         npop = problem.inner.npop
         calls = []
 
-        def reject_run_1_at_start(rows, layout, tol=0.0):
-            out, nonzero = normalize_block(rows, layout, tol)
+        def reject_run_1_at_start(rows, layout):
+            out, nonzero = normalize_block(rows, layout)
             if not calls:  # the initial populations of all runs
                 nonzero[npop:2 * npop] = False
             calls.append(len(rows))
@@ -444,6 +444,17 @@ class TestRepairBlock:
             4, 3 + 0 + 4 + 4, sum(r.evaluations for r in de_reports[:4]),
             repair_rows=4,  # each row's points lie on one side of [7, 7.2], so all 4 fall back
         )
+
+
+    def test_near_unit_masses_are_renormalized(self, de_reports):
+        # a mass slack of 1e-12 is a factor the outer DE could climb into
+        problem = paper_problem()
+        raw = np.array([0.63, 0.37 + 1e-12, 1.524, 2.667, 1.0, 0.0, 0.0, 0.1, 1.0, 0.0, 2.2885, 2.8])
+        out, feasible = repair_block(raw[None, :], problem, lambda row: 0, InnerCounts())
+        assert feasible.tolist() == [True] and de_reports == []
+        assert np.array_equal(out[0, :2], raw[:2] / math.fsum(raw[:2]))
+        assert abs(math.fsum(out[0, :2]) - 1.0) <= 2.0**-52
+        assert np.array_equal(out[0, 2:], raw[2:])  # mass-1 factors keep their bits
 
 
 class TestRepairSemantics:
@@ -615,6 +626,54 @@ def test_three_points_per_axis_do_not_beat_two():
     for s in range(3):
         bound = ouq_solve(replace(paper_problem(seed=s), layout=three_points)).probability_bound
         assert bound <= two + 0.005
+
+
+def markov_problem(c, band, npts, seed, tol=0.0, generations=None):
+    """f = max(0, x - c) y (1 + z) on [0, 1]^3, so sup f = 2(1 - c).  The best
+    bound on P(f <= tol) under E f >= m1 is the Markov-type (sup - m1)/(sup - tol)
+    (Owhadi et al. 2013), attained by x in {c + tol/2, 1}, y = z = 1.  With
+    `generations` the outer DE runs exactly that many, with no termination rule."""
+    return OUQProblem(
+        response=lambda x, y, z: np.maximum(0.0, x - c) * y * (1.0 + z),
+        layout=ParamLayout(npts, ((0.0, 1.0),) * 3),
+        constraint=MeanConstraint.from_band(*band),
+        failure_tolerance=tol,
+        outer=DESettings(npop=40, seed=seed, max_generations=generations or 3000),
+        inner=DESettings(npop=20, seed=seed),
+        outer_termination=None if generations else ChangeOverGeneration(1e-4, 10),
+    )
+
+
+@st.composite
+def markov_cases(draw):
+    """(c, band, layout with at least 2 points on x, seed) of markov_problem."""
+    c = draw(st.floats(0.0, 0.8))
+    sup = 2.0 * (1.0 - c)
+    m1 = draw(st.floats(0.05, 0.9)) * sup
+    m2 = m1 + draw(st.floats(0.01, 0.5)) * (sup - m1)
+    npts = (draw(st.integers(2, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    return c, (m1, m2), npts, draw(st.integers(0, 2**16))
+
+
+class TestMarkovOracle:
+    """A second closed form, beside the reference problem's 0.3788."""
+
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @given(case=markov_cases())
+    def test_zero_tolerance_reaches_the_optimum(self, case):
+        c, band, npts, seed = case
+        sup = 2.0 * (1.0 - c)
+        optimum = (sup - band[0]) / sup
+        bound = ouq_solve(markov_problem(c, band, npts, seed)).probability_bound
+        assert optimum - 1e-6 <= bound <= optimum + 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_positive_tolerance_never_beats_the_optimum(self, seed):
+        # a factor mass left at 1 + 1e-9 let these seeds end 1e-9 above it
+        problem = markov_problem(0.3, (0.5, 0.7), (2, 2, 2), seed, tol=0.05, generations=300)
+        result = ouq_solve(problem)
+        assert result.probability_bound <= (1.4 - 0.5) / (1.4 - 0.05) + 1e-12
+        assert max(abs(f.mass() - 1.0) for f in result.maximizer.factors) <= 1e-15
 
 
 class TestOuqSolve:
