@@ -312,8 +312,8 @@ def repair_block(
     """Repair every row of a trial block: renormalize weights, then impose the mean band.
 
     Every factor is renormalized, so the outer DE finds no slack in the
-    factor masses; the expectation is then computed for the whole block.  Each row
-    outside [m-d, m+d] first gets the exact weight move of
+    factor masses; the expectation is then computed for the whole block.
+    Each row outside [m-d, m+d] first gets the exact weight move of
     `shift_weights`, and keeps it if `expectation_block` finds the moved
     row in the band.  The rows left over, unchanged, go to the fallback:
     one `impose_expectation` call, row `row` seeded with `inner_seed(row)`,
