@@ -15,8 +15,9 @@ The block kernels (`factor_masses`, `normalize_block`, `expectation_block`,
 `event_probability_block`) work on an (m, param_length) block of such
 vectors at once, without building measure objects, and repeat the
 arithmetic of their per-measure counterparts operation for operation.
-`conditional_expectations_block`, which the band repair uses, has no
-per-measure counterpart.
+`expectation_block` is `atom_values`, the one call of the response, then
+`expectation_of_values`; the band repair feeds one `atom_values` pass to
+the latter and to `conditional_expectations_block`.
 """
 
 from __future__ import annotations
@@ -284,23 +285,34 @@ def factor_masses(block: np.ndarray, layout: ParamLayout) -> np.ndarray:
 def normalize_block(block: np.ndarray, layout: ParamLayout) -> tuple[np.ndarray, np.ndarray]:
     """Rescale every factor of every row of a block to mass 1.
 
-    Divides the weights by the factor mass as normalize() does; dividing
-    by a mass of exactly 1 is exact, so such factors keep their bits.
-    Positions are untouched.  Returns the rescaled copy and a mask that
-    is False for rows with a zero-mass factor, which cannot be normalized.
+    Divides all weight columns at once, each by its factor's mass, as
+    normalize() does; dividing by a mass of exactly 1 is exact, so such
+    factors keep their bits.  Zero-mass factors and positions are left as
+    they are.  Returns the rescaled copy and a mask that is False for rows
+    with a zero-mass factor.
     """
     out = np.array(block, dtype=float)
     masses = factor_masses(out, layout)
     nonzero = masses > 0.0
-    for k, (ws, _) in enumerate(layout.factor_slices()):
-        rows = nonzero[:, k]
-        out[rows, ws] = out[rows, ws] / masses[rows, k, None]
+    cols = weight_columns(layout)
+    out[:, cols[cols >= 0]] /= np.where(nonzero, masses, 1.0)[:, np.nonzero(cols >= 0)[0]]
     return out, nonzero.all(axis=1)
 
 
 @functools.lru_cache(maxsize=16)
-def _atom_columns(layout: ParamLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Block columns of every atom's weights and positions, one row per factor.
+def weight_columns(layout: ParamLayout) -> np.ndarray:
+    """(dimension, n_max) block column of each factor's weights, -1 past its points."""
+    n = np.array(layout.npts_per_dim)
+    j = np.arange(n.max())
+    cols = np.where(j < n[:, None], 2 * (np.cumsum(n) - n)[:, None] + j, -1)  # factor start + j
+    cols.setflags(write=False)
+    return cols
+
+
+@functools.lru_cache(maxsize=16)
+def _atom_columns(layout: ParamLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block columns of every atom's weights and positions, one row per factor,
+    and the (dimension, A, n_max) one-hot of each atom's point in each factor.
 
     Atoms are enumerated in expectation()'s order: lexicographically by
     factor, then point index.
@@ -309,18 +321,10 @@ def _atom_columns(layout: ParamLayout) -> tuple[np.ndarray, np.ndarray]:
     starts = np.array([ws.start for ws, _ in layout.factor_slices()])[:, None]
     w_cols = combos + starts
     x_cols = w_cols + np.array(layout.npts_per_dim)[:, None]
-    w_cols.setflags(write=False)
-    x_cols.setflags(write=False)
-    return w_cols, x_cols
-
-
-def _atoms(block: np.ndarray, layout: ParamLayout) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(m, A) atom weights and one (m, A) array of atom positions per axis."""
-    w_cols, x_cols = _atom_columns(layout)
-    weights = block[:, w_cols[0]]
-    for cols in w_cols[1:]:
-        weights = weights * block[:, cols]  # factor order, as the scalar loop
-    return weights, [block[:, cols] for cols in x_cols]
+    onehot = (combos[:, :, None] == np.arange(max(layout.npts_per_dim))).astype(float)
+    for a in (w_cols, x_cols, onehot):
+        a.setflags(write=False)
+    return w_cols, x_cols, onehot
 
 
 def _sum_atoms(terms: np.ndarray) -> np.ndarray:
@@ -331,8 +335,14 @@ def _sum_atoms(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _response_values(f: Callable, positions: list[np.ndarray]) -> np.ndarray:
-    """(m, A) response values at every atom; DomainError if any is non-finite."""
+def atom_values(block: np.ndarray, layout: ParamLayout, f: Callable) -> np.ndarray:
+    """(m, A) response values at every atom of every row of a block.
+
+    The response is called once, on (m, A) arrays holding the positions of
+    all atoms of all rows, so it must work elementwise on float arrays.
+    Raises DomainError if any value is non-finite.
+    """
+    positions = [block[:, cols] for cols in _atom_columns(layout)[1]]
     values = np.broadcast_to(np.asarray(f(*positions), dtype=float), positions[0].shape)
     if not np.isfinite(values).all():
         row, atom = np.argwhere(~np.isfinite(values))[0]
@@ -341,43 +351,43 @@ def _response_values(f: Callable, positions: list[np.ndarray]) -> np.ndarray:
     return values
 
 
-def expectation_block(block: np.ndarray, layout: ParamLayout, f: Callable) -> np.ndarray:
-    """E[f] under the measure of every row of an (m, param_length) block.
+def expectation_of_values(block: np.ndarray, layout: ParamLayout, values: np.ndarray) -> np.ndarray:
+    """The expectation of (m, A) atom values under the measure of every row of a block.
 
-    The response is called once, on (m, A) arrays holding the positions of
-    all atoms of all rows, so it must work elementwise on float arrays.
-    Weights are multiplied and terms added in the order expectation() uses;
-    where the response returns what it returns for the same floats one at a
-    time, the result is bit-equal to expectation(unflatten(row)).  Factor
-    masses are not checked: the rows must already be normalized.  Raises
-    DomainError if any response value is non-finite.
+    Weights are multiplied and terms added in the order expectation() uses.
+    Factor masses are not checked: the rows must already be normalized.
     """
-    weights, positions = _atoms(block, layout)
-    return _sum_atoms(weights * _response_values(f, positions))
+    w_cols = _atom_columns(layout)[0]
+    weights = block[:, w_cols[0]]
+    for cols in w_cols[1:]:
+        weights = weights * block[:, cols]
+    return _sum_atoms(weights * values)
+
+
+def expectation_block(block: np.ndarray, layout: ParamLayout, f: Callable) -> np.ndarray:
+    """E[f] under the measure of every row of a block: `atom_values`, then
+    `expectation_of_values`.  Where f gives the same floats on arrays as one
+    at a time, the result is bit-equal to expectation(unflatten(row))."""
+    return expectation_of_values(block, layout, atom_values(block, layout, f))
 
 
 def conditional_expectations_block(
-    block: np.ndarray, layout: ParamLayout, f: Callable
-) -> list[np.ndarray]:
-    """Per factor k, the (m, n_k) conditional expectations g_kj = E[f | x_k = x_kj].
+    block: np.ndarray, layout: ParamLayout, values: np.ndarray
+) -> np.ndarray:
+    """(dimension, m, n_max) g_kj = E[f | x_k = x_kj] from the (m, A) atom
+    values of f (`atom_values`); zero past the n_k points of factor k.
 
     g_kj sums f over the atoms whose factor-k point is j, each weighted by
     the product of its other factors' weights, so E[f] = sum_j w_kj g_kj
-    for every k: E is affine in each factor's weights.  The response is
-    called once, as in expectation_block.
+    for every k: E is affine in each factor's weights.
     """
-    w_cols, x_cols = _atom_columns(layout)
-    values = _response_values(f, [block[:, cols] for cols in x_cols])
-    factor_weights = [block[:, cols] for cols in w_cols]
-    out = []
-    for k, (ws, _) in enumerate(layout.factor_slices()):
-        others = np.ones_like(values)
-        for w in factor_weights[:k] + factor_weights[k + 1:]:
-            others = others * w  # factor order, as _atoms
-        point = w_cols[k] - ws.start  # each atom's point index in factor k
-        onehot = point[:, None] == np.arange(ws.stop - ws.start)
-        out.append((others * values) @ onehot)
-    return out
+    w_cols, _, onehot = _atom_columns(layout)
+    weights = [block[:, cols] for cols in w_cols]
+    # per factor, the other factors' weights, multiplied in factor order as
+    # expectation_of_values multiplies them
+    others = [functools.reduce(np.multiply, weights[:k] + weights[k + 1:], np.ones_like(values))
+              for k in range(len(weights))]
+    return (np.stack(others) * values) @ onehot
 
 
 def event_probability_block(
@@ -386,7 +396,7 @@ def event_probability_block(
     """Probability of {predicate holds} under the measure of every row of a block.
 
     The predicate is called once on (m, A) position arrays and must return
-    a boolean array; otherwise as expectation_block.
+    a boolean array: the probability is the expectation of its indicator.
     """
-    weights, positions = _atoms(block, layout)
-    return _sum_atoms(np.where(predicate(*positions), weights, 0.0))
+    positions = [block[:, cols] for cols in _atom_columns(layout)[1]]
+    return expectation_of_values(block, layout, predicate(*positions))

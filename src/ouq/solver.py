@@ -9,16 +9,18 @@ back.  E is affine in each factor's weights, so moving weight within one
 factor reaches the nearest band edge exactly whenever the conditional
 expectation at one of that factor's points lies past it
 (`shift_weights`); the positions, and with them the outer DE's mutation,
-are kept.  A trial that no single factor can bring
-back goes to the fallback, a nested differential-evolution run
-(least-squares distance to the target mean, value-to-reach d^2).
+are kept.  A trial that no single factor can bring back goes to the
+fallback, a nested differential-evolution run (least-squares distance to
+the target mean, value-to-reach d^2).
 
 Both loops work on whole generations: repair and cost take
-(m, param_length) blocks through the block kernels of `measures`, and the
-response is called once per block.  The nested runs that one outer
-generation falls back to run in lockstep (`de_lockstep`), so each inner
-generation of all of them is one block too.  `constrain_params` is the
-same repair for one vector.
+(m, param_length) blocks through the block kernels of `measures`.  The
+repair makes one pass of atom values per generation, which gives E of
+the trials, the g of the weight move and E of the moved trials; the cost
+calls the response once more.  The nested runs that one outer generation
+falls back to run in lockstep (`de_lockstep`), so each inner generation
+of all of them is one block too.  `constrain_params` is the same repair
+for one vector.
 """
 
 from __future__ import annotations
@@ -46,16 +48,19 @@ from .measures import (
     MASS_TOL,
     ParamLayout,
     ProductMeasure,
+    atom_values,
     conditional_expectations_block,
     event_probability,
     event_probability_block,
     expectation,
     expectation_block,
+    expectation_of_values,
     factor_masses,
     flatten,
     normalize,
     normalize_block,
     unflatten,
+    weight_columns,
 )
 
 # Slack on the expectation band that FeasibilityAudit allows.
@@ -254,53 +259,53 @@ def impose_expectation(
     return out, reached
 
 
-def shift_weights(block: np.ndarray, expect: np.ndarray, problem: OUQProblem) -> np.ndarray:
+def shift_weights(
+    block: np.ndarray, values: np.ndarray, expect: np.ndarray, problem: OUQProblem
+) -> np.ndarray:
     """Move each out-of-band row's expectation to the nearest band edge by
     moving weight within one factor; positions are not touched.
 
-    `expect` holds the rows' expectations, each outside the band.  The
-    target is the nearest edge, nudged inside by BAND_NUDGE of the band
-    width.  E is affine in each factor's weights, E = sum_j w_kj g_kj with
-    g_kj = E[f | x_k = x_kj], so per factor the smallest move in L1 takes
-    mass to the point with the highest g (the lowest, when E is above the
-    band) from the other points, the farthest in g first, until E reaches
-    the target.  A row takes the factor whose move is smallest in L1, the
+    `values` holds the response at the rows' atoms, `expect` their
+    expectations, each outside the band.  The target is the nearest edge,
+    nudged inside by BAND_NUDGE of the band width.  E is affine in each
+    factor's weights, E = sum_j w_kj g_kj with g_kj = E[f | x_k = x_kj], so
+    per factor the smallest move in L1 takes mass to the point with the
+    highest g (the lowest, when E is above the band) from the other points,
+    the farthest in g first, until E reaches the target.  The moves of all
+    factors are computed together, on (dimension, m, n_max) arrays in which
+    a factor with fewer points is padded with points of zero weight and
+    zero gap.  A row takes the factor whose move is smallest in L1, the
     first on ties; a row that no factor can move to the target comes back
     unchanged.  Each factor's weights stay on the simplex.
     """
-    layout = problem.layout
     lo, hi = problem.constraint.band
     nudge = BAND_NUDGE * (hi - lo)
     up = expect < lo
     sign = np.where(up, 1.0, -1.0)[:, None]
     need = np.where(up, lo + nudge - expect, expect - (hi - nudge))[:, None]
-    out = np.array(block, dtype=float)
-    every = np.arange(len(block))
-    l1s, moves = [], []
-    for (ws, _), g in zip(
-        layout.factor_slices(), conditional_expectations_block(block, layout, problem.response)
-    ):
-        h = sign * g  # in units of the move's direction: h must rise by `need`
-        dest = np.argmax(h, axis=1)
-        gap = h[every, dest][:, None] - h
-        order = np.argsort(-gap, axis=1, kind="stable")
-        gap = np.take_along_axis(gap, order, axis=1)
-        w = np.take_along_axis(block[:, ws], order, axis=1)
-        gain = w * gap
-        before = np.cumsum(gain, axis=1) - gain  # what the farther points reach
-        with np.errstate(divide="ignore", invalid="ignore"):
-            take = np.where(gap > 0.0, np.clip((need - before) / gap, 0.0, w), 0.0)
-        moved = take.sum(axis=1)
-        weights = block[:, ws].copy()
-        np.put_along_axis(weights, order, w - take, axis=1)
-        weights[every, dest] += moved
-        l1s.append(np.where(gain.sum(axis=1) >= need[:, 0], 2.0 * moved, np.inf))
-        moves.append(weights)
-    l1s = np.stack(l1s)
-    choice = np.where(np.isfinite(l1s).any(axis=0), np.argmin(l1s, axis=0), -1)
-    for k, ((ws, _), weights) in enumerate(zip(layout.factor_slices(), moves)):
-        out[choice == k, ws] = weights[choice == k]
-    return out
+    cols = weight_columns(problem.layout)
+    real = (cols >= 0)[:, None, :]
+    out = np.concatenate([block, np.zeros((len(block), 1))], axis=1)  # padding's column -1
+    weights = out[:, cols].transpose(1, 0, 2)
+    g = conditional_expectations_block(block, problem.layout, values)
+    h = np.where(real, sign * g, -np.inf)  # in the move's direction: h must rise by `need`
+    k, r = np.arange(len(cols))[:, None], np.arange(len(block))
+    dest = np.argmax(h, axis=2)
+    gap = np.where(real, h[k, r, dest][..., None] - h, 0.0)
+    order = (k[..., None], r[..., None], np.argsort(-gap, axis=2, kind="stable"))
+    gap, w = gap[order], weights[order]
+    gain = w * gap
+    before = np.cumsum(gain, axis=2) - gain  # what the farther points reach
+    take = np.divide(need - before, gap, out=np.zeros_like(gap), where=gap > 0.0)
+    take = np.minimum(np.maximum(take, 0.0), w)
+    moved = take.sum(axis=2)
+    weights[order] = w - take
+    weights[k, r, dest] += moved
+    l1 = np.where(gain.sum(axis=2) >= need[:, 0], 2.0 * moved, np.inf)
+    rows = np.flatnonzero(np.isfinite(l1).any(axis=0))
+    choice = np.argmin(l1[:, rows], axis=0)
+    out[rows[:, None], cols[choice]] = weights[choice, rows]
+    return out[:, :-1]
 
 
 def repair_block(
@@ -312,25 +317,28 @@ def repair_block(
     """Repair every row of a trial block: renormalize weights, then impose the mean band.
 
     Every factor is renormalized, so the outer DE finds no slack in the
-    factor masses; the expectation is then computed for the whole block.
-    Each row outside [m-d, m+d] first gets the exact weight move of
-    `shift_weights`, and keeps it if `expectation_block` finds the moved
-    row in the band.  The rows left over, unchanged, go to the fallback:
-    one `impose_expectation` call, row `row` seeded with `inner_seed(row)`,
+    factor masses.  One pass of `atom_values` then serves the whole repair:
+    the weight move changes no position, so it gives E of the rows, the g
+    of `shift_weights` and E of the moved rows.  Each row outside [m-d, m+d]
+    gets the weight move, and keeps it if the moved row is in the band.
+    The rows left over, unchanged, go to the fallback: one
+    `impose_expectation` call, row `row` seeded with `inner_seed(row)`,
     which is called for those rows only.  Returns the repaired block and
     the constraint protocol's mask `feasible`: False for a row with a
     zero-mass factor, and for a row the fallback did not reach.
     """
-    layout, response = problem.layout, problem.response
+    layout = problem.layout
     out, feasible = normalize_block(block, layout)
     rows = np.flatnonzero(feasible)
     lo, hi = problem.constraint.band
-    e = expectation_block(out[rows], layout, response)
+    trials = out[rows]
+    values = atom_values(trials, layout, problem.response)
+    e = expectation_of_values(trials, layout, values)
     outside = ~((lo <= e) & (e <= hi))
-    rows, e = rows[outside], e[outside]
+    rows, e, values = rows[outside], e[outside], values[outside]
     if rows.size:
-        moved = shift_weights(out[rows], e, problem)
-        e = expectation_block(moved, layout, response)
+        moved = shift_weights(out[rows], values, e, problem)
+        e = expectation_of_values(moved, layout, values)
         fixed = (lo <= e) & (e <= hi)
         out[rows[fixed]] = moved[fixed]
         counts.repair_rows += rows.size

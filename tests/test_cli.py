@@ -12,6 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ouq.config as config_mod
 import ouq.errors as errors_mod
 import ouq.registry as registry_mod
 import ouq.cli
@@ -178,6 +179,16 @@ class TestLoadConfig:
         assert [r.generations_run for r in de_reports] == [3]
 
     def test_parse_error(self, tmp_path):
+        path = tmp_path / "broken.config"
+        path.write_text("response: [unclosed\n")
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML has no libyaml")
+    def test_libyaml_and_pure_python_loaders_agree(self, tmp_path, monkeypatch):
+        fast = load_config(PAPER_CONFIG)
+        monkeypatch.setattr(config_mod, "_YAML_LOADER", yaml.SafeLoader)
+        assert load_config(PAPER_CONFIG) == fast
         path = tmp_path / "broken.config"
         path.write_text("response: [unclosed\n")
         with pytest.raises(ConfigError):

@@ -25,6 +25,7 @@ from ouq import (
 from ouq.errors import DomainError, ZeroMassMeasure
 from ouq.measures import (
     SupportPoint,
+    atom_values,
     conditional_expectations_block,
     event_probability_block,
     expectation_block,
@@ -415,8 +416,14 @@ def test_block_kernels_match_per_measure_functions(case):
     assert expectation_block(block, layout, smooth) == pytest.approx(
         [expectation(p, smooth) for p in products], rel=1e-12, abs=1e-12
     )
-    # g_kj is E[poly] with factor k replaced by a Dirac mass at its point j
-    for k, g in enumerate(conditional_expectations_block(block, layout, poly)):
+    # g_kj is E[poly] with factor k replaced by a Dirac mass at its point j;
+    # the factors with fewer points than the largest are padded with zeros
+    npts = layout.npts_per_dim
+    padded = conditional_expectations_block(block, layout, atom_values(block, layout, poly))
+    assert padded.shape == (len(npts), len(raw), max(npts))
+    for k, n in enumerate(npts):
+        g = padded[k, :, :n]
+        assert (padded[k, :, n:] == 0.0).all()
         want = [
             [
                 expectation(pack(p.factors[:k] + (dm([1.0], [x]),) + p.factors[k + 1:]), poly)

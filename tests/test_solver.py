@@ -26,8 +26,14 @@ from ouq import (
 )
 from ouq.de import Strategy, ValueBelow, de_lockstep
 from ouq.errors import ConstraintViolation, InfeasibleConstrain, ZeroMassMeasure
-from ouq.measures import expectation_block, normalize_block
+from ouq.measures import (
+    atom_values,
+    conditional_expectations_block,
+    expectation_block,
+    normalize_block,
+)
 from ouq.solver import (
+    BAND_NUDGE,
     InnerCounts,
     build_bounds,
     constrain_params,
@@ -524,7 +530,8 @@ class TestShiftWeights:
         layout = problem.layout
         e = expectation_block(block, layout, problem.response)
         rows = block[~in_band(e, problem)]
-        moved = shift_weights(rows, e[~in_band(e, problem)], problem)
+        values = atom_values(rows, layout, problem.response)
+        moved = shift_weights(rows, values, e[~in_band(e, problem)], problem)
         slices = layout.factor_slices()
         moved_e = expectation_block(moved, layout, problem.response)
         for row, out, e_out in zip(rows, moved, moved_e):
@@ -566,6 +573,123 @@ class TestShiftWeights:
             for ws, xs in problem.layout.factor_slices():
                 assert np.array_equal(row[xs], trial[xs])
         assert in_band(expectation_block(out, problem.layout, perforation_area), problem).all()
+
+
+def per_factor_shift(block, values, expect, problem):
+    """The reference for shift_weights: the same move computed one factor at
+    a time, each on its own n_k points, without padding."""
+    layout = problem.layout
+    lo, hi = problem.constraint.band
+    nudge = BAND_NUDGE * (hi - lo)
+    up = expect < lo
+    sign = np.where(up, 1.0, -1.0)[:, None]
+    need = np.where(up, lo + nudge - expect, expect - (hi - nudge))[:, None]
+    out = np.array(block, dtype=float)
+    every = np.arange(len(block))
+    padded = conditional_expectations_block(block, layout, values)
+    l1s, moves = [], []
+    for (ws, _), g in zip(layout.factor_slices(), padded):
+        h = sign * g[:, : ws.stop - ws.start]
+        dest = np.argmax(h, axis=1)
+        gap = h[every, dest][:, None] - h
+        order = np.argsort(-gap, axis=1, kind="stable")
+        gap = np.take_along_axis(gap, order, axis=1)
+        w = np.take_along_axis(block[:, ws], order, axis=1)
+        gain = w * gap
+        before = np.cumsum(gain, axis=1) - gain
+        with np.errstate(divide="ignore", invalid="ignore"):
+            take = np.where(gap > 0.0, np.clip((need - before) / gap, 0.0, w), 0.0)
+        moved = take.sum(axis=1)
+        weights = block[:, ws].copy()
+        np.put_along_axis(weights, order, w - take, axis=1)
+        weights[every, dest] += moved
+        l1s.append(np.where(gain.sum(axis=1) >= need[:, 0], 2.0 * moved, np.inf))
+        moves.append(weights)
+    l1s = np.stack(l1s)
+    choice = np.where(np.isfinite(l1s).any(axis=0), np.argmin(l1s, axis=0), -1)
+    for k, ((ws, _), weights) in enumerate(zip(layout.factor_slices(), moves)):
+        out[choice == k, ws] = weights[choice == k]
+    return out
+
+
+@st.composite
+def stacked_cases(draw):
+    """Normalized rows on 1-3 axes of 1-4 points, some weights zero and the
+    positions on a coarse grid (so that g ties), and a band between the
+    rows' expectations: the out-of-band rows and their atom values."""
+    npts = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    layout = ParamLayout(npts, ((0.0, 4.0),) * len(npts))
+    response = draw(st.sampled_from(RESPONSES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    raw = np.empty((16, layout.param_length))
+    for ws, xs in layout.factor_slices():
+        n = ws.stop - ws.start
+        nonzero = rng.uniform(size=(16, n)) < 0.7
+        nonzero[np.arange(16), rng.integers(0, n, size=16)] = True  # no zero-mass factor
+        raw[:, ws] = rng.uniform(size=(16, n)) * nonzero
+        raw[:, xs] = rng.integers(0, 5, size=(16, n))
+    block, _ = normalize_block(raw, layout)
+    e = expectation_block(block, layout, response)
+    lo, hi = np.quantile(e, sorted(draw(st.lists(st.floats(0.1, 0.9), min_size=2, max_size=2))))
+    band = MeanConstraint.from_band(lo, max(hi, lo + 1e-3))
+    problem = OUQProblem(response=response, layout=layout, constraint=band)
+    rows = block[~in_band(e, problem)]
+    return problem, rows, atom_values(rows, layout, response), e[~in_band(e, problem)]
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(case=stacked_cases())
+def test_stacked_move_equals_per_factor_move(case):
+    problem, rows, values, e = case
+    assert np.array_equal(
+        shift_weights(rows, values, e, problem), per_factor_shift(rows, values, e, problem)
+    )
+
+
+def counted(problem):
+    """The problem with its response wrapped in a call counter."""
+    calls = []
+
+    def response(*xs):
+        calls.append(xs[0].shape)
+        return problem.response(*xs)
+
+    return replace(problem, response=response), calls
+
+
+class TestOneResponsePass:
+    """The repair calls the response once, at the normalized rows' atoms:
+    for E, for the g of the weight move and for E of the moved rows."""
+
+    def test_weight_move_rows(self, de_reports):
+        problem, calls = counted(paper_problem())
+        block = np.array([
+            [0.5, 0.5, 1.524, 2.667, 1.0, 0.0, 0.0, 0.1, 0.5, 0.5, 2.79, 2.8],  # above the band
+            [0.5, 0.5, 1.524, 2.667, 0.5, 0.5, 0.0, 0.1, 0.5, 0.5, 2.1, 2.15],  # below it
+            [0.5, 0.5, 1.524, 2.667, 0.5, 0.5, 0.0, 0.1, 0.5, 0.5, 2.5, 2.6],  # in it
+        ])
+        counts = InnerCounts()
+        _, feasible = repair_block(block, problem, lambda row: 0, counts)
+        assert feasible.all() and de_reports == [] and counts.repair_rows == 2
+        assert calls == [(3, 8)]  # 3 rows of 8 atoms
+
+    def test_fallback_rows(self, monkeypatch):
+        problem, calls = counted(sum_problem())
+        fallback_calls = []
+        real = solver_mod.impose_expectation
+
+        def recording(*args):
+            before = len(calls)
+            out = real(*args)
+            fallback_calls.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(solver_mod, "impose_expectation", recording)
+        block = np.stack([TestFallback.IN_BAND, TestFallback.MOVABLE, TestFallback.STUCK])
+        _, feasible = repair_block(block, problem, lambda row: row, InnerCounts())
+        assert feasible.all()
+        assert len(fallback_calls) == 1 and fallback_calls[0] > 0
+        assert len(calls) - fallback_calls[0] == 1
 
 
 def sum_problem():
