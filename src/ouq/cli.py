@@ -17,6 +17,7 @@ solver error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -122,6 +123,7 @@ def run_solve(config: RunConfig) -> int:
             "inner_generations": result.inner.generations,
             "inner_evaluations": result.inner.evaluations,
             "repair_rows": result.inner.repair_rows,
+            "inner_failures": result.inner.failures,
         }
         _write_atomic(out_dir / f"result_{k}.json", json.dumps(doc, indent=2) + "\n")
 
@@ -157,6 +159,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache  # one parser per process: building it costs 8x a parse
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ouq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

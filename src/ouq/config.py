@@ -40,6 +40,7 @@ boundary (1 mil = 0.0254 mm); mm, rad and km_s are native and pass through.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import MISSING, dataclass, fields, replace
@@ -65,6 +66,7 @@ _UNIT_CONVERSIONS = {
 }
 # libyaml's parser, where PyYAML has it, parses paper.config about 8x faster
 _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+_type_hints = functools.cache(get_type_hints)  # per class; the classes do not change
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,7 @@ def _build(cls, value, where: str, fixed: tuple[str, ...] = ()):
     missing = [f.name for f in settable if f.default is MISSING and f.name not in value]
     if missing:
         raise ConfigError(f"{where} needs {', '.join(missing)}")
-    types = get_type_hints(cls)
+    types = _type_hints(cls)
     return cls(**{k: _AS_TYPE[types[k]](v, f"{where}.{k}") for k, v in value.items()})
 
 

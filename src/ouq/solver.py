@@ -9,18 +9,19 @@ back.  E is affine in each factor's weights, so moving weight within one
 factor reaches the nearest band edge exactly whenever the conditional
 expectation at one of that factor's points lies past it
 (`shift_weights`); the positions, and with them the outer DE's mutation,
-are kept.  A trial that no single factor can bring back goes to the
-fallback, a nested differential-evolution run (least-squares distance to
-the target mean, value-to-reach d^2).
+are kept.  A trial of the initial population that no single factor can
+bring back goes to the fallback, a nested differential-evolution run
+(least-squares distance to the target mean, value-to-reach d^2); from
+generation 1 on, such a trial is infeasible.
 
 Both loops work on whole generations: repair and cost take
 (m, param_length) blocks through the block kernels of `measures`.  The
 repair makes one pass of atom values per generation, which gives E of
 the trials, the g of the weight move and E of the moved trials; the cost
-calls the response once more.  The nested runs that one outer generation
-falls back to run in lockstep (`de_lockstep`), so each inner generation
-of all of them is one block too.  `constrain_params` is the same repair
-for one vector.
+calls the response once more.  The nested runs of the initial population
+run in lockstep (`de_lockstep`), so each inner generation of all of them
+is one block too.  `constrain_params` is the same repair, fallback
+included, for one vector.
 """
 
 from __future__ import annotations
@@ -125,13 +126,15 @@ class InnerCounts:
 
     `runs`, `generations` and `evaluations` count the nested-DE runs of
     the fallback, one run per row handed to it; `repair_rows` counts the
-    out-of-band rows that reached the weight move.
+    out-of-band rows that reached the weight move; `failures` counts the
+    fallback's rows that did not reach the band.
     """
 
     runs: int = 0
     generations: int = 0
     evaluations: int = 0
     repair_rows: int = 0
+    failures: int = 0
 
     def add(self, reports: list[SolveReport | InfeasibleConstrain]):
         """Count the runs of one lockstep; a run that failed at the start ran
@@ -209,8 +212,9 @@ def impose_expectation(
     vectors into the admissible expectation band with a nested DE.
 
     `repair_block` calls it only for the rows that `shift_weights` cannot
-    repair.  Each row gets its own nested DE, seeded with `seeds[row]`,
-    minimizing (E[response] - m)^2 over the same box as the outer problem,
+    repair, and `ouq_solve` only for the initial population.  Each row
+    gets its own nested DE, seeded with `seeds[row]`, minimizing
+    (E[response] - m)^2 over the same box as the outer problem,
     terminating at value-to-reach d^2 (i.e. |E - m| <= d), for at most
     `problem.inner.max_generations` generations.  The row takes slot 0 of
     its run's population; the other slots are drawn uniformly from the box.
@@ -221,7 +225,7 @@ def impose_expectation(
     A row's result is the parameter vector of its run's best member, which
     need not be related to the row.  When any member of the initial
     population already lies in the band (on the reference problem every one
-    of the 16 fallback runs of seed 0 does), the run stops at generation 0
+    of the 9 fallback runs of seed 0 does), the run stops at generation 0
     and returns the initial member whose expectation is nearest m.  The
     repair is then a random restart near the band centre, not a small move
     of the trial.
@@ -229,7 +233,8 @@ def impose_expectation(
     Returns the repaired block and the mask `reached`: True where the
     row's run ended at cost <= d^2, False where it ended above d^2 or its
     whole initial population was degenerate.  Rows not reached are
-    returned unchanged.  The runs' counts are added to `counts`.
+    returned unchanged.  The runs' counts, and the rows not reached as
+    `failures`, are added to `counts`.
     """
     con = problem.constraint
     layout = problem.layout
@@ -256,6 +261,7 @@ def impose_expectation(
     )
     for row in np.flatnonzero(reached):
         out[row] = reports[row].opt_params
+    counts.failures += int(np.count_nonzero(~reached))
     return out, reached
 
 
@@ -311,7 +317,7 @@ def shift_weights(
 def repair_block(
     block: np.ndarray,
     problem: OUQProblem,
-    inner_seed: Callable[[int], int],
+    inner_seed: Optional[Callable[[int], int]],
     counts: InnerCounts,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Repair every row of a trial block: renormalize weights, then impose the mean band.
@@ -323,9 +329,10 @@ def repair_block(
     gets the weight move, and keeps it if the moved row is in the band.
     The rows left over, unchanged, go to the fallback: one
     `impose_expectation` call, row `row` seeded with `inner_seed(row)`,
-    which is called for those rows only.  Returns the repaired block and
-    the constraint protocol's mask `feasible`: False for a row with a
-    zero-mass factor, and for a row the fallback did not reach.
+    which is called for those rows only.  With `inner_seed` None there is
+    no fallback and those rows are infeasible.  Returns the repaired block
+    and the constraint protocol's mask `feasible`: False for a row with a
+    zero-mass factor, and for a row left outside the band.
     """
     layout = problem.layout
     out, feasible = normalize_block(block, layout)
@@ -343,7 +350,9 @@ def repair_block(
         out[rows[fixed]] = moved[fixed]
         counts.repair_rows += rows.size
         rows = rows[~fixed]
-    if rows.size:
+    if inner_seed is None:
+        feasible[rows] = False
+    elif rows.size:
         out[rows], feasible[rows] = impose_expectation(
             out[rows], problem, [inner_seed(row) for row in rows.tolist()], counts
         )
@@ -377,10 +386,10 @@ def constrain_params(
     raise ConstraintViolation("the fallback repair did not reach the mean band")
 
 
-def _derive_inner_seed(outer_seed: int, generation: int, slot: int) -> int:
-    # Child streams keyed by (generation, slot) so nested runs never
-    # perturb the outer RNG stream.
-    ss = np.random.SeedSequence(entropy=outer_seed, spawn_key=(generation, slot))
+def _derive_inner_seed(outer_seed: int, slot: int) -> int:
+    # Child streams keyed by (0, slot), 0 for the initial population, so
+    # nested runs never perturb the outer RNG stream.
+    ss = np.random.SeedSequence(entropy=outer_seed, spawn_key=(0, slot))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -399,19 +408,20 @@ def ouq_solve(
 
     Each outer generation is repaired and costed as one block
     (`de_solve(vectorized=True)`).  Its out-of-band rows get the weight
-    move; only those it cannot repair run the nested DE, all of them in
-    lockstep, each with an inner seed derived from (outer seed,
-    generation, slot).  The result's `inner` holds the repair counts and
-    the totals of those runs.
+    move.  In the initial population the rows it cannot repair run the
+    nested DE, all of them in lockstep, each with an inner seed derived
+    from (outer seed, slot); from generation 1 on they are infeasible.
+    The result's `inner` holds the repair counts and the totals of those
+    runs.
     """
     outer_seed = problem.outer.seed
     inner = InnerCounts()
 
     def repair(block: np.ndarray, generation: int, slots: np.ndarray):
         def inner_seed(row: int) -> int:
-            return _derive_inner_seed(outer_seed, generation, int(slots[row]))
+            return _derive_inner_seed(outer_seed, int(slots[row]))
 
-        return repair_block(block, problem, inner_seed, inner)
+        return repair_block(block, problem, inner_seed if generation == 0 else None, inner)
 
     report = de_solve(
         lambda block: cost_block(block, problem, audit=audit),

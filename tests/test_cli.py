@@ -174,6 +174,7 @@ class TestLoadConfig:
         out, reached = impose_expectation(params[None, :], problem, [1], counts)
         assert reached.tolist() == [False]
         assert counts.generations == 3  # the run exhausted its 3 generations
+        assert counts.failures == 1
         assert de_reports[0].opt_cost > problem.constraint.d**2
         assert np.array_equal(out[0], params)
         assert [r.generations_run for r in de_reports] == [3]
@@ -367,8 +368,8 @@ class TestSolve:
     @pytest.mark.parametrize(
         "band, generations, evaluations, bound",
         [
-            ("[5.5, 7.5]", 33, 1360, 0.37880329471797675),
-            ("[6.4, 6.6]", 45, 1835, 0.27708222435115804),
+            ("[5.5, 7.5]", 33, 1353, 0.37880329471797675),
+            ("[6.4, 6.6]", 31, 1251, 0.27715645412833534),
         ],
         ids=["reference", "narrow_band"],
     )
@@ -392,8 +393,8 @@ class TestSolve:
     @pytest.mark.parametrize(
         "band, counts",
         [
-            ("[5.5, 7.5]", (33, 1360, 16, 0, 320, 397)),
-            ("[6.4, 6.6]", (45, 1835, 45, 40, 1700, 1169)),
+            ("[5.5, 7.5]", (33, 1353, 9, 0, 180, 397, 0)),
+            ("[6.4, 6.6]", (31, 1251, 20, 18, 760, 811, 0)),
         ],
         ids=["reference", "narrow_band"],
     )
@@ -408,10 +409,10 @@ class TestSolve:
         result = json.loads((tmp_path / "result_0.json").read_text())
         keys = (
             "generations", "evaluations", "inner_runs", "inner_generations", "inner_evaluations",
-            "repair_rows",
+            "repair_rows", "inner_failures",
         )
         assert tuple(result[k] for k in keys) == counts
-        assert list(result)[-4:] == list(keys[2:])  # the earlier keys keep their bytes
+        assert list(result)[-5:] == list(keys[2:])  # the earlier keys keep their bytes
 
     def paper_config(self, tmp_path, outer_termination):
         path = tmp_path / "paper.config"

@@ -386,6 +386,7 @@ class TestLockstepOracle:
             len(block),
             sum(r.generations_run for r in reports),
             sum(r.evaluations for r in reports),
+            failures=int(np.count_nonzero(~reached)),
         )
 
     @pytest.mark.parametrize(
@@ -429,7 +430,8 @@ class TestLockstepOracle:
         assert np.array_equal(out[1], block[1])
         others = [de_reports[row] for row in (0, 2, 3)]
         assert counts == InnerCounts(
-            4, sum(r.generations_run for r in others), sum(r.evaluations for r in others)
+            4, sum(r.generations_run for r in others), sum(r.evaluations for r in others),
+            failures=1,
         )
 
 
@@ -449,6 +451,7 @@ class TestRepairBlock:
         assert counts == InnerCounts(
             4, 3 + 0 + 4 + 4, sum(r.evaluations for r in de_reports[:4]),
             repair_rows=4,  # each row's points lie on one side of [7, 7.2], so all 4 fall back
+            failures=2,
         )
 
 
@@ -740,6 +743,42 @@ class TestFallback:
         out, feasible = repair_block(row, problem, lambda row: 0, InnerCounts())
         assert feasible.tolist() == [True] and de_reports == []
         assert in_band(expectation_block(out, problem.layout, problem.response), problem)[0]
+
+
+class TestFallbackOnlyForTheInitialPopulation:
+    """From generation 1 on, a trial the weight move cannot repair is
+    infeasible: the nested DE repairs only the initial population."""
+
+    @pytest.mark.parametrize("band", [(5.5, 7.5), (6.4, 6.6)], ids=["reference", "narrow_band"])
+    def test_nested_runs_end_before_generation_0_is_costed(self, monkeypatch, de_reports, band):
+        runs_at_cost = []
+        real = solver_mod.cost_block
+
+        def recording(*args, **kwargs):
+            runs_at_cost.append(len(de_reports))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "cost_block", recording)
+        result = ouq_solve(paper_problem(band=band))
+        assert len(de_reports) == result.inner.runs > 0
+        assert set(runs_at_cost) == {result.inner.runs}  # every generation's cost, from 0 on
+
+    def test_no_inner_seed_no_fallback(self, de_reports):
+        stuck = TestFallback.STUCK * [2, 2, 1, 1, 2, 2, 1, 1]  # mass 2 per factor
+        block = np.stack([TestFallback.IN_BAND, TestFallback.MOVABLE, stuck])
+        counts = InnerCounts()
+        out, feasible = repair_block(block, sum_problem(), None, counts)
+        assert feasible.tolist() == [True, True, False] and de_reports == []
+        assert np.array_equal(out[2], TestFallback.STUCK)  # normalized, not moved
+        assert counts == InnerCounts(repair_rows=2)
+
+    @pytest.mark.parametrize("band", [(9.44, 9.48), (0.01, 0.2)])
+    def test_extreme_bands_solve(self, band):
+        # the weight move alone leaves no feasible initial member on some of
+        # these seeds; the generation-0 fallback finds them
+        for seed in range(5):
+            result = ouq_solve(paper_problem(seed=seed, band=band))
+            assert band[0] - 1e-6 <= result.expectation_at_maximizer <= band[1] + 1e-6
 
 
 def test_three_points_per_axis_do_not_beat_two():
