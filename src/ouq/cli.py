@@ -159,7 +159,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-@functools.cache  # one parser per process: building it costs 8x a parse
+@functools.cache  # one parser per process: building it costs about 6x a parse
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ouq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
