@@ -5,10 +5,10 @@ generation's block of trials before cost evaluation, and solver-independent
 termination rules evaluated on the best-cost history.  Cost may work one
 vector at a time or on a whole generation at once (`vectorized=True`).
 `de_lockstep` runs several independently seeded runs side by side and
-evaluates each generation of all of them as one block; `de_solve` is that
-loop with one run.  Runs are fully deterministic given the seed: each
-generation's trials come from one block of npop * (d + 2) uniforms of the
-run's own generator.
+evaluates each generation of all of them as one block, npop rows per run
+in seed order; `de_solve` is that loop with one run.  Runs are fully
+deterministic given the seed: each generation's trials come from one block
+of npop * (d + 2) uniforms of the run's own generator.
 """
 
 from __future__ import annotations
@@ -201,22 +201,20 @@ def de_lockstep(
     constrain: Optional[Callable] = None,
     termination: Optional[TerminationRule] = None,
     *,
-    initial: Optional[Sequence[np.ndarray]] = None,
     trace_hook: Optional[Callable[[int, float, np.ndarray], None]] = None,
 ) -> list[SolveReport | InfeasibleConstrain]:
     """Run one DE per seed in lockstep; `settings.seed` is not used.
 
     Each run is the run `de_solve` makes with that seed (see there): its own
     generator, uniform initial population, trial draws and best-cost
-    history, so its result does not depend on the other runs.  `initial[k]`,
-    when given, takes slot 0 of run k's initial population; this is how the
-    fallback repair starts each run from its row.  What the runs share is
-    the evaluation: each generation the populations of all still-running
-    runs are stacked into one (runs * npop, d) block, which is clipped,
-    passed to `constrain(block, generation, slots)` (slots numbered
-    0..npop-1 per run) and costed with one call of each, in the forms of
-    `de_solve(vectorized=True)`.  A run leaves the block once its
-    termination rule holds or after `settings.max_generations`.
+    history, so its result does not depend on the other runs.  What the
+    runs share is the evaluation: each generation the populations of all
+    still-running runs are stacked in seed order into one (runs * npop, d)
+    block, whose row r is slot r % npop of the (r // npop)-th of them.  It
+    is clipped, passed to `constrain(block, generation)` and costed with
+    one call of each, in the forms of `de_solve(vectorized=True)`.  A run
+    leaves the block once its termination rule holds or after
+    `settings.max_generations`.
 
     Returns one entry per seed: the run's SolveReport, or, if no member of
     its initial population was feasible, the InfeasibleConstrain that
@@ -224,15 +222,9 @@ def de_lockstep(
     generation, in seed order.
     """
     npop, d = settings.npop, len(bounds)
-    slots = np.arange(npop)
     runs = [_Run(seed, settings, bounds) for seed in seeds]
     if not runs:
         return []
-    if initial is not None:
-        if len(initial) != len(runs):
-            raise ValueError(f"{len(initial)} initial vectors for {len(runs)} runs")
-        for run, row in zip(runs, initial):
-            run.pop[0] = np.asarray(row, dtype=float)
 
     def evaluate(block, generation):
         """Per run: params and costs of its trials (infeasible ones cost +inf),
@@ -240,7 +232,7 @@ def de_lockstep(
         block = bounds.clip(block)
         feasible = np.ones(len(block), dtype=bool)
         if constrain is not None:
-            repaired, feasible = constrain(block, generation, np.tile(slots, len(block) // npop))
+            repaired, feasible = constrain(block, generation)
             feasible = np.asarray(feasible, dtype=bool)
             repaired = bounds.clip(np.asarray(repaired, dtype=float))
             block = np.where(feasible[:, None], repaired, block)
@@ -306,10 +298,9 @@ def de_solve(
     best-cost history is monotone non-increasing.  This is `de_lockstep`
     with the one seed `settings.seed`.
 
-    `constrain(block, generation, slots)` gets the (npop, d) trials with
-    their slot numbers and returns `(block, feasible)`, where `feasible`
-    is a boolean mask; a repair can derive per-trial seeds from its
-    position in the run, and generation 0 is the initial population.
+    `constrain(block, generation)` gets the (npop, d) trials, row i in
+    slot i, and returns `(block, feasible)`, where `feasible` is a boolean
+    mask; generation 0 is the initial population.
     By default `cost(params)` takes one vector and returns a float; with
     `vectorized=True` `cost(block)` gets an (m, d) array and returns m
     costs.  Out-of-box trials are always clipped, never rejected.

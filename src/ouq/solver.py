@@ -9,18 +9,19 @@ back.  E is affine in each factor's weights, so moving weight within one
 factor reaches the nearest band edge exactly whenever the conditional
 expectation at one of that factor's points lies past it
 (`shift_weights`); the positions, and with them the outer DE's mutation,
-are kept.  A trial of the initial population that no single factor can
-bring back goes to the fallback, a nested differential-evolution run
-(least-squares distance to the target mean, value-to-reach d^2); from
-generation 1 on, such a trial is infeasible.
+are kept.  A trial that no single factor can bring back is infeasible;
+in the initial population it is replaced by the fallback's seeded draw of
+an in-band measure, the best member of a nested differential-evolution run
+from a uniform population (least-squares distance to the target mean,
+value-to-reach d^2).
 
 Both loops work on whole generations: repair and cost take
 (m, param_length) blocks through the block kernels of `measures`.  The
 repair makes one pass of atom values per generation, which gives E of
 the trials, the g of the weight move and E of the moved trials; the cost
-calls the response once more.  The nested runs of the initial population
-run in lockstep (`de_lockstep`), so each inner generation of all of them
-is one block too.  `constrain_params` is the same repair, fallback
+calls the response once more.  The fallback's nested runs go in lockstep
+(`de_lockstep`), so each inner generation of all of them is one block too.
+`constrain_params` is the repair of the initial population, fallback
 included, for one vector.
 """
 
@@ -41,7 +42,7 @@ from .de import (
     de_lockstep,
     de_solve,
 )
-from .errors import ConstraintViolation, InfeasibleConstrain, ZeroMassMeasure
+from .errors import ConstraintViolation, ZeroMassMeasure
 # event_probability, flatten and normalize are not called here, but
 # ouq.solver keeps naming the whole measure layer: perfbench wraps these
 # names on this module
@@ -136,15 +137,6 @@ class InnerCounts:
     repair_rows: int = 0
     failures: int = 0
 
-    def add(self, reports: list[SolveReport | InfeasibleConstrain]):
-        """Count the runs of one lockstep; a run that failed at the start ran
-        no generation and evaluated nothing."""
-        self.runs += len(reports)
-        for report in reports:
-            if isinstance(report, SolveReport):
-                self.generations += report.generations_run
-                self.evaluations += report.evaluations
-
 
 @dataclass
 class OUQResult:
@@ -203,38 +195,27 @@ def cost_block(
 
 
 def impose_expectation(
-    block: np.ndarray,
-    problem: OUQProblem,
-    seeds: Sequence[int],
-    counts: InnerCounts,
+    problem: OUQProblem, seeds: Sequence[int], counts: InnerCounts
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The fallback repair: move every row of a block of normalized parameter
-    vectors into the admissible expectation band with a nested DE.
+    """The fallback: a seeded draw of one measure in the admissible
+    expectation band per seed.
 
-    `repair_block` calls it only for the rows that `shift_weights` cannot
-    repair, and `ouq_solve` only for the initial population.  Each row
-    gets its own nested DE, seeded with `seeds[row]`, minimizing
-    (E[response] - m)^2 over the same box as the outer problem,
+    `ouq_solve` calls it once, for the rows of its initial population that
+    `repair_block` leaves infeasible.  Each seed starts its own nested DE
+    from a uniform population over the box of the outer problem,
+    minimizing (E[response] - m)^2 over weight-renormalized vectors,
     terminating at value-to-reach d^2 (i.e. |E - m| <= d), for at most
-    `problem.inner.max_generations` generations.  The row takes slot 0 of
-    its run's population; the other slots are drawn uniformly from the box.
-    The runs go in lockstep (`de_lockstep`): each inner generation of all
-    still-running runs is renormalized and costed as one block, and a
-    run's result is the one it would reach alone.
+    `problem.inner.max_generations` generations.  The runs go in lockstep
+    (`de_lockstep`): each inner generation of all still-running runs is
+    renormalized and costed as one block, and a run's result is the one it
+    would reach alone.  When any member of the initial population already
+    lies in the band, as on the reference problem for every run, the run
+    stops at generation 0 with the member whose expectation is nearest m.
 
-    A row's result is the parameter vector of its run's best member, which
-    need not be related to the row.  When any member of the initial
-    population already lies in the band (on the reference problem every one
-    of the 9 fallback runs of seed 0 does), the run stops at generation 0
-    and returns the initial member whose expectation is nearest m.  The
-    repair is then a random restart near the band centre, not a small move
-    of the trial.
-
-    Returns the repaired block and the mask `reached`: True where the
-    row's run ended at cost <= d^2, False where it ended above d^2 or its
-    whole initial population was degenerate.  Rows not reached are
-    returned unchanged.  The runs' counts, and the rows not reached as
-    `failures`, are added to `counts`.
+    Returns the best vectors of the runs that ended at cost <= d^2, in seed
+    order, and the mask `reached` over the seeds: False where a run ended
+    above d^2 or its whole initial population was degenerate.  The runs'
+    counts, and the runs not reached as `failures`, are added to `counts`.
     """
     con = problem.constraint
     layout = problem.layout
@@ -242,27 +223,22 @@ def impose_expectation(
     def inner_cost(block: np.ndarray) -> np.ndarray:
         return (expectation_block(block, layout, problem.response) - con.m) ** 2
 
-    def renormalize_weights(block, generation, slots):
-        return normalize_block(block, layout)
-
     reports = de_lockstep(
         inner_cost,
         build_bounds(layout),
         problem.inner,
         seeds,
-        constrain=renormalize_weights,
+        constrain=lambda block, generation: normalize_block(block, layout),
         termination=ValueBelow(con.d**2),
-        initial=block,
     )
-    counts.add(reports)
-    out = np.array(block, dtype=float)
-    reached = np.array(
-        [isinstance(r, SolveReport) and r.opt_cost <= con.d**2 for r in reports], dtype=bool
-    )
-    for row in np.flatnonzero(reached):
-        out[row] = reports[row].opt_params
-    counts.failures += int(np.count_nonzero(~reached))
-    return out, reached
+    hit = [isinstance(r, SolveReport) and r.opt_cost <= con.d**2 for r in reports]
+    ran = [r for r in reports if isinstance(r, SolveReport)]
+    counts.runs += len(reports)
+    counts.generations += sum(r.generations_run for r in ran)
+    counts.evaluations += sum(r.evaluations for r in ran)
+    counts.failures += hit.count(False)
+    best = [r.opt_params for r, ok in zip(reports, hit) if ok]
+    return np.reshape(best, (len(best), layout.param_length)), np.array(hit, dtype=bool)
 
 
 def shift_weights(
@@ -315,24 +291,20 @@ def shift_weights(
 
 
 def repair_block(
-    block: np.ndarray,
-    problem: OUQProblem,
-    inner_seed: Optional[Callable[[int], int]],
-    counts: InnerCounts,
+    block: np.ndarray, problem: OUQProblem, counts: InnerCounts
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Repair every row of a trial block: renormalize weights, then impose the mean band.
+    """Repair every row of a trial block: renormalize weights, then move
+    weight within one factor into the mean band.
 
     Every factor is renormalized, so the outer DE finds no slack in the
     factor masses.  One pass of `atom_values` then serves the whole repair:
     the weight move changes no position, so it gives E of the rows, the g
     of `shift_weights` and E of the moved rows.  Each row outside [m-d, m+d]
     gets the weight move, and keeps it if the moved row is in the band.
-    The rows left over, unchanged, go to the fallback: one
-    `impose_expectation` call, row `row` seeded with `inner_seed(row)`,
-    which is called for those rows only.  With `inner_seed` None there is
-    no fallback and those rows are infeasible.  Returns the repaired block
-    and the constraint protocol's mask `feasible`: False for a row with a
-    zero-mass factor, and for a row left outside the band.
+    Returns the repaired block and the constraint protocol's mask
+    `feasible`: False for a row with a zero-mass factor, and for a row the
+    move leaves outside the band, which comes back normalized and
+    unchanged.
     """
     layout = problem.layout
     out, feasible = normalize_block(block, layout)
@@ -348,14 +320,8 @@ def repair_block(
         e = expectation_of_values(moved, layout, values)
         fixed = (lo <= e) & (e <= hi)
         out[rows[fixed]] = moved[fixed]
+        feasible[rows[~fixed]] = False
         counts.repair_rows += rows.size
-        rows = rows[~fixed]
-    if inner_seed is None:
-        feasible[rows] = False
-    elif rows.size:
-        out[rows], feasible[rows] = impose_expectation(
-            out[rows], problem, [inner_seed(row) for row in rows.tolist()], counts
-        )
     return out, feasible
 
 
@@ -364,11 +330,13 @@ def constrain_params(
     problem: OUQProblem,
     inner_seed: Optional[int] = None,
 ) -> np.ndarray:
-    """Repair one trial vector as repair_block does.
+    """Repair one trial vector as `ouq_solve` repairs its initial
+    population: `repair_block`, then the fallback seeded with `inner_seed`
+    (by default `problem.inner.seed`).
 
-    Raises ZeroMassMeasure for all-zero weights of a factor and
-    ConstraintViolation when the band cannot be reached; the caller
-    treats either as an infeasible trial.
+    Raises ZeroMassMeasure for all-zero weights of a factor, before any
+    fallback, and ConstraintViolation when the fallback misses the band;
+    the caller treats either as an infeasible trial.
     """
     layout = problem.layout
     params = np.asarray(params, dtype=float)
@@ -377,12 +345,15 @@ def constrain_params(
             f"expected {layout.param_length} finite parameters for layout "
             f"{layout.npts_per_dim}, got {params.tolist()}"
         )
-    seed = problem.inner.seed if inner_seed is None else inner_seed
-    out, feasible = repair_block(params[None, :], problem, lambda row: seed, InnerCounts())
+    out, feasible = repair_block(params[None, :], problem, InnerCounts())
     if feasible[0]:
         return out[0]
     if not (factor_masses(params[None, :], layout) > 0.0).all():
         raise ZeroMassMeasure("cannot normalize a measure with zero total mass")
+    seed = problem.inner.seed if inner_seed is None else inner_seed
+    best, reached = impose_expectation(problem, [seed], InnerCounts())
+    if reached[0]:
+        return best[0]
     raise ConstraintViolation("the fallback repair did not reach the mean band")
 
 
@@ -407,21 +378,25 @@ def ouq_solve(
     returns a non-finite value.
 
     Each outer generation is repaired and costed as one block
-    (`de_solve(vectorized=True)`).  Its out-of-band rows get the weight
-    move.  In the initial population the rows it cannot repair run the
-    nested DE, all of them in lockstep, each with an inner seed derived
-    from (outer seed, slot); from generation 1 on they are infeasible.
+    (`de_solve(vectorized=True)`); `repair_block` gives its out-of-band
+    rows the weight move.  In the initial population, every row it leaves
+    infeasible, a zero-mass row too, is replaced by the fallback's draw,
+    all of them in one lockstep, row `row` with the inner seed derived
+    from (outer seed, row); from generation 1 on such rows are infeasible.
     The result's `inner` holds the repair counts and the totals of those
     runs.
     """
-    outer_seed = problem.outer.seed
     inner = InnerCounts()
 
-    def repair(block: np.ndarray, generation: int, slots: np.ndarray):
-        def inner_seed(row: int) -> int:
-            return _derive_inner_seed(outer_seed, int(slots[row]))
-
-        return repair_block(block, problem, inner_seed if generation == 0 else None, inner)
+    def repair(block: np.ndarray, generation: int):
+        out, feasible = repair_block(block, problem, inner)
+        rows = np.flatnonzero(~feasible)
+        if generation == 0 and rows.size:
+            seeds = [_derive_inner_seed(problem.outer.seed, row) for row in rows.tolist()]
+            best, reached = impose_expectation(problem, seeds, inner)
+            out[rows[reached]] = best
+            feasible[rows] = reached
+        return out, feasible
 
     report = de_solve(
         lambda block: cost_block(block, problem, audit=audit),

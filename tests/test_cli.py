@@ -17,7 +17,7 @@ import ouq.errors as errors_mod
 import ouq.registry as registry_mod
 import ouq.cli
 from ouq import ChangeOverGeneration, event_probability, flatten, ouq_solve, perforation_area
-from ouq.de import Strategy
+from ouq.de import Strategy, de_lockstep
 from ouq.errors import ConfigError, DomainError, InfeasibleConstrain
 from ouq.solver import InnerCounts, impose_expectation
 from ouq.cli import build_problem, main, measure_from_dict, measure_to_dict
@@ -108,6 +108,38 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="1, bogus_key"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("runs: 1\n", "runs: 10\nruns: 2\n"),
+            ("  npop: 40\n", "  npop: 40\n  npop: 30\n"),
+            ("[2.1, 2.8]", "{lower: 2.1, upper: 2.8, lower: 2.2}"),
+        ],
+        ids=["top_level", "nested", "flow_mapping"],
+    )
+    def test_duplicate_key_rejected(self, tmp_path, capsys, old, new):
+        # the last value would silently win
+        path, outdir = write_tiny_config(tmp_path, **{old: new})
+        with pytest.raises(ConfigError, match="duplicate key"):
+            load_config(path)
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not outdir.exists()
+
+    def test_unhashable_key_rejected(self, tmp_path):
+        path, _ = write_tiny_config(tmp_path, **{"seed: 0": "[1]: 3\nseed: 0"})
+        with pytest.raises(ConfigError, match="unhashable"):
+            load_config(path)
+
+    @pytest.mark.parametrize("unit", ["[mils]", "{a: 1}", "1"], ids=["list", "mapping", "number"])
+    def test_non_string_unit_rejected(self, tmp_path, capsys, unit):
+        path, outdir = write_tiny_config(tmp_path, **{"unit: mils": f"unit: {unit}"})
+        with pytest.raises(ConfigError, match=r"bounds_per_dim\[0\]\.unit: unknown unit"):
+            load_config(path)
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not outdir.exists()
+
     def test_unknown_nested_key_rejected(self, tmp_path):
         path, _ = write_tiny_config(tmp_path, **{"npop: 40": "npop: 40\n  banana: 1"})
         with pytest.raises(ConfigError):
@@ -167,16 +199,12 @@ class TestLoadConfig:
         problem = build_problem(load_config(path), seed=0)
         assert problem.inner.max_generations == 3
 
-        params = np.array(
-            [0.5, 0.5, 1.524, 2.667, 0.5, 0.5, 0.0, 0.1, 0.5, 0.5, 2.2885, 2.8]
-        )
         counts = InnerCounts()
-        out, reached = impose_expectation(params[None, :], problem, [1], counts)
-        assert reached.tolist() == [False]
+        best, reached = impose_expectation(problem, [1], counts)
+        assert reached.tolist() == [False] and len(best) == 0
         assert counts.generations == 3  # the run exhausted its 3 generations
         assert counts.failures == 1
         assert de_reports[0].opt_cost > problem.constraint.d**2
-        assert np.array_equal(out[0], params)
         assert [r.generations_run for r in de_reports] == [3]
 
     def test_parse_error(self, tmp_path):
@@ -188,7 +216,7 @@ class TestLoadConfig:
     @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML has no libyaml")
     def test_libyaml_and_pure_python_loaders_agree(self, tmp_path, monkeypatch):
         fast = load_config(PAPER_CONFIG)
-        monkeypatch.setattr(config_mod, "_YAML_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr(config_mod, "_Loader", yaml.SafeLoader)
         assert load_config(PAPER_CONFIG) == fast
         path = tmp_path / "broken.config"
         path.write_text("response: [unclosed\n")
@@ -368,8 +396,8 @@ class TestSolve:
     @pytest.mark.parametrize(
         "band, generations, evaluations, bound",
         [
-            ("[5.5, 7.5]", 33, 1353, 0.37880329471797675),
-            ("[6.4, 6.6]", 31, 1251, 0.27715645412833534),
+            ("[5.5, 7.5]", 20, 833, 0.37804727719574766),
+            ("[6.4, 6.6]", 37, 1503, 0.2771543682362208),
         ],
         ids=["reference", "narrow_band"],
     )
@@ -393,8 +421,8 @@ class TestSolve:
     @pytest.mark.parametrize(
         "band, counts",
         [
-            ("[5.5, 7.5]", (33, 1353, 9, 0, 180, 397, 0)),
-            ("[6.4, 6.6]", (31, 1251, 20, 18, 760, 811, 0)),
+            ("[5.5, 7.5]", (20, 833, 9, 0, 180, 293, 0)),
+            ("[6.4, 6.6]", (37, 1503, 20, 12, 640, 884, 0)),
         ],
         ids=["reference", "narrow_band"],
     )
@@ -704,6 +732,11 @@ class TestContract:
         assert [(p.name, p.kind is inspect.Parameter.KEYWORD_ONLY) for p in params.values()] == [
             ("cost", False), ("bounds", False), ("settings", False), ("constrain", False),
             ("termination", False), ("trace_hook", True), ("vectorized", True),
+        ]
+        params = inspect.signature(de_lockstep).parameters
+        assert [(p.name, p.kind is inspect.Parameter.KEYWORD_ONLY) for p in params.values()] == [
+            ("cost", False), ("bounds", False), ("settings", False), ("seeds", False),
+            ("constrain", False), ("termination", False), ("trace_hook", True),
         ]
         assert "limit_func" in inspect.signature(registry_mod.register_response).parameters
 

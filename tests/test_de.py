@@ -261,7 +261,7 @@ class TestDeSolve:
         assert report.opt_params[0] == pytest.approx(2.0, abs=1e-4)
 
     def test_constraint_projection_applied_before_evaluation(self):
-        def pin_first(block, generation, slots):
+        def pin_first(block, generation):
             block = block.copy()
             block[:, 0] = 1.0
             return block, np.ones(len(block), dtype=bool)
@@ -343,27 +343,6 @@ class TestDeSolve:
         assert report.generations_run == 0
         assert report.terminated_by == "value_below"
 
-    def test_initial_member_seeds_population(self):
-        # de_lockstep's initial takes slot 0, as the fallback repair seeds its runs
-        blocks = []
-
-        def record(block, generation, slots):
-            blocks.append(block.copy())
-            return block, np.ones(len(block), dtype=bool)
-
-        (report,) = de_lockstep(
-            lambda block: np.abs(block[:, 0] - 0.25),
-            Bounds.from_pairs([(0.0, 1.0)]),
-            DESettings(npop=5, max_generations=50),
-            [11],
-            record,
-            ValueBelow(0.0),
-            initial=[np.array([0.25])],
-        )
-        assert report.generations_run == 0 and len(blocks) == 1
-        assert blocks[0][0].tolist() == [0.25]
-        assert report.opt_cost == 0.0
-
     def test_trace_hook_invoked_per_generation(self):
         calls = []
         de_solve(
@@ -382,7 +361,7 @@ class TestInfeasibleTrials:
         # the unconstrained minimum (3, 0) lies in the rejected half x0 > 1
         rejected, evaluated = [], []
 
-        def right_half_infeasible(block, generation, slots):
+        def right_half_infeasible(block, generation):
             feasible = block[:, 0] <= 1.0
             rejected.extend(block[~feasible])
             return block, feasible
@@ -404,7 +383,7 @@ class TestInfeasibleTrials:
         assert report.opt_params == pytest.approx([1.0, 0.0], abs=1e-2)
 
     def test_all_infeasible_generation_leaves_population_unchanged(self):
-        def generation_3_infeasible(block, generation, slots):
+        def generation_3_infeasible(block, generation):
             return block, np.full(len(block), generation != 3)
 
         report = de_solve(
@@ -423,8 +402,8 @@ class TestInfeasibleTrials:
 
     def test_vectorized_matches_one_row_at_a_time(self):
         # a per-vector cost and a block cost give one trajectory
-        def reject_right_half(block, generation, slots):
-            assert slots.tolist() == list(range(10))
+        def reject_right_half(block, generation):
+            assert block.shape == (10, 2)  # one run: its npop trials
             return block, block[:, 0] <= 1.0
 
         args = (Bounds.from_pairs([(-5.0, 5.0)] * 2), DESettings(npop=10, seed=13, max_generations=60))
@@ -439,7 +418,7 @@ class TestInfeasibleTrials:
         ]
 
     def test_all_infeasible_initial_population_raises(self):
-        def initial_infeasible(block, generation, slots):
+        def initial_infeasible(block, generation):
             return block, np.full(len(block), generation != 0)
 
         with pytest.raises(InfeasibleConstrain, match="initial population"):
@@ -459,7 +438,7 @@ class TestLockstep:
     SEEDS = [4, 17, 4, 99]
 
     @staticmethod
-    def left_half(block, generation, slots):
+    def left_half(block, generation):
         return block, block[:, 0] <= 1.0
 
     def test_each_run_matches_de_solve(self):
@@ -481,32 +460,42 @@ class TestLockstep:
                 (r.generation, r.best_cost, r.best_params.tolist()) for r in alone.trace
             ]
 
+    def test_rows_come_npop_per_run_in_seed_order(self):
+        # row r of every block is slot r % npop of run r // npop, as in the
+        # block the run's own de_solve passes to constrain
+        def recorder(blocks):
+            def record(block, generation):
+                blocks.append((generation, block.copy()))
+                return block, np.ones(len(block), dtype=bool)
+            return record
+
+        npop, shared = self.SETTINGS.npop, []
+        de_lockstep(sphere_block, self.BOUNDS, self.SETTINGS, self.SEEDS, recorder(shared))
+        assert [g for g, _ in shared] == list(range(41))
+        for k, seed in enumerate(self.SEEDS):
+            alone = []
+            de_solve(
+                sphere_block, self.BOUNDS, replace(self.SETTINGS, seed=seed), recorder(alone),
+                vectorized=True,
+            )
+            for (_, block), (_, own) in zip(shared, alone, strict=True):
+                assert np.array_equal(block[k * npop:(k + 1) * npop], own)
+
     def test_infeasible_run_fails_alone(self):
         npop = self.SETTINGS.npop
 
-        def second_run_infeasible_at_start(block, generation, slots):
-            feasible = np.ones(len(block), dtype=bool)
-            if generation == 0:
-                feasible[npop:2 * npop] = False
-            return block, feasible
+        def second_run_infeasible_at_start(block, generation):
+            return block, (np.arange(len(block)) // npop != 1) | (generation != 0)
 
-        initial = np.zeros((3, 3))
         runs = de_lockstep(
-            sphere_block, self.BOUNDS, self.SETTINGS, [1, 2, 3],
-            second_run_infeasible_at_start, initial=initial,
+            sphere_block, self.BOUNDS, self.SETTINGS, [1, 2, 3], second_run_infeasible_at_start
         )
         assert isinstance(runs[1], InfeasibleConstrain)
         assert "entire initial population" in str(runs[1])
         for seed, run in [(1, runs[0]), (3, runs[2])]:
-            (alone,) = de_lockstep(
-                sphere_block, self.BOUNDS, self.SETTINGS, [seed], initial=[initial[0]]
-            )
+            (alone,) = de_lockstep(sphere_block, self.BOUNDS, self.SETTINGS, [seed])
             assert (run.generations_run, run.evaluations) == (40, alone.evaluations)
             assert np.array_equal(run.opt_params, alone.opt_params)
 
     def test_no_seeds_no_runs(self):
         assert de_lockstep(sphere_block, self.BOUNDS, self.SETTINGS, []) == []
-
-    def test_initial_count_must_match(self):
-        with pytest.raises(ValueError, match="2 initial vectors for 1 runs"):
-            de_lockstep(sphere_block, self.BOUNDS, self.SETTINGS, [0], initial=np.zeros((2, 3)))
