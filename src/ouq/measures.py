@@ -11,13 +11,13 @@ first the weights, then the positions, i.e. for two points per axis in 3D
 
     [w_x1, w_x2, x1, x2, w_y1, w_y2, y1, y2, w_z1, w_z2, z1, z2]
 
-The block kernels (`factor_masses`, `normalize_block`, `expectation_block`,
-`event_probability_block`) work on an (m, param_length) block of such
-vectors at once, without building measure objects, and repeat the
+The block kernels (`factor_masses`, `normalize_block`, `atom_values`,
+`expectation_of_values`, `expectation_block`,
+`conditional_expectations_block`) work on an (m, param_length) block of
+such vectors at once, without building measure objects, and repeat the
 arithmetic of their per-measure counterparts operation for operation.
-`expectation_block` is `atom_values`, the one call of the response, then
-`expectation_of_values`; the band repair feeds one `atom_values` pass to
-the latter and to `conditional_expectations_block`.
+`atom_values` makes the one array call of the response; a probability is
+the expectation of an indicator of those values.
 """
 
 from __future__ import annotations
@@ -191,8 +191,6 @@ def set_range(m: DiscreteMeasure, target: float) -> DiscreteMeasure:
 
 def pack(ms: Sequence[DiscreteMeasure]) -> ProductMeasure:
     """Form the product measure of the given 1D factors, in order."""
-    if len(ms) == 0:
-        raise ValueError("pack needs at least one factor")
     return ProductMeasure(tuple(ms))
 
 
@@ -253,16 +251,8 @@ def expectation(p: ProductMeasure, f: Callable[..., float]) -> float:
 
 
 def event_probability(p: ProductMeasure, predicate: Callable[..., bool]) -> float:
-    """Probability of the event {predicate holds} under the product measure."""
-    _check_normalized(p)
-    total = 0.0
-    for combo in itertools.product(*(fac.points for fac in p.factors)):
-        if predicate(*(sp.position for sp in combo)):
-            w = 1.0
-            for sp in combo:
-                w *= sp.weight
-            total += w
-    return total
+    """P(predicate holds) under the product measure: E of its indicator."""
+    return expectation(p, lambda *xs: 1.0 if predicate(*xs) else 0.0)
 
 
 def factor_masses(block: np.ndarray, layout: ParamLayout) -> np.ndarray:
@@ -389,14 +379,3 @@ def conditional_expectations_block(
               for k in range(len(weights))]
     return (np.stack(others) * values) @ onehot
 
-
-def event_probability_block(
-    block: np.ndarray, layout: ParamLayout, predicate: Callable
-) -> np.ndarray:
-    """Probability of {predicate holds} under the measure of every row of a block.
-
-    The predicate is called once on (m, A) position arrays and must return
-    a boolean array: the probability is the expectation of its indicator.
-    """
-    positions = [block[:, cols] for cols in _atom_columns(layout)[1]]
-    return expectation_of_values(block, layout, predicate(*positions))

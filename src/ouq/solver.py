@@ -19,7 +19,8 @@ Both loops work on whole generations: repair and cost take
 (m, param_length) blocks through the block kernels of `measures`.  The
 repair makes one pass of atom values per generation, which gives E of
 the trials, the g of the weight move and E of the moved trials; the cost
-calls the response once more.  The fallback's nested runs go in lockstep
+makes one more, on the repaired trials, whose values also give a
+`FeasibilityAudit` its E.  The fallback's nested runs go in lockstep
 (`de_lockstep`), so each inner generation of all of them is one block too.
 `constrain_params` is the repair of the initial population, fallback
 included, for one vector.
@@ -53,7 +54,6 @@ from .measures import (
     atom_values,
     conditional_expectations_block,
     event_probability,
-    event_probability_block,
     expectation,
     expectation_block,
     expectation_of_values,
@@ -97,6 +97,9 @@ class MeanConstraint:
 
 @dataclass(frozen=True)
 class OUQProblem:
+    """The failure event is |response| <= failure_tolerance; its probability
+    is bounded over the measures of `layout` with E[response] in the band."""
+
     response: Callable[..., float]
     layout: ParamLayout
     constraint: MeanConstraint
@@ -114,11 +117,6 @@ class OUQProblem:
                 "outer value_below tolerance must be negative (the outer cost is -P;"
                 f" -0.3 stops at bound 0.3), got {rule.tolerance}"
             )
-
-    def failure_predicate(self) -> Callable[..., bool]:
-        tol = self.failure_tolerance
-        resp = self.response
-        return lambda *xs: abs(resp(*xs)) <= tol
 
 
 @dataclass
@@ -183,15 +181,17 @@ def cost_block(
     problem: OUQProblem,
     audit: Optional[FeasibilityAudit] = None,
 ) -> np.ndarray:
-    """Negative failure probability of the measure of every row of a block."""
+    """Negative failure probability of the measure of every row of a block,
+    from one `atom_values` pass, which the audit's E shares."""
     layout = problem.layout
+    values = atom_values(block, layout, problem.response)
     if audit is not None:
         audit.record(
             factor_masses(block, layout),
-            expectation_block(block, layout, problem.response),
+            expectation_of_values(block, layout, values),
             problem.constraint.band,
         )
-    return -event_probability_block(block, layout, problem.failure_predicate())
+    return -expectation_of_values(block, layout, np.abs(values) <= problem.failure_tolerance)
 
 
 def impose_expectation(

@@ -27,7 +27,6 @@ from ouq.measures import (
     SupportPoint,
     atom_values,
     conditional_expectations_block,
-    event_probability_block,
     expectation_block,
     factor_masses,
     normalize_block,
@@ -252,10 +251,11 @@ class TestExpectation:
         assert got == pytest.approx(want, abs=1e-12)
         assert got == pytest.approx(5.5, abs=0.01)
 
-    def test_rejects_unnormalized_factor(self):
+    @pytest.mark.parametrize("integral", [expectation, event_probability])
+    def test_rejects_unnormalized_factor(self, integral):
         p = pack([dm([2.0], [0.0])])
         with pytest.raises(ValueError, match="normalize before integrating"):
-            expectation(p, lambda x: x)
+            integral(p, lambda x: x > 0.0)
 
 
 class TestEventProbability:
@@ -410,7 +410,7 @@ def test_block_kernels_match_per_measure_functions(case):
     assert expectation_block(block, layout, poly).tolist() == [
         expectation(p, poly) for p in products
     ]
-    assert event_probability_block(block, layout, below_line).tolist() == [
+    assert expectation_block(block, layout, below_line).tolist() == [
         event_probability(p, below_line) for p in products
     ]
     assert expectation_block(block, layout, smooth) == pytest.approx(

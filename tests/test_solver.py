@@ -7,10 +7,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import ouq.measures as measures_mod
 import ouq.solver as solver_mod
 from ouq import (
     ChangeOverGeneration,
     DESettings,
+    FeasibilityAudit,
     MeanConstraint,
     OUQProblem,
     ParamLayout,
@@ -635,7 +637,9 @@ def counted(problem):
 
 class TestOneResponsePass:
     """The repair calls the response once, at the normalized rows' atoms:
-    for E, for the g of the weight move and for E of the moved rows."""
+    for E, for the g of the weight move and for E of the moved rows.  In a
+    solve every array call of the response goes through `atom_values`, and
+    the audit shares the cost's pass."""
 
     def test_weight_move_rows(self, de_reports):
         problem, calls = counted(paper_problem())
@@ -659,6 +663,43 @@ class TestOneResponsePass:
         _, feasible = repair_block(block, problem, InnerCounts())
         assert feasible.tolist() == [True, True, False]
         assert fallback_calls == [] and calls == [(3, 4)]  # 3 rows of 4 atoms
+
+    @staticmethod
+    def solve_array_calls(audit=None):
+        """Short paper.config solve: the response's array calls, each flagged
+        True when it came from inside `measures.atom_values`."""
+        depth, calls = [0], []
+        real_atom_values = measures_mod.atom_values
+
+        def atom_values(*args):
+            depth[0] += 1
+            try:
+                return real_atom_values(*args)
+            finally:
+                depth[0] -= 1
+
+        def response(*xs):
+            if isinstance(xs[0], np.ndarray):
+                calls.append(depth[0] > 0)
+            return perforation_area(*xs)
+
+        problem = build_problem(load_config(PAPER_CONFIG), 0)
+        problem = replace(problem, response=response, outer=replace(problem.outer, max_generations=5))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measures_mod, "atom_values", atom_values)
+            patch.setattr(solver_mod, "atom_values", atom_values)
+            ouq_solve(problem, audit=audit)
+        return calls
+
+    def test_solve_calls_the_response_on_arrays_only_in_atom_values(self):
+        calls = self.solve_array_calls()
+        assert calls and all(calls)
+
+    def test_audit_adds_no_response_call(self):
+        audit = FeasibilityAudit()
+        with_audit = self.solve_array_calls(audit)
+        assert audit.evaluations > 0
+        assert len(with_audit) == len(self.solve_array_calls())
 
 
 def sum_problem():
@@ -870,9 +911,9 @@ class TestOuqSolve:
     def test_bound_matches_maximizer_probability(self):
         problem = paper_problem(seed=0, outer_max=60)
         result = ouq_solve(problem)
-        pred = problem.failure_predicate()
+        failure = lambda *xs: abs(problem.response(*xs)) <= problem.failure_tolerance
         assert result.probability_bound == pytest.approx(
-            event_probability(result.maximizer, pred), abs=1e-12
+            event_probability(result.maximizer, failure), abs=1e-12
         )
         assert 0.0 <= result.probability_bound <= 1.0
         assert 5.5 - 1e-6 <= result.expectation_at_maximizer <= 7.5 + 1e-6
