@@ -1,8 +1,10 @@
 """Optimal uncertainty quantification over product measures of Dirac masses.
 
 Computes optimal upper bounds on failure probabilities by differential-
-evolution search over finite-dimensional product measures, with moment
-constraints enforced by a nested inner optimization.  Ships with the
+evolution search over finite-dimensional product measures.  The mean
+constraint is enforced by repair: each trial's weight is moved within one
+factor into the band, and a nested inner optimization only seeds the
+initial population's trials that the move cannot repair.  Ships with the
 hypervelocity-impact perforation surrogate.
 
 The names below are the public surface; everything else (exception

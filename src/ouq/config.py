@@ -201,7 +201,7 @@ def _parse_termination(value, where: str) -> TerminationRule:
 
 
 def _parse_de_settings(value, where: str) -> DESettings:
-    # the seed is not a file key: build_problem sets it per run
+    # the seed is not a file key: build_problem sets the outer one per run
     return _build(DESettings, value, where, fixed=("seed",))
 
 
@@ -222,14 +222,15 @@ _PARSERS = {
 
 
 def build_problem(config: RunConfig, seed: int) -> OUQProblem:
-    """The OUQ problem of a run configuration, with both DEs seeded by `seed`."""
+    """The OUQ problem of a run configuration, with the outer DE seeded by
+    `seed`; the fallback's nested runs derive their seeds from it."""
     return OUQProblem(
         response=get_response(config.response).func,
         layout=ParamLayout(config.npts_per_dim, config.bounds_per_dim),
         constraint=MeanConstraint.from_band(*config.mean_band),
         failure_tolerance=config.failure_tolerance,
         outer=replace(config.outer, seed=seed),
-        inner=replace(config.inner, seed=seed),
+        inner=config.inner,
         outer_termination=config.outer_termination,
     )
 

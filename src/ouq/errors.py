@@ -14,16 +14,7 @@ class ConfigError(OUQError):
     """The run configuration cannot be parsed, validated or resolved."""
 
 
-class ConstraintViolation(OUQError):
-    """A trial parameter vector cannot be made feasible.
-
-    Raised by `constrain_params`, the one-vector form of the band repair.
-    The block repair that `ouq_solve` runs raises none: it marks such rows
-    False in the mask it hands the optimizer.
-    """
-
-
-class ZeroMassMeasure(ConstraintViolation):
+class ZeroMassMeasure(OUQError):
     """All weights of a discrete measure are zero; normalization is undefined."""
 
 

@@ -22,8 +22,8 @@ the trials, the g of the weight move and E of the moved trials; the cost
 makes one more, on the repaired trials, whose values also give a
 `FeasibilityAudit` its E.  The fallback's nested runs go in lockstep
 (`de_lockstep`), so each inner generation of all of them is one block too.
-`constrain_params` is the repair of the initial population, fallback
-included, for one vector.
+`constrain_params` is the one constraint the outer DE gets: the weight move
+for every generation, then the fallback for the initial population.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .de import (
     de_lockstep,
     de_solve,
 )
-from .errors import ConstraintViolation, ZeroMassMeasure
 # event_probability, flatten and normalize are not called here, but
 # ouq.solver keeps naming the whole measure layer: perfbench wraps these
 # names on this module
@@ -325,43 +324,34 @@ def repair_block(
     return out, feasible
 
 
-def constrain_params(
-    params: np.ndarray,
-    problem: OUQProblem,
-    inner_seed: Optional[int] = None,
-) -> np.ndarray:
-    """Repair one trial vector as `ouq_solve` repairs its initial
-    population: `repair_block`, then the fallback seeded with `inner_seed`
-    (by default `problem.inner.seed`).
-
-    Raises ZeroMassMeasure for all-zero weights of a factor, before any
-    fallback, and ConstraintViolation when the fallback misses the band;
-    the caller treats either as an infeasible trial.
-    """
-    layout = problem.layout
-    params = np.asarray(params, dtype=float)
-    if params.shape != (layout.param_length,) or not np.all(np.isfinite(params)):
-        raise ValueError(
-            f"expected {layout.param_length} finite parameters for layout "
-            f"{layout.npts_per_dim}, got {params.tolist()}"
-        )
-    out, feasible = repair_block(params[None, :], problem, InnerCounts())
-    if feasible[0]:
-        return out[0]
-    if not (factor_masses(params[None, :], layout) > 0.0).all():
-        raise ZeroMassMeasure("cannot normalize a measure with zero total mass")
-    seed = problem.inner.seed if inner_seed is None else inner_seed
-    best, reached = impose_expectation(problem, [seed], InnerCounts())
-    if reached[0]:
-        return best[0]
-    raise ConstraintViolation("the fallback repair did not reach the mean band")
-
-
 def _derive_inner_seed(outer_seed: int, slot: int) -> int:
     # Child streams keyed by (0, slot), 0 for the initial population, so
     # nested runs never perturb the outer RNG stream.
     ss = np.random.SeedSequence(entropy=outer_seed, spawn_key=(0, slot))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def constrain_params(
+    block: np.ndarray, generation: int, problem: OUQProblem, counts: InnerCounts
+) -> tuple[np.ndarray, np.ndarray]:
+    """The constraint of `ouq_solve`: repair one outer generation.
+
+    `repair_block` gives the out-of-band rows the weight move.  In the
+    initial population (`generation` 0), every row it leaves infeasible, a
+    zero-mass row too, is replaced by the fallback's draw, all of them in
+    one lockstep, row `row` with the inner seed derived from (outer seed,
+    row); a row the fallback does not bring into the band stays
+    infeasible.  From generation 1 on such rows are infeasible.  Returns
+    the repaired block and its mask `feasible`.
+    """
+    out, feasible = repair_block(block, problem, counts)
+    rows = np.flatnonzero(~feasible)
+    if generation == 0 and rows.size:
+        seeds = [_derive_inner_seed(problem.outer.seed, row) for row in rows.tolist()]
+        best, reached = impose_expectation(problem, seeds, counts)
+        out[rows[reached]] = best
+        feasible[rows] = reached
+    return out, feasible
 
 
 def ouq_solve(
@@ -377,32 +367,17 @@ def ouq_solve(
     outer population can be repaired, and DomainError when the response
     returns a non-finite value.
 
-    Each outer generation is repaired and costed as one block
-    (`de_solve(vectorized=True)`); `repair_block` gives its out-of-band
-    rows the weight move.  In the initial population, every row it leaves
-    infeasible, a zero-mass row too, is replaced by the fallback's draw,
-    all of them in one lockstep, row `row` with the inner seed derived
-    from (outer seed, row); from generation 1 on such rows are infeasible.
-    The result's `inner` holds the repair counts and the totals of those
-    runs.
+    Each outer generation is repaired by `constrain_params` and costed as
+    one block (`de_solve(vectorized=True)`).  The result's `inner` holds the
+    repair counts and the totals of the fallback's nested runs.
     """
     inner = InnerCounts()
-
-    def repair(block: np.ndarray, generation: int):
-        out, feasible = repair_block(block, problem, inner)
-        rows = np.flatnonzero(~feasible)
-        if generation == 0 and rows.size:
-            seeds = [_derive_inner_seed(problem.outer.seed, row) for row in rows.tolist()]
-            best, reached = impose_expectation(problem, seeds, inner)
-            out[rows[reached]] = best
-            feasible[rows] = reached
-        return out, feasible
-
     report = de_solve(
         lambda block: cost_block(block, problem, audit=audit),
         build_bounds(problem.layout),
         problem.outer,
-        constrain=repair,
+        # looked up per call, so a wrapper set on the module sees every generation
+        constrain=lambda block, generation: constrain_params(block, generation, problem, inner),
         termination=problem.outer_termination,
         trace_hook=trace_hook,
         vectorized=True,

@@ -25,7 +25,7 @@ from ouq import (
 )
 from ouq.config import build_problem, load_config
 from ouq.de import Strategy, ValueBelow, de_lockstep
-from ouq.errors import ConstraintViolation, InfeasibleConstrain, ZeroMassMeasure
+from ouq.errors import InfeasibleConstrain
 from ouq.measures import (
     atom_values,
     conditional_expectations_block,
@@ -59,6 +59,12 @@ def paper_problem(seed=0, band=(5.5, 7.5), outer_max=500):
         inner=DESettings(npop=20, seed=seed),
         outer_termination=ChangeOverGeneration(1e-4, 10),
     )
+
+
+def paper_closed_form(band):
+    """The best bound of the reference problem: thin-plate mass carries the
+    lower mean bound, the rest sits on the thick plate at its ballistic limit."""
+    return 1.0 - band[0] / perforation_area(1.524, 0.0, ballistic_limit(2.667, 0.0))
 
 
 def toy_problem(response, npts=(2,), bounds=((0.0, 10.0),), band=(4.5, 5.5), seed=0, inner=None):
@@ -159,63 +165,68 @@ class TestOuqCost:
 
 
 class TestConstrainParams:
-    def test_idempotent_when_feasible(self):
+    """The constraint `ouq_solve` hands the outer DE: one generation's block."""
+
+    def test_idempotent_when_feasible(self, de_reports):
         problem = paper_problem()
         # thin-plate weight 0.63 puts the expectation at ~5.578, inside the band
         params = np.array(
             [0.63, 0.37, 1.524, 2.667, 1.0, 0.0, 0.0, 0.1, 1.0, 0.0, 2.2885, 2.8]
         )
-        out = constrain_params(params, problem)
-        assert np.array_equal(out, params)
+        out, feasible = constrain_params(params[None, :], 0, problem, InnerCounts())
+        assert feasible.tolist() == [True] and de_reports == []
+        assert np.array_equal(out[0], params)
 
     def test_normalization_only(self, de_reports):
         problem = paper_problem()
         params = np.array(
             [1.26, 0.74, 1.524, 2.667, 2.0, 0.0, 0.0, 0.1, 1.0, 0.0, 2.2885, 2.8]
         )
-        out = constrain_params(params, problem)
+        out, feasible = constrain_params(params[None, :], 0, problem, InnerCounts())
+        assert feasible.tolist() == [True]
         assert de_reports == []  # no nested run started
-        assert out[:2] == pytest.approx([0.63, 0.37])
-        assert out[4:6] == pytest.approx([1.0, 0.0])
-        assert out[2:4].tolist() == [1.524, 2.667]  # positions untouched
+        assert out[0, :2] == pytest.approx([0.63, 0.37])
+        assert out[0, 4:6] == pytest.approx([1.0, 0.0])
+        assert out[0, 2:4].tolist() == [1.524, 2.667]  # positions untouched
 
     def test_output_is_fixed_point_without_inner_loop(self, de_reports):
         problem = paper_problem(seed=5)
         rng = np.random.default_rng(99)
         bounds = build_bounds(problem.layout)
-        repaired_by_inner_loop = 0
-        for trial in range(20):
-            params = rng.uniform(bounds.lower, bounds.upper)
-            de_reports.clear()
-            try:
-                repaired = constrain_params(params, problem, inner_seed=trial)
-            except ConstraintViolation:
-                continue
-            repaired_by_inner_loop += len(de_reports)
-            de_reports.clear()
-            again = constrain_params(repaired, problem)
-            assert de_reports == []  # band already satisfied: no inner loop
-            assert again == pytest.approx(repaired, abs=1e-12)
-        assert repaired_by_inner_loop > 0  # some trials did go through the inner loop
+        block = rng.uniform(bounds.lower, bounds.upper, size=(20, len(bounds)))
+        repaired, feasible = constrain_params(block, 0, problem, InnerCounts())
+        assert len(de_reports) > 0  # some trials did go through the inner loop
+        de_reports.clear()
+        again, still = constrain_params(repaired[feasible], 0, problem, InnerCounts())
+        assert de_reports == []  # band already satisfied: no inner loop
+        assert still.all() and again == pytest.approx(repaired[feasible], abs=1e-12)
 
-    def test_zero_mass_rejected(self):
+    def test_zero_mass_rejected(self, de_reports):
+        # a zero-mass row is infeasible from generation 1 on; in the initial
+        # population it gets the fallback's draw, like any row the move leaves
         problem = paper_problem()
         params = np.zeros(12)
         params[2:4] = 2.0
         params[10:12] = 2.5
-        with pytest.raises(ZeroMassMeasure):
-            constrain_params(params, problem)
+        counts = InnerCounts()
+        _, feasible = constrain_params(params[None, :], 1, problem, counts)
+        assert feasible.tolist() == [False] and de_reports == [] and counts == InnerCounts()
+        out, feasible = constrain_params(params[None, :], 0, problem, InnerCounts())
+        want, _ = impose_expectation(problem, [_derive_inner_seed(0, 0)], InnerCounts())
+        assert feasible.tolist() == [True] and np.array_equal(out[0], want[0])
 
-    def test_unreachable_band_rejected(self):
+    def test_unreachable_band_rejected(self, de_reports):
         problem = toy_problem(
             lambda x: x,
             band=(99.0, 101.0),
             seed=2,
             inner=DESettings(npop=10, seed=2, max_generations=5),
         )
-        with pytest.raises(ConstraintViolation) as info:
-            constrain_params(np.array([0.5, 0.5, 4.0, 6.0]), problem)
-        assert not isinstance(info.value, ZeroMassMeasure)
+        counts = InnerCounts()
+        out, feasible = constrain_params(np.array([[0.5, 0.5, 4.0, 6.0]]), 0, problem, counts)
+        assert feasible.tolist() == [False] and counts.failures == 1
+        assert len(de_reports) == 1
+        assert out[0].tolist() == [0.5, 0.5, 4.0, 6.0]  # comes back as it went in
 
 
 class TestImposeExpectation:
@@ -454,19 +465,24 @@ class TestRepairSemantics:
     def test_out_of_band_trial_is_replaced_at_generation_0(self, de_reports):
         problem = paper_problem(seed=0)
         assert expectation(unflatten(self.HIGH, problem.layout), perforation_area) > 7.5
-        out = constrain_params(self.HIGH, problem, inner_seed=0)
+        out, feasible = constrain_params(self.HIGH[None, :], 0, problem, InnerCounts())
+        assert feasible.tolist() == [True]
         assert [r.generations_run for r in de_reports] == [0]
-        assert 5.5 <= expectation(unflatten(out, problem.layout), perforation_area) <= 7.5
-        assert not np.array_equal(out, self.HIGH)
+        assert 5.5 <= expectation(unflatten(out[0], problem.layout), perforation_area) <= 7.5
+        assert not np.array_equal(out[0], self.HIGH)
 
     def test_result_does_not_depend_on_the_trial(self, de_reports):
-        # the fallback is a draw that depends on its seed only
+        # the fallback is a draw that depends on its seed only: the same row
+        # of the initial population gets the same draw
         problem = paper_problem(seed=0)
         assert expectation(unflatten(self.LOW, problem.layout), perforation_area) < 5.5
-        high, low = (constrain_params(trial, problem, inner_seed=3) for trial in (self.HIGH, self.LOW))
+        high, low = (
+            constrain_params(trial[None, :], 0, problem, InnerCounts())[0][0]
+            for trial in (self.HIGH, self.LOW)
+        )
         assert [r.generations_run for r in de_reports] == [0, 0]
         assert np.array_equal(high, low)
-        best, _ = impose_expectation(problem, [3], InnerCounts())
+        best, _ = impose_expectation(problem, [_derive_inner_seed(0, 0)], InnerCounts())
         assert np.array_equal(high, best[0])
 
 
@@ -717,17 +733,21 @@ class TestFallback:
 
     def test_stuck_row_matches_impose_expectation(self, de_reports):
         problem = sum_problem()
-        out = constrain_params(self.STUCK, problem, inner_seed=11)
-        want, reached = impose_expectation(problem, [11], InnerCounts())
+        block = np.stack([self.IN_BAND, self.MOVABLE, self.STUCK])
+        out, feasible = constrain_params(block, 0, problem, InnerCounts())
+        want, reached = impose_expectation(problem, [_derive_inner_seed(0, 2)], InnerCounts())
         assert len(de_reports) == 2  # one fallback run, then the oracle's
-        assert reached.tolist() == [True] and np.array_equal(out, want[0])
-        assert not np.array_equal(out, self.STUCK)  # the fallback replaced it
+        assert feasible.all() and reached.tolist() == [True]
+        assert np.array_equal(out[2], want[0])
+        assert not np.array_equal(out[2], self.STUCK)  # the fallback replaced it
 
     def test_inner_seeds_only_for_fallback_rows(self, monkeypatch):
         # in ouq_solve the fallback runs once, at generation 0, with one inner
-        # seed per row that repair_block left infeasible, derived from the row
-        events = []
+        # seed per row that repair_block left infeasible, derived from the row;
+        # constrain_params is looked up on the module for every generation
+        events, generations = [], []
         real_repair, real_impose = solver_mod.repair_block, solver_mod.impose_expectation
+        real_constrain = solver_mod.constrain_params
 
         def repair(*args):
             out, feasible = real_repair(*args)
@@ -738,10 +758,16 @@ class TestFallback:
             events.append(("fallback", list(seeds)))
             return real_impose(problem, seeds, counts)
 
+        def constrain(block, generation, *args):
+            generations.append(generation)
+            return real_constrain(block, generation, *args)
+
         monkeypatch.setattr(solver_mod, "repair_block", repair)
         monkeypatch.setattr(solver_mod, "impose_expectation", impose)
+        monkeypatch.setattr(solver_mod, "constrain_params", constrain)
         for band in [(5.5, 7.5), (6.4, 6.6)]:
             events.clear()
+            generations.clear()
             problem = paper_problem(seed=4, band=band)
             result = ouq_solve(problem)
             kinds = [kind for kind, _ in events]
@@ -749,6 +775,7 @@ class TestFallback:
             rows = np.flatnonzero(~events[0][1]).tolist()
             assert events[1][1] == [_derive_inner_seed(4, row) for row in rows]
             assert len(rows) == result.inner.runs > 0
+            assert generations == list(range(result.report.generations_run + 1))
 
     @pytest.mark.parametrize("edge", [4.5, 5.5])
     @pytest.mark.parametrize("offset", [-1e-12, -1e-15, 0.0, 1e-15, 1e-12])
@@ -811,9 +838,7 @@ class TestPerSeedQuality:
 
     @pytest.mark.parametrize("band", [(5.5, 7.5), (6.4, 6.6)], ids=["reference", "narrow_band"])
     def test_one_run_solves_reach_the_closed_form(self, band):
-        # thin-plate mass carries the lower mean bound, the rest sits on the
-        # thick plate at its ballistic limit
-        closed_form = 1.0 - band[0] / perforation_area(1.524, 0.0, ballistic_limit(2.667, 0.0))
+        closed_form = paper_closed_form(band)
         config = load_config(PAPER_CONFIG)
         misses = []
         for seed in range(50):
@@ -824,14 +849,32 @@ class TestPerSeedQuality:
         assert len(misses) <= 2, misses
 
 
-def test_three_points_per_axis_do_not_beat_two():
+BANDS = pytest.mark.parametrize(
+    "band", [(5.5, 7.5), (6.4, 6.6)], ids=["reference", "narrow_band"]
+)
+
+
+@BANDS
+@pytest.mark.parametrize("npts", [(3, 3, 3), (4, 4, 4)], ids=["3x3x3", "4x4x4"])
+def test_three_points_per_axis_do_not_beat_two(band, npts):
     # with one moment constraint two points per marginal suffice
-    # (Owhadi et al. 2013), so three may not find a higher bound
-    two = max(ouq_solve(paper_problem(seed=s)).probability_bound for s in range(3))
-    three_points = ParamLayout((3, 3, 3), PAPER_LAYOUT.bounds_per_dim)
-    for s in range(3):
-        bound = ouq_solve(replace(paper_problem(seed=s), layout=three_points)).probability_bound
-        assert bound <= two + 0.005
+    # (Owhadi et al. 2013), so more may not find a higher bound
+    layout = ParamLayout(npts, PAPER_LAYOUT.bounds_per_dim)
+    for seed in range(3):
+        result = ouq_solve(replace(paper_problem(seed=seed, band=band), layout=layout))
+        assert result.probability_bound <= paper_closed_form(band) + 1e-12
+
+
+@BANDS
+def test_two_points_on_thickness_alone_reach_the_closed_form(band):
+    # the maximizer needs two points on thickness only: obliquity 0 and one
+    # speed, the thick plate's ballistic limit, serve both of its atoms
+    layout = ParamLayout((2, 1, 1), PAPER_LAYOUT.bounds_per_dim)
+    bounds = [
+        ouq_solve(replace(paper_problem(seed=seed, band=band), layout=layout)).probability_bound
+        for seed in range(10)
+    ]
+    assert paper_closed_form(band) - 1e-5 <= max(bounds) <= paper_closed_form(band) + 1e-12
 
 
 def markov_problem(c, band, npts, seed, tol=0.0, generations=None):
@@ -880,6 +923,40 @@ class TestMarkovOracle:
         result = ouq_solve(problem)
         assert result.probability_bound <= (1.4 - 0.5) / (1.4 - 0.05) + 1e-12
         assert max(abs(f.mass() - 1.0) for f in result.maximizer.factors) <= 1e-15
+
+
+def scaled(problem, factor):
+    """The problem with the response, the band and failure_tolerance times `factor`."""
+    response, con = problem.response, problem.constraint
+    return replace(
+        problem,
+        response=lambda *xs: factor * response(*xs),
+        constraint=MeanConstraint(factor * con.m, factor * con.d),
+        failure_tolerance=factor * problem.failure_tolerance,
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda seed: paper_problem(seed=seed),
+        lambda seed: paper_problem(seed=seed, band=(6.4, 6.6)),
+        lambda seed: markov_problem(0.3, (0.5, 0.7), (2, 2, 2), seed, tol=0.05),
+    ],
+    ids=["reference", "narrow_band", "markov"],
+)
+def test_power_of_two_scaling_is_exact(make):
+    # times a power of two every response value, expectation, band edge and
+    # squared inner cost is exact, so the solve takes the same path bit by bit
+    for seed in range(3):
+        problem = make(seed)
+        want = ouq_solve(problem)
+        for factor in (2.0, 0.25):
+            got = ouq_solve(scaled(problem, factor))
+            assert np.array_equal(got.report.opt_params, want.report.opt_params)
+            assert got.probability_bound == want.probability_bound
+            assert got.report.evaluations == want.report.evaluations
+            assert got.inner == want.inner
 
 
 class TestOuqSolve:
