@@ -141,31 +141,44 @@ class SolveReport:
     terminated_by: str
 
 
-def _trials(rng: np.random.Generator, pop: np.ndarray, best: np.ndarray, settings: DESettings):
-    """One generation's Best1Exp trials best + F*(pop[c1] - pop[c2]), from one
-    (npop, d + 2) block of uniforms u.
+def _trials(
+    rngs: Sequence[np.random.Generator], pop: np.ndarray, best: np.ndarray, settings: DESettings
+):
+    """One generation's Best1Exp trials of a stack of runs: for run k,
+    best[k] + F*(pop[k, c1] - pop[k, c2]), from one (npop, d + 2) block of
+    uniforms u drawn from its own generator rngs[k], the runs in order.
 
-    Slot i takes its candidates i + a and i + b (mod npop), a uniform over
-    1..npop-1 from u0 and b uniform over the rest from u1, so the pair is
-    uniform over ordered pairs of other rows.  The standard strategy copies
-    the donor into slot i's row over a cyclic run starting at floor(u2*d),
-    of length 1 plus the number of leading u3.. below cr (geometric, at most
-    d); the snippet strategy takes the whole donor, or keeps best when u2 >= cr.
+    `pop` is (runs, npop, d) and `best` (runs, d); the (runs * npop, d)
+    trials come run after run.  Slot i takes its candidates i + a and
+    i + b (mod npop), a uniform over 1..npop-1 from u0 and b uniform over
+    the rest from u1, so the pair is uniform over ordered pairs of other
+    rows.  The standard strategy copies the donor into slot i's row over a
+    cyclic run starting at floor(u2*d), of length 1 plus the number of
+    leading u3.. below cr (geometric, at most d); the snippet strategy
+    takes the whole donor, or keeps best when u2 >= cr.
     """
-    npop, d = pop.shape
-    if best.shape != (d,):
-        raise ValueError(f"vector lengths differ: population rows {d}, best {best.size}")
-    u = rng.random((npop, d + 2))
+    runs, npop, d = pop.shape
+    if best.shape != (runs, d):
+        raise ValueError(f"vector lengths differ: population rows {d}, best {best.shape[-1]}")
+    u = np.empty((runs, npop, d + 2))
+    for rng, draws in zip(rngs, u, strict=True):
+        rng.random(out=draws)
     cr, slots = settings.cross_probability, np.arange(npop)
-    a = 1 + (u[:, 0] * (npop - 1)).astype(np.intp)
-    b = 1 + (u[:, 1] * (npop - 2)).astype(np.intp)
-    b += b >= a
-    donors = best + settings.scaling_factor * (pop[(slots + a) % npop] - pop[(slots + b) % npop])
+    # floor(u0 (npop - 1)), floor(u1 (npop - 2)) and the crossover start floor(u2 d)
+    picks = (u[..., :3] * [npop - 1, npop - 2, d]).astype(np.intp)
+    offsets = picks[..., :2]  # turned into a and b in place
+    offsets += 1
+    offsets[..., 1] += offsets[..., 1] >= offsets[..., 0]
+    first_rows = np.arange(0, runs * npop, npop)[:, None, None]
+    pair = pop.reshape(-1, d)[first_rows + (slots[:, None] + offsets) % npop]
+    best = best[:, None]
+    donors = best + settings.scaling_factor * (pair[..., 0, :] - pair[..., 1, :])
     if settings.strategy is Strategy.BEST1EXP_PAPER_SNIPPET:
-        return np.where(u[:, 2:3] >= cr, best, donors)
-    start = (u[:, 2] * d).astype(np.intp)
-    run = 1 + np.cumprod(u[:, 3:] < cr, axis=1).sum(axis=1)
-    return np.where((np.arange(d) - start[:, None]) % d < run[:, None], donors, pop)
+        trials = np.where(u[..., 2:3] >= cr, best, donors)
+    else:
+        run = 1 + np.logical_and.accumulate(u[..., 3:] < cr, axis=2).sum(axis=2)
+        trials = np.where((np.arange(d) - picks[..., 2:]) % d < run[..., None], donors, pop)
+    return trials.reshape(-1, d)
 
 
 class _Run:
@@ -208,11 +221,12 @@ def de_lockstep(
     Each run is the run `de_solve` makes with that seed (see there): its own
     generator, uniform initial population, trial draws and best-cost
     history, so its result does not depend on the other runs.  What the
-    runs share is the evaluation: each generation the populations of all
-    still-running runs are stacked in seed order into one (runs * npop, d)
-    block, whose row r is slot r % npop of the (r // npop)-th of them.  It
-    is clipped, passed to `constrain(block, generation)` and costed with
-    one call of each, in the forms of `de_solve(vectorized=True)`.  A run
+    runs share is the work: each generation one `_trials` pass builds the
+    trials of all still-running runs, each from its own generator's draws,
+    stacked in seed order into one (runs * npop, d) block, whose row r is
+    slot r % npop of the (r // npop)-th of them.  It is clipped, passed to
+    `constrain(block, generation)` and costed with one call of each, in
+    the forms of `de_solve(vectorized=True)`.  A run
     leaves the block once its termination rule holds or after
     `settings.max_generations`.
 
@@ -230,46 +244,55 @@ def de_lockstep(
         """Per run: params and costs of its trials (infeasible ones cost +inf),
         and how many were evaluated."""
         block = bounds.clip(block)
-        feasible = np.ones(len(block), dtype=bool)
+        feasible = None  # every row feasible: the block is costed as it is
         if constrain is not None:
             repaired, feasible = constrain(block, generation)
             feasible = np.asarray(feasible, dtype=bool)
             repaired = bounds.clip(np.asarray(repaired, dtype=float))
-            block = np.where(feasible[:, None], repaired, block)
-        costs = np.full(len(block), math.inf)
-        if feasible.any():
-            costs[feasible] = cost(block[feasible])
-        counts = np.count_nonzero(feasible.reshape(-1, npop), axis=1).tolist()
-        return zip(block.reshape(-1, npop, d), costs.reshape(-1, npop), counts)
+            if feasible.all():
+                block, feasible = repaired, None
+            else:
+                block = np.where(feasible[:, None], repaired, block)
+        if feasible is None:
+            costs = np.array(cost(block), dtype=float)
+            counts = [npop] * (len(block) // npop)
+        else:
+            costs = np.full(len(block), math.inf)
+            if feasible.any():
+                costs[feasible] = cost(block[feasible])
+            counts = np.count_nonzero(feasible.reshape(-1, npop), axis=1).tolist()
+        return block.reshape(-1, npop, d), costs.reshape(-1, npop), counts
 
+    # every run's population and costs are views of these, one run per row
+    pops, costs, counts = evaluate(np.concatenate([run.pop for run in runs]), 0)
     live = []
-    for run, (pop, costs, count) in zip(runs, evaluate(np.concatenate([r.pop for r in runs]), 0)):
-        run.pop, run.costs, run.evaluations = pop, costs, count
+    for k, (run, count) in enumerate(zip(runs, counts)):
+        run.pop, run.costs, run.evaluations = pops[k], costs[k], count
         if count == 0:
             continue
-        run.best = int(np.argmin(costs))
-        run.history.append(float(costs[run.best]))
+        run.best = int(np.argmin(run.costs))
+        run.history.append(float(run.costs[run.best]))
         if not run.stopped(termination):  # many inner runs stop here
-            live.append(run)
+            live.append(k)
 
     generation = 0
     while live and generation < settings.max_generations:
         generation += 1
-        block = np.concatenate(
-            [_trials(run.rng, run.pop, run.pop[run.best], settings) for run in live]
-        )
-        for run, (trials, trial_costs, count) in zip(live, evaluate(block, generation)):
+        best = [runs[k].best for k in live]
+        block = _trials([runs[k].rng for k in live], pops[live], pops[live, best], settings)
+        for k, trials, trial_costs, count in zip(live, *evaluate(block, generation)):
+            run = runs[k]
             run.evaluations += count
             improved = trial_costs < run.costs
-            run.pop[improved] = trials[improved]
-            run.costs[improved] = trial_costs[improved]
+            np.copyto(run.pop, trials, where=improved[:, None])
+            np.copyto(run.costs, trial_costs, where=improved)
             run.best = int(np.argmin(run.costs))
             best_cost = float(run.costs[run.best])
             run.history.append(best_cost)
             run.trace.append(GenerationRecord(generation, best_cost, run.pop[run.best].copy()))
             if trace_hook is not None:
                 trace_hook(generation, best_cost, run.pop[run.best].copy())
-        live = [run for run in live if not run.stopped(termination)]
+        live = [k for k in live if not runs[k].stopped(termination)]
 
     return [
         run.report(termination) if run.history
@@ -303,7 +326,9 @@ def de_solve(
     mask; generation 0 is the initial population.
     By default `cost(params)` takes one vector and returns a float; with
     `vectorized=True` `cost(block)` gets an (m, d) array and returns m
-    costs.  Out-of-box trials are always clipped, never rejected.
+    costs.  Out-of-box trials are always clipped, never rejected.  When
+    every trial is feasible the cost gets the block itself, not a copy,
+    so it must not modify what it is given.
 
     An infeasible trial (False in `feasible`) costs +inf, is never
     evaluated and never replaces a population member, so a generation of

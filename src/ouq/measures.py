@@ -261,15 +261,15 @@ def factor_masses(block: np.ndarray, layout: ParamLayout) -> np.ndarray:
     Each entry equals DiscreteMeasure.mass(), the correctly rounded sum of
     the factor's weights.
     """
-    cols = []
-    for ws, _ in layout.factor_slices():
-        w = block[:, ws]
-        if w.shape[1] <= 2:
-            # one addition is already correctly rounded, as math.fsum is
-            cols.append(w.sum(axis=1))
-        else:
-            cols.append(np.array([math.fsum(row) for row in w.tolist()]))
-    return np.stack(cols, axis=1)
+    segments, wide, _, _ = _weight_plan(layout)
+    # per factor, the sum of its weights and then of its positions; one
+    # addition is already correctly rounded, as math.fsum is, and + 0.0
+    # gives a sum of negative zeros fsum's sign
+    masses = np.add.reduceat(block, segments, axis=1)[:, ::2] + 0.0
+    for k in wide:
+        ws = layout.factor_slices()[k][0]
+        masses[:, k] = [math.fsum(row) for row in block[:, ws].tolist()]
+    return masses
 
 
 def normalize_block(block: np.ndarray, layout: ParamLayout) -> tuple[np.ndarray, np.ndarray]:
@@ -284,8 +284,8 @@ def normalize_block(block: np.ndarray, layout: ParamLayout) -> tuple[np.ndarray,
     out = np.array(block, dtype=float)
     masses = factor_masses(out, layout)
     nonzero = masses > 0.0
-    cols = weight_columns(layout)
-    out[:, cols[cols >= 0]] /= np.where(nonzero, masses, 1.0)[:, np.nonzero(cols >= 0)[0]]
+    _, _, cols, factor = _weight_plan(layout)
+    out[:, cols] /= np.where(nonzero, masses, 1.0)[:, factor]
     return out, nonzero.all(axis=1)
 
 
@@ -300,9 +300,26 @@ def weight_columns(layout: ParamLayout) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _atom_columns(layout: ParamLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _weight_plan(layout: ParamLayout) -> tuple[np.ndarray, tuple[int, ...], np.ndarray, np.ndarray]:
+    """The `np.add.reduceat` starts of each factor's weights and positions,
+    the factors of more than two points, and the block column and the
+    factor of every weight."""
+    segments = np.array([part.start for pair in layout.factor_slices() for part in pair])
+    wide = tuple(k for k, n in enumerate(layout.npts_per_dim) if n > 2)
+    cols = weight_columns(layout)
+    factor, _ = np.nonzero(cols >= 0)
+    cols = cols[cols >= 0]
+    for a in (segments, cols, factor):
+        a.setflags(write=False)
+    return segments, wide, cols, factor
+
+
+@functools.lru_cache(maxsize=16)
+def _atom_columns(layout: ParamLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Block columns of every atom's weights and positions, one row per factor,
-    and the (dimension, A, n_max) one-hot of each atom's point in each factor.
+    the (dimension - 1, dimension, A) block columns of the weights of each
+    factor's other factors, in factor order, and the (dimension, A, n_max)
+    one-hot of each atom's point in each factor.
 
     Atoms are enumerated in expectation()'s order: lexicographically by
     factor, then point index.
@@ -311,10 +328,13 @@ def _atom_columns(layout: ParamLayout) -> tuple[np.ndarray, np.ndarray, np.ndarr
     starts = np.array([ws.start for ws, _ in layout.factor_slices()])[:, None]
     w_cols = combos + starts
     x_cols = w_cols + np.array(layout.npts_per_dim)[:, None]
+    d, atoms = w_cols.shape
+    others = np.array([[w_cols[i] for i in range(d) if i != k] for k in range(d)], dtype=np.intp)
+    others = np.ascontiguousarray(others.reshape(d, d - 1, atoms).transpose(1, 0, 2))
     onehot = (combos[:, :, None] == np.arange(max(layout.npts_per_dim))).astype(float)
-    for a in (w_cols, x_cols, onehot):
+    for a in (w_cols, x_cols, others, onehot):
         a.setflags(write=False)
-    return w_cols, x_cols, onehot
+    return w_cols, x_cols, others, onehot
 
 
 def _sum_atoms(terms: np.ndarray) -> np.ndarray:
@@ -333,7 +353,9 @@ def atom_values(block: np.ndarray, layout: ParamLayout, f: Callable) -> np.ndarr
     Raises DomainError if any value is non-finite.
     """
     positions = [block[:, cols] for cols in _atom_columns(layout)[1]]
-    values = np.broadcast_to(np.asarray(f(*positions), dtype=float), positions[0].shape)
+    values = np.asarray(f(*positions), dtype=float)
+    if values.shape != positions[0].shape:
+        values = np.broadcast_to(values, positions[0].shape)
     if not np.isfinite(values).all():
         row, atom = np.argwhere(~np.isfinite(values))[0]
         at = tuple(float(x[row, atom]) for x in positions)
@@ -347,10 +369,7 @@ def expectation_of_values(block: np.ndarray, layout: ParamLayout, values: np.nda
     Weights are multiplied and terms added in the order expectation() uses.
     Factor masses are not checked: the rows must already be normalized.
     """
-    w_cols = _atom_columns(layout)[0]
-    weights = block[:, w_cols[0]]
-    for cols in w_cols[1:]:
-        weights = weights * block[:, cols]
+    weights = np.multiply.reduce(block[:, _atom_columns(layout)[0]], axis=1)
     return _sum_atoms(weights * values)
 
 
@@ -371,11 +390,10 @@ def conditional_expectations_block(
     the product of its other factors' weights, so E[f] = sum_j w_kj g_kj
     for every k: E is affine in each factor's weights.
     """
-    w_cols, _, onehot = _atom_columns(layout)
-    weights = [block[:, cols] for cols in w_cols]
-    # per factor, the other factors' weights, multiplied in factor order as
-    # expectation_of_values multiplies them
-    others = [functools.reduce(np.multiply, weights[:k] + weights[k + 1:], np.ones_like(values))
-              for k in range(len(weights))]
-    return (np.stack(others) * values) @ onehot
-
+    _, _, others, onehot = _atom_columns(layout)
+    # per factor, the product of the other factors' weights at each atom,
+    # multiplied in factor order as expectation_of_values multiplies them
+    products = np.multiply.reduce(block[:, others], axis=1)
+    # a C-ordered product, so the matmul's sums do not depend on the memory
+    # layout of `values`
+    return np.multiply(products.transpose(1, 0, 2), values, order="C") @ onehot

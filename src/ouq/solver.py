@@ -17,17 +17,21 @@ value-to-reach d^2).
 
 Both loops work on whole generations: repair and cost take
 (m, param_length) blocks through the block kernels of `measures`.  The
-repair makes one pass of atom values per generation, which gives E of
-the trials, the g of the weight move and E of the moved trials; the cost
-makes one more, on the repaired trials, whose values also give a
-`FeasibilityAudit` its E.  The fallback's nested runs go in lockstep
-(`de_lockstep`), so each inner generation of all of them is one block too.
-`constrain_params` is the one constraint the outer DE gets: the weight move
-for every generation, then the fallback for the initial population.
+repair makes the one pass of atom values of an outer generation, which
+gives E of the trials, the g of the weight move and E of the moved
+trials; the weight move keeps every position, so the repair hands the
+values of its feasible rows to the cost, which reads the failure
+probability and a `FeasibilityAudit`'s E from them.  Only the fallback's
+vectors, in the initial population, get a pass of their own.  The
+fallback's nested runs go in lockstep (`de_lockstep`), so each inner
+generation of all of them is one block too.  `constrain_params` is the one
+constraint the outer DE gets: the weight move for every generation, then
+the fallback for the initial population.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -177,13 +181,14 @@ def build_bounds(layout: ParamLayout) -> Bounds:
 
 def cost_block(
     block: np.ndarray,
+    values: np.ndarray,
     problem: OUQProblem,
     audit: Optional[FeasibilityAudit] = None,
 ) -> np.ndarray:
     """Negative failure probability of the measure of every row of a block,
-    from one `atom_values` pass, which the audit's E shares."""
+    from the (m, A) response values at the rows' atoms (`atom_values`),
+    which also give the audit its E; the response is not called."""
     layout = problem.layout
-    values = atom_values(block, layout, problem.response)
     if audit is not None:
         audit.record(
             factor_masses(block, layout),
@@ -254,44 +259,63 @@ def shift_weights(
     highest g (the lowest, when E is above the band) from the other points,
     the farthest in g first, until E reaches the target.  The moves of all
     factors are computed together, on (dimension, m, n_max) arrays in which
-    a factor with fewer points is padded with points of zero weight and
-    zero gap.  A row takes the factor whose move is smallest in L1, the
-    first on ties; a row that no factor can move to the target comes back
-    unchanged.  Each factor's weights stay on the simplex.
+    a factor with fewer points is padded with points of zero gap, which
+    take no move (`_shift_plan`).  A row takes the factor whose move is
+    smallest in L1, the first on ties; a row that no factor can move to the
+    target comes back unchanged.  Each factor's weights stay on the simplex.
     """
     lo, hi = problem.constraint.band
     nudge = BAND_NUDGE * (hi - lo)
     up = expect < lo
     sign = np.where(up, 1.0, -1.0)[:, None]
     need = np.where(up, lo + nudge - expect, expect - (hi - nudge))[:, None]
-    cols = weight_columns(problem.layout)
-    real = (cols >= 0)[:, None, :]
-    out = np.concatenate([block, np.zeros((len(block), 1))], axis=1)  # padding's column -1
-    weights = out[:, cols].transpose(1, 0, 2)
+    cols, real = _shift_plan(problem.layout)
+    out = block.copy()
+    weights = block[:, cols].transpose(1, 0, 2).copy()
     g = conditional_expectations_block(block, problem.layout, values)
     h = np.where(real, sign * g, -np.inf)  # in the move's direction: h must rise by `need`
-    k, r = np.arange(len(cols))[:, None], np.arange(len(block))
-    dest = np.argmax(h, axis=2)
-    gap = np.where(real, h[k, r, dest][..., None] - h, 0.0)
-    order = (k[..., None], r[..., None], np.argsort(-gap, axis=2, kind="stable"))
-    gap, w = gap[order], weights[order]
+    # the arrays are indexed flat: `first` is each (factor, row)'s first point
+    first = np.arange(0, h.size, h.shape[2]).reshape(h.shape[:2])
+    dest = first + np.argmax(h, axis=2)
+    gap = np.where(real, h.reshape(-1)[dest][..., None] - h, 0.0)
+    order = first[..., None] + np.argsort(-gap, axis=2, kind="stable")
+    gap, w = gap.reshape(-1)[order], weights.reshape(-1)[order]
     gain = w * gap
     before = np.cumsum(gain, axis=2) - gain  # what the farther points reach
-    take = np.divide(need - before, gap, out=np.zeros_like(gap), where=gap > 0.0)
-    take = np.minimum(np.maximum(take, 0.0), w)
+    take = np.divide(need - before, gap, out=np.zeros(gap.shape), where=gap > 0.0)
+    # clamped to 0 last: padding holds a position, which may be negative
+    take = np.maximum(np.minimum(take, w), 0.0)
     moved = take.sum(axis=2)
-    weights[order] = w - take
-    weights[k, r, dest] += moved
-    l1 = np.where(gain.sum(axis=2) >= need[:, 0], 2.0 * moved, np.inf)
-    rows = np.flatnonzero(np.isfinite(l1).any(axis=0))
-    choice = np.argmin(l1[:, rows], axis=0)
+    weights.reshape(-1)[order] = w - take
+    weights.reshape(-1)[dest] += moved
+    reach = gain.sum(axis=2) >= need[:, 0]
+    rows = np.flatnonzero(reach.any(axis=0))
+    choice = np.argmin(np.where(reach, 2.0 * moved, np.inf), axis=0)[rows]
     out[rows[:, None], cols[choice]] = weights[choice, rows]
-    return out[:, :-1]
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _shift_plan(layout: ParamLayout) -> tuple[np.ndarray, np.ndarray]:
+    """The (dimension, n_max) block columns `shift_weights` reads each
+    factor's weights from, and the mask of its real points.
+
+    Past a factor's points the column is the factor's first position: that
+    padding gets zero gap and zero take, so the move writes it back as it
+    was read.
+    """
+    cols = weight_columns(layout)
+    real = cols >= 0
+    first_position = np.array([xs.start for _, xs in layout.factor_slices()])[:, None]
+    cols = np.where(real, cols, first_position)
+    for a in (cols, real):
+        a.setflags(write=False)
+    return cols, real[:, None, :]
 
 
 def repair_block(
     block: np.ndarray, problem: OUQProblem, counts: InnerCounts
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Repair every row of a trial block: renormalize weights, then move
     weight within one factor into the mean band.
 
@@ -300,10 +324,10 @@ def repair_block(
     the weight move changes no position, so it gives E of the rows, the g
     of `shift_weights` and E of the moved rows.  Each row outside [m-d, m+d]
     gets the weight move, and keeps it if the moved row is in the band.
-    Returns the repaired block and the constraint protocol's mask
-    `feasible`: False for a row with a zero-mass factor, and for a row the
-    move leaves outside the band, which comes back normalized and
-    unchanged.
+    Returns the repaired block, the constraint protocol's mask `feasible`
+    (False for a row with a zero-mass factor, and for a row the move leaves
+    outside the band, which comes back normalized and unchanged) and the
+    atom values of the feasible rows, in row order.
     """
     layout = problem.layout
     out, feasible = normalize_block(block, layout)
@@ -313,15 +337,18 @@ def repair_block(
     values = atom_values(trials, layout, problem.response)
     e = expectation_of_values(trials, layout, values)
     outside = ~((lo <= e) & (e <= hi))
-    rows, e, values = rows[outside], e[outside], values[outside]
-    if rows.size:
-        moved = shift_weights(out[rows], values, e, problem)
-        e = expectation_of_values(moved, layout, values)
+    if outside.any():
+        moved_values = values[outside]
+        moved = shift_weights(trials[outside], moved_values, e[outside], problem)
+        e = expectation_of_values(moved, layout, moved_values)
         fixed = (lo <= e) & (e <= hi)
+        rows = rows[outside]
         out[rows[fixed]] = moved[fixed]
         feasible[rows[~fixed]] = False
         counts.repair_rows += rows.size
-    return out, feasible
+        outside[outside] = ~fixed  # the rows the move left outside the band
+        values = values[~outside]
+    return out, feasible, values
 
 
 def _derive_inner_seed(outer_seed: int, slot: int) -> int:
@@ -333,7 +360,7 @@ def _derive_inner_seed(outer_seed: int, slot: int) -> int:
 
 def constrain_params(
     block: np.ndarray, generation: int, problem: OUQProblem, counts: InnerCounts
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The constraint of `ouq_solve`: repair one outer generation.
 
     `repair_block` gives the out-of-band rows the weight move.  In the
@@ -341,17 +368,24 @@ def constrain_params(
     zero-mass row too, is replaced by the fallback's draw, all of them in
     one lockstep, row `row` with the inner seed derived from (outer seed,
     row); a row the fallback does not bring into the band stays
-    infeasible.  From generation 1 on such rows are infeasible.  Returns
-    the repaired block and its mask `feasible`.
+    infeasible, and the drawn rows get one `atom_values` pass of their
+    own.  From generation 1 on such rows are infeasible.  Returns the
+    repaired block, its mask `feasible` and the atom values of the
+    feasible rows, in row order.
     """
-    out, feasible = repair_block(block, problem, counts)
+    out, feasible, values = repair_block(block, problem, counts)
     rows = np.flatnonzero(~feasible)
     if generation == 0 and rows.size:
         seeds = [_derive_inner_seed(problem.outer.seed, row) for row in rows.tolist()]
         best, reached = impose_expectation(problem, seeds, counts)
-        out[rows[reached]] = best
-        feasible[rows] = reached
-    return out, feasible
+        if reached.any():
+            merged = np.empty((len(out), values.shape[1]))
+            merged[feasible] = values
+            merged[rows[reached]] = atom_values(best, problem.layout, problem.response)
+            out[rows[reached]] = best
+            feasible[rows] = reached
+            values = merged[feasible]
+    return out, feasible, values
 
 
 def ouq_solve(
@@ -368,16 +402,27 @@ def ouq_solve(
     returns a non-finite value.
 
     Each outer generation is repaired by `constrain_params` and costed as
-    one block (`de_solve(vectorized=True)`).  The result's `inner` holds the
-    repair counts and the totals of the fallback's nested runs.
+    one block (`de_solve(vectorized=True)`) from the atom values the repair
+    returns, so the response is called once per generation outside the
+    fallback's nested runs.  The result's `inner` holds the repair counts
+    and the totals of the fallback's nested runs.
     """
     inner = InnerCounts()
+    feasible_values = None
+
+    def constrain(block, generation):
+        nonlocal feasible_values
+        # looked up per call, so a wrapper set on the module sees every generation
+        out, feasible, feasible_values = constrain_params(block, generation, problem, inner)
+        return out, feasible
+
     report = de_solve(
-        lambda block: cost_block(block, problem, audit=audit),
+        # the DE costs block[feasible] right after the constraint, so these
+        # are the values at its rows' atoms
+        lambda block: cost_block(block, feasible_values, problem, audit=audit),
         build_bounds(problem.layout),
         problem.outer,
-        # looked up per call, so a wrapper set on the module sees every generation
-        constrain=lambda block, generation: constrain_params(block, generation, problem, inner),
+        constrain=constrain,
         termination=problem.outer_termination,
         trace_hook=trace_hook,
         vectorized=True,

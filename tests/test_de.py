@@ -29,9 +29,14 @@ class TestSettings:
             DESettings(cross_probability=1.5)
 
 
+def one_run(rng, pop, best, settings):
+    """The trials of one run: the one-run stack of `_trials`."""
+    return _trials([rng], pop[None], best[None], settings)
+
+
 def build_trials(settings, pop, best, seed=0):
     pop, best = np.asarray(pop, dtype=float), np.asarray(best, dtype=float)
-    return _trials(np.random.default_rng(seed), pop, best, settings)
+    return one_run(np.random.default_rng(seed), pop, best, settings)
 
 
 class TestMutate:
@@ -132,9 +137,9 @@ class _Spy:
     def __init__(self, rng):
         self.rng, self.drawn = rng, []
 
-    def random(self, shape):
-        self.drawn.append(self.rng.random(shape))
-        return self.drawn[-1]
+    def random(self, *, out):
+        self.rng.random(out=out)
+        self.drawn.append(out.copy())
 
 
 class _Fixed:
@@ -143,8 +148,8 @@ class _Fixed:
     def __init__(self, row):
         self.row = row
 
-    def random(self, shape):
-        return np.broadcast_to(self.row, shape).copy()
+    def random(self, *, out):
+        out[...] = self.row
 
 
 class TestTrials:
@@ -155,7 +160,7 @@ class TestTrials:
     def test_trials_are_best1exp(self, case):
         de, d, seed = case
         pop, best = indexed(de.npop, d)
-        trials = _trials(np.random.default_rng(seed), pop, best, de)
+        trials = one_run(np.random.default_rng(seed), pop, best, de)
         for slot, (trial, target) in enumerate(zip(trials, pop)):
             if de.strategy is Strategy.BEST1EXP_PAPER_SNIPPET:
                 if np.array_equal(trial, best):
@@ -180,7 +185,7 @@ class TestTrials:
         pop, best = indexed(4, 3)
         seen = [set() for _ in range(4)]
         for seed in range(200):
-            trials = _trials(np.random.default_rng(seed), pop, best, de)
+            trials = one_run(np.random.default_rng(seed), pop, best, de)
             for slot, (trial, target) in enumerate(zip(trials, pop)):
                 (start,) = np.flatnonzero(trial != target)
                 seen[slot].add((candidates(trial[start]), start))
@@ -195,7 +200,7 @@ class TestTrials:
         spy = _Spy(rng)
         pop = rng.uniform(size=(7, d))
         twin.uniform(size=(7, d))
-        _trials(spy, pop, pop[0], de)
+        one_run(spy, pop, pop[0], de)
         words = twin.bit_generator.random_raw(7 * (d + 2))
         assert len(spy.drawn) == 1
         assert np.array_equal(spy.drawn[0], ((words >> 11) * 2**-53).reshape(7, d + 2))
@@ -208,7 +213,7 @@ class TestTrials:
         for npop in range(4, 51):
             for d in (1, 2, 13):
                 pop, best = indexed(npop, d)
-                trials = _trials(_Fixed(u), pop, best, DESettings(npop=npop, scaling_factor=1.0))
+                trials = one_run(_Fixed(u), pop, best, DESettings(npop=npop, scaling_factor=1.0))
                 for slot, (trial, target) in enumerate(zip(trials, pop)):
                     mutated = np.flatnonzero(trial != target).tolist()
                     assert mutated == ([d - 1] if u else list(range(d)))
@@ -218,7 +223,7 @@ class TestTrials:
     def test_run_ends_at_the_first_uniform_not_below_cr(self):
         pop, best = indexed(4, 5)
         u = [0.0, 0.0, 0.0, 0.1, 0.95, 0.1, 0.1]  # start 0, then one continuation
-        trials = _trials(_Fixed(u), pop, best, DESettings(npop=4, cross_probability=0.9))
+        trials = one_run(_Fixed(u), pop, best, DESettings(npop=4, cross_probability=0.9))
         assert [np.flatnonzero(t != p).tolist() for t, p in zip(trials, pop)] == [[0, 1]] * 4
 
 
@@ -441,16 +446,16 @@ class TestLockstep:
     def left_half(block, generation):
         return block, block[:, 0] <= 1.0
 
-    def test_each_run_matches_de_solve(self):
-        # value_below ends the runs at different generations
-        rule = ValueBelow(0.5)
-        runs = de_lockstep(
-            sphere_block, self.BOUNDS, self.SETTINGS, self.SEEDS, self.left_half, rule
-        )
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_each_run_matches_de_solve(self, strategy):
+        # value_below ends the runs at different generations, so the stacked
+        # trials of later generations come from fewer runs
+        rule, settings = ValueBelow(0.5), replace(self.SETTINGS, strategy=strategy)
+        runs = de_lockstep(sphere_block, self.BOUNDS, settings, self.SEEDS, self.left_half, rule)
         assert len({r.generations_run for r in runs}) > 1
         for seed, run in zip(self.SEEDS, runs):
             alone = de_solve(
-                sphere_block, self.BOUNDS, replace(self.SETTINGS, seed=seed), self.left_half,
+                sphere_block, self.BOUNDS, replace(settings, seed=seed), self.left_half,
                 rule, vectorized=True,
             )
             assert (run.opt_cost, run.generations_run, run.evaluations, run.terminated_by) == (

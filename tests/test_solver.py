@@ -145,23 +145,28 @@ class TestBuildBounds:
         )
 
 
+def costed(block, problem):
+    """cost_block of a block, from its atom values."""
+    return cost_block(block, atom_values(block, problem.layout, problem.response), problem)
+
+
 class TestOuqCost:
     def test_all_atoms_fail(self):
         problem = paper_problem()
         # thick oblique plate at low speed: every atom is below its ballistic limit
         params = [0.5, 0.5, 2.65, 2.667, 0.5, 0.5, 0.52, 0.5236, 0.5, 0.5, 2.1, 2.15]
-        assert cost_block(np.array([params]), problem)[0] == pytest.approx(-1.0, abs=1e-12)
+        assert costed(np.array([params]), problem)[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_no_atom_fails(self):
         problem = paper_problem()
         # thin plate, max speed: every atom perforates
         params = [0.5, 0.5, 1.524, 1.53, 1.0, 0.0, 0.0, 0.1, 0.5, 0.5, 2.79, 2.8]
-        assert cost_block(np.array([params]), problem)[0] == 0.0
+        assert costed(np.array([params]), problem)[0] == 0.0
 
     def test_paper_maximizer(self):
         problem = paper_problem()
         params = [0.621, 0.379, 1.524, 2.667, 1.0, 0.0, 0.0, 0.1, 1.0, 0.0, 2.2885, 2.8]
-        assert cost_block(np.array([params]), problem)[0] == pytest.approx(-0.379, abs=1e-12)
+        assert costed(np.array([params]), problem)[0] == pytest.approx(-0.379, abs=1e-12)
 
 
 class TestConstrainParams:
@@ -173,7 +178,7 @@ class TestConstrainParams:
         params = np.array(
             [0.63, 0.37, 1.524, 2.667, 1.0, 0.0, 0.0, 0.1, 1.0, 0.0, 2.2885, 2.8]
         )
-        out, feasible = constrain_params(params[None, :], 0, problem, InnerCounts())
+        out, feasible, _ = constrain_params(params[None, :], 0, problem, InnerCounts())
         assert feasible.tolist() == [True] and de_reports == []
         assert np.array_equal(out[0], params)
 
@@ -182,7 +187,7 @@ class TestConstrainParams:
         params = np.array(
             [1.26, 0.74, 1.524, 2.667, 2.0, 0.0, 0.0, 0.1, 1.0, 0.0, 2.2885, 2.8]
         )
-        out, feasible = constrain_params(params[None, :], 0, problem, InnerCounts())
+        out, feasible, _ = constrain_params(params[None, :], 0, problem, InnerCounts())
         assert feasible.tolist() == [True]
         assert de_reports == []  # no nested run started
         assert out[0, :2] == pytest.approx([0.63, 0.37])
@@ -194,10 +199,10 @@ class TestConstrainParams:
         rng = np.random.default_rng(99)
         bounds = build_bounds(problem.layout)
         block = rng.uniform(bounds.lower, bounds.upper, size=(20, len(bounds)))
-        repaired, feasible = constrain_params(block, 0, problem, InnerCounts())
+        repaired, feasible, _ = constrain_params(block, 0, problem, InnerCounts())
         assert len(de_reports) > 0  # some trials did go through the inner loop
         de_reports.clear()
-        again, still = constrain_params(repaired[feasible], 0, problem, InnerCounts())
+        again, still, _ = constrain_params(repaired[feasible], 0, problem, InnerCounts())
         assert de_reports == []  # band already satisfied: no inner loop
         assert still.all() and again == pytest.approx(repaired[feasible], abs=1e-12)
 
@@ -209,9 +214,9 @@ class TestConstrainParams:
         params[2:4] = 2.0
         params[10:12] = 2.5
         counts = InnerCounts()
-        _, feasible = constrain_params(params[None, :], 1, problem, counts)
+        _, feasible, _ = constrain_params(params[None, :], 1, problem, counts)
         assert feasible.tolist() == [False] and de_reports == [] and counts == InnerCounts()
-        out, feasible = constrain_params(params[None, :], 0, problem, InnerCounts())
+        out, feasible, _ = constrain_params(params[None, :], 0, problem, InnerCounts())
         want, _ = impose_expectation(problem, [_derive_inner_seed(0, 0)], InnerCounts())
         assert feasible.tolist() == [True] and np.array_equal(out[0], want[0])
 
@@ -223,7 +228,7 @@ class TestConstrainParams:
             inner=DESettings(npop=10, seed=2, max_generations=5),
         )
         counts = InnerCounts()
-        out, feasible = constrain_params(np.array([[0.5, 0.5, 4.0, 6.0]]), 0, problem, counts)
+        out, feasible, _ = constrain_params(np.array([[0.5, 0.5, 4.0, 6.0]]), 0, problem, counts)
         assert feasible.tolist() == [False] and counts.failures == 1
         assert len(de_reports) == 1
         assert out[0].tolist() == [0.5, 0.5, 4.0, 6.0]  # comes back as it went in
@@ -447,7 +452,7 @@ class TestRepairBlock:
         # a mass slack of 1e-12 is a factor the outer DE could climb into
         problem = paper_problem()
         raw = np.array([0.63, 0.37 + 1e-12, 1.524, 2.667, 1.0, 0.0, 0.0, 0.1, 1.0, 0.0, 2.2885, 2.8])
-        out, feasible = repair_block(raw[None, :], problem, InnerCounts())
+        out, feasible, _ = repair_block(raw[None, :], problem, InnerCounts())
         assert feasible.tolist() == [True] and de_reports == []
         assert np.array_equal(out[0, :2], raw[:2] / math.fsum(raw[:2]))
         assert abs(math.fsum(out[0, :2]) - 1.0) <= 2.0**-52
@@ -465,7 +470,7 @@ class TestRepairSemantics:
     def test_out_of_band_trial_is_replaced_at_generation_0(self, de_reports):
         problem = paper_problem(seed=0)
         assert expectation(unflatten(self.HIGH, problem.layout), perforation_area) > 7.5
-        out, feasible = constrain_params(self.HIGH[None, :], 0, problem, InnerCounts())
+        out, feasible, _ = constrain_params(self.HIGH[None, :], 0, problem, InnerCounts())
         assert feasible.tolist() == [True]
         assert [r.generations_run for r in de_reports] == [0]
         assert 5.5 <= expectation(unflatten(out[0], problem.layout), perforation_area) <= 7.5
@@ -560,7 +565,7 @@ class TestShiftWeights:
             # the same plates at low speed: expectation ~4.27, below the band
             [0.5, 0.5, 1.524, 2.667, 0.5, 0.5, 0.0, 0.1, 0.5, 0.5, 2.1, 2.15],
         ])
-        out, feasible = repair_block(trials, problem, InnerCounts())
+        out, feasible, _ = repair_block(trials, problem, InnerCounts())
         assert feasible.tolist() == [True, True] and de_reports == []
         assert not np.array_equal(out[0], out[1])
         for row, trial in zip(out, trials):
@@ -653,9 +658,12 @@ def counted(problem):
 
 class TestOneResponsePass:
     """The repair calls the response once, at the normalized rows' atoms:
-    for E, for the g of the weight move and for E of the moved rows.  In a
-    solve every array call of the response goes through `atom_values`, and
-    the audit shares the cost's pass."""
+    for E, for the g of the weight move and for E of the moved rows.  It
+    returns those values for the feasible rows, and the cost reads them, so
+    a solve calls the response once per outer generation outside the
+    fallback's nested runs, plus once for the fallback's vectors.  Every
+    array call of the response goes through `atom_values`, and the audit
+    shares the cost's values."""
 
     def test_weight_move_rows(self, de_reports):
         problem, calls = counted(paper_problem())
@@ -665,7 +673,7 @@ class TestOneResponsePass:
             [0.5, 0.5, 1.524, 2.667, 0.5, 0.5, 0.0, 0.1, 0.5, 0.5, 2.5, 2.6],  # in it
         ])
         counts = InnerCounts()
-        _, feasible = repair_block(block, problem, counts)
+        _, feasible, _ = repair_block(block, problem, counts)
         assert feasible.all() and de_reports == [] and counts.repair_rows == 2
         assert calls == [(3, 8)]  # 3 rows of 8 atoms
 
@@ -676,46 +684,72 @@ class TestOneResponsePass:
         fallback_calls = []
         monkeypatch.setattr(solver_mod, "impose_expectation", lambda *args: fallback_calls.append(args))
         block = np.stack([TestFallback.IN_BAND, TestFallback.MOVABLE, TestFallback.STUCK])
-        _, feasible = repair_block(block, problem, InnerCounts())
+        _, feasible, _ = repair_block(block, problem, InnerCounts())
         assert feasible.tolist() == [True, True, False]
         assert fallback_calls == [] and calls == [(3, 4)]  # 3 rows of 4 atoms
 
+    @pytest.mark.parametrize("generation", [0, 1])
+    def test_values_are_those_of_the_feasible_rows(self, de_reports, generation):
+        # moved, unmoved, fallback (generation 0 only) and zero-mass rows
+        problem = sum_problem()
+        block = np.stack([TestFallback.STUCK, TestFallback.IN_BAND, np.zeros(8), TestFallback.MOVABLE])
+        for repair in (
+            lambda: repair_block(block, problem, InnerCounts()),
+            lambda: constrain_params(block, generation, problem, InnerCounts()),
+        ):
+            out, feasible, values = repair()
+            assert np.array_equal(values, atom_values(out[feasible], problem.layout, problem.response))
+        assert feasible.tolist() == [generation == 0, True, generation == 0, True]
+
     @staticmethod
     def solve_array_calls(audit=None):
-        """Short paper.config solve: the response's array calls, each flagged
-        True when it came from inside `measures.atom_values`."""
-        depth, calls = [0], []
-        real_atom_values = measures_mod.atom_values
+        """Short paper.config solve: the result and the response's array
+        calls, each as the set of the functions it was made inside, of
+        `atom_values`, `impose_expectation` and `cost_block`."""
+        open_calls, calls = [], []
 
-        def atom_values(*args):
-            depth[0] += 1
-            try:
-                return real_atom_values(*args)
-            finally:
-                depth[0] -= 1
+        def inside(name, real):
+            def wrapped(*args, **kwargs):
+                open_calls.append(name)
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    open_calls.pop()
+            return wrapped
 
         def response(*xs):
             if isinstance(xs[0], np.ndarray):
-                calls.append(depth[0] > 0)
+                calls.append(set(open_calls))
             return perforation_area(*xs)
 
         problem = build_problem(load_config(PAPER_CONFIG), 0)
         problem = replace(problem, response=response, outer=replace(problem.outer, max_generations=5))
         with pytest.MonkeyPatch.context() as patch:
+            atom_values = inside("atom_values", measures_mod.atom_values)
             patch.setattr(measures_mod, "atom_values", atom_values)
             patch.setattr(solver_mod, "atom_values", atom_values)
-            ouq_solve(problem, audit=audit)
-        return calls
+            for name in ("impose_expectation", "cost_block"):
+                patch.setattr(solver_mod, name, inside(name, getattr(solver_mod, name)))
+            result = ouq_solve(problem, audit=audit)
+        return calls, result
 
     def test_solve_calls_the_response_on_arrays_only_in_atom_values(self):
-        calls = self.solve_array_calls()
-        assert calls and all(calls)
+        calls, _ = self.solve_array_calls()
+        assert calls and all("atom_values" in inside for inside in calls)
+
+    def test_one_call_per_generation(self):
+        calls, result = self.solve_array_calls()
+        assert not any("cost_block" in inside for inside in calls)
+        outer = [inside for inside in calls if "impose_expectation" not in inside]
+        fallback_drew = result.inner.runs > result.inner.failures  # one pass for its vectors
+        assert result.inner.runs > 0 and result.report.generations_run == 5
+        assert len(outer) == result.report.generations_run + 1 + fallback_drew
 
     def test_audit_adds_no_response_call(self):
         audit = FeasibilityAudit()
-        with_audit = self.solve_array_calls(audit)
+        with_audit, _ = self.solve_array_calls(audit)
         assert audit.evaluations > 0
-        assert len(with_audit) == len(self.solve_array_calls())
+        assert len(with_audit) == len(self.solve_array_calls()[0])
 
 
 def sum_problem():
@@ -734,7 +768,7 @@ class TestFallback:
     def test_stuck_row_matches_impose_expectation(self, de_reports):
         problem = sum_problem()
         block = np.stack([self.IN_BAND, self.MOVABLE, self.STUCK])
-        out, feasible = constrain_params(block, 0, problem, InnerCounts())
+        out, feasible, _ = constrain_params(block, 0, problem, InnerCounts())
         want, reached = impose_expectation(problem, [_derive_inner_seed(0, 2)], InnerCounts())
         assert len(de_reports) == 2  # one fallback run, then the oracle's
         assert feasible.all() and reached.tolist() == [True]
@@ -750,9 +784,9 @@ class TestFallback:
         real_constrain = solver_mod.constrain_params
 
         def repair(*args):
-            out, feasible = real_repair(*args)
+            out, feasible, values = real_repair(*args)
             events.append(("repair", feasible.copy()))
-            return out, feasible
+            return out, feasible, values
 
         def impose(problem, seeds, counts):
             events.append(("fallback", list(seeds)))
@@ -784,7 +818,7 @@ class TestFallback:
         row = np.array([[0.5, 0.5, edge - 2.0 + offset, edge + 2.0]])
         e = expectation_block(row, problem.layout, problem.response)[0]
         assert abs(e - (edge + offset / 2.0)) <= 1e-14
-        out, feasible = repair_block(row, problem, InnerCounts())
+        out, feasible, _ = repair_block(row, problem, InnerCounts())
         assert feasible.tolist() == [True] and de_reports == []
         assert in_band(expectation_block(out, problem.layout, problem.response), problem)[0]
 
@@ -814,7 +848,7 @@ class TestFallbackOnlyForTheInitialPopulation:
         block = np.stack([TestFallback.IN_BAND, TestFallback.MOVABLE, np.zeros(8), stuck])
         problem = sum_problem()
         counts = InnerCounts()
-        out, feasible = repair_block(block, problem, counts)
+        out, feasible, _ = repair_block(block, problem, counts)
         assert feasible.tolist() == [True, True, False, False] and de_reports == []
         assert np.array_equal(out[0], TestFallback.IN_BAND)
         assert np.array_equal(out[1, :4], TestFallback.MOVABLE[:4])  # only y's weights move
