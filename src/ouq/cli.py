@@ -72,8 +72,9 @@ def _write_atomic(path: Path, text: str) -> None:
         with open(tmp, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_summary(out_dir: Path, config: RunConfig, bounds: list[float], **extra) -> int | None:

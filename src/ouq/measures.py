@@ -17,7 +17,9 @@ The block kernels (`factor_masses`, `normalize_block`, `atom_values`,
 such vectors at once, without building measure objects, and repeat the
 arithmetic of their per-measure counterparts operation for operation.
 `atom_values` makes the one array call of the response; a probability is
-the expectation of an indicator of those values.
+the expectation of an indicator of those values.  The kernels, and the
+solver's weight move, read their block columns from one cached plan
+(`layout_plan`), keyed by the points per axis.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -255,19 +257,70 @@ def event_probability(p: ProductMeasure, predicate: Callable[..., bool]) -> floa
     return expectation(p, lambda *xs: 1.0 if predicate(*xs) else 0.0)
 
 
+class LayoutPlan(NamedTuple):
+    """The read-only block columns of the flat vectors of one layout (`layout_plan`).
+
+    Atoms are enumerated in expectation()'s order: lexicographically by
+    factor, then point index.
+    """
+
+    segments: np.ndarray  # `np.add.reduceat` starts of each factor's weights and positions
+    wide: tuple[tuple[int, slice], ...]  # factors of more than two points, with their weights
+    weight_cols: np.ndarray  # the block column of every weight
+    weight_factor: np.ndarray  # and its factor
+    atom_weights: np.ndarray  # (dimension, A) columns of every atom's weights
+    atom_positions: np.ndarray  # (dimension, A) columns of every atom's positions
+    others: np.ndarray  # (dimension - 1, dimension, A) each factor's other factors' atom_weights
+    onehot: np.ndarray  # (dimension, A, n_max) one-hot of each atom's point in each factor
+    shift_cols: np.ndarray  # (dimension, n_max) each factor's weights, then its first position
+    real: np.ndarray  # (dimension, 1, n_max) mask of the real points of shift_cols
+
+
+@functools.lru_cache(maxsize=16)
+def layout_plan(npts_per_dim: tuple[int, ...]) -> LayoutPlan:
+    """Every index array the block kernels and the weight move read, for the
+    layouts with `npts_per_dim` points per axis; the axis boxes move no
+    column, so they are not part of the key."""
+    n = np.array(npts_per_dim)
+    starts = 2 * (np.cumsum(n) - n)
+    wide = tuple((k, slice(starts[k], starts[k] + n[k])) for k in np.flatnonzero(n > 2).tolist())
+    j = np.arange(n.max())
+    real = j < n[:, None]
+    # past a factor's points, its first position: `shift_weights` gives that
+    # padding zero gap and zero take, so it writes the column back as read
+    shift_cols = starts[:, None] + np.where(real, j, n[:, None])
+    combos = np.array(list(itertools.product(*map(range, npts_per_dim)))).T
+    atom_weights = combos + starts[:, None]
+    plan = LayoutPlan(
+        segments=np.ravel([starts, starts + n], order="F"),
+        wide=wide,
+        weight_cols=shift_cols[real],
+        weight_factor=np.nonzero(real)[0],
+        atom_weights=atom_weights,
+        atom_positions=atom_weights + n[:, None],
+        others=np.stack([np.delete(atom_weights, k, axis=0) for k in range(len(n))], axis=1),
+        onehot=(combos[:, :, None] == j).astype(float),
+        shift_cols=shift_cols,
+        real=real[:, None, :],
+    )
+    for a in plan:
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return plan
+
+
 def factor_masses(block: np.ndarray, layout: ParamLayout) -> np.ndarray:
     """(m, dimension) total weight of each factor of each row of a block.
 
     Each entry equals DiscreteMeasure.mass(), the correctly rounded sum of
     the factor's weights.
     """
-    segments, wide, _, _ = _weight_plan(layout)
+    plan = layout_plan(layout.npts_per_dim)
     # per factor, the sum of its weights and then of its positions; one
     # addition is already correctly rounded, as math.fsum is, and + 0.0
     # gives a sum of negative zeros fsum's sign
-    masses = np.add.reduceat(block, segments, axis=1)[:, ::2] + 0.0
-    for k in wide:
-        ws = layout.factor_slices()[k][0]
+    masses = np.add.reduceat(block, plan.segments, axis=1)[:, ::2] + 0.0
+    for k, ws in plan.wide:
         masses[:, k] = [math.fsum(row) for row in block[:, ws].tolist()]
     return masses
 
@@ -284,65 +337,9 @@ def normalize_block(block: np.ndarray, layout: ParamLayout) -> tuple[np.ndarray,
     out = np.array(block, dtype=float)
     masses = factor_masses(out, layout)
     nonzero = masses > 0.0
-    _, _, cols, factor = _weight_plan(layout)
-    out[:, cols] /= np.where(nonzero, masses, 1.0)[:, factor]
+    plan = layout_plan(layout.npts_per_dim)
+    out[:, plan.weight_cols] /= np.where(nonzero, masses, 1.0)[:, plan.weight_factor]
     return out, nonzero.all(axis=1)
-
-
-@functools.lru_cache(maxsize=16)
-def weight_columns(layout: ParamLayout) -> np.ndarray:
-    """(dimension, n_max) block column of each factor's weights, -1 past its points."""
-    n = np.array(layout.npts_per_dim)
-    j = np.arange(n.max())
-    cols = np.where(j < n[:, None], 2 * (np.cumsum(n) - n)[:, None] + j, -1)  # factor start + j
-    cols.setflags(write=False)
-    return cols
-
-
-@functools.lru_cache(maxsize=16)
-def _weight_plan(layout: ParamLayout) -> tuple[np.ndarray, tuple[int, ...], np.ndarray, np.ndarray]:
-    """The `np.add.reduceat` starts of each factor's weights and positions,
-    the factors of more than two points, and the block column and the
-    factor of every weight."""
-    segments = np.array([part.start for pair in layout.factor_slices() for part in pair])
-    wide = tuple(k for k, n in enumerate(layout.npts_per_dim) if n > 2)
-    cols = weight_columns(layout)
-    factor, _ = np.nonzero(cols >= 0)
-    cols = cols[cols >= 0]
-    for a in (segments, cols, factor):
-        a.setflags(write=False)
-    return segments, wide, cols, factor
-
-
-@functools.lru_cache(maxsize=16)
-def _atom_columns(layout: ParamLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Block columns of every atom's weights and positions, one row per factor,
-    the (dimension - 1, dimension, A) block columns of the weights of each
-    factor's other factors, in factor order, and the (dimension, A, n_max)
-    one-hot of each atom's point in each factor.
-
-    Atoms are enumerated in expectation()'s order: lexicographically by
-    factor, then point index.
-    """
-    combos = np.array(list(itertools.product(*map(range, layout.npts_per_dim)))).T
-    starts = np.array([ws.start for ws, _ in layout.factor_slices()])[:, None]
-    w_cols = combos + starts
-    x_cols = w_cols + np.array(layout.npts_per_dim)[:, None]
-    d, atoms = w_cols.shape
-    others = np.array([[w_cols[i] for i in range(d) if i != k] for k in range(d)], dtype=np.intp)
-    others = np.ascontiguousarray(others.reshape(d, d - 1, atoms).transpose(1, 0, 2))
-    onehot = (combos[:, :, None] == np.arange(max(layout.npts_per_dim))).astype(float)
-    for a in (w_cols, x_cols, others, onehot):
-        a.setflags(write=False)
-    return w_cols, x_cols, others, onehot
-
-
-def _sum_atoms(terms: np.ndarray) -> np.ndarray:
-    """Row sums of an (m, A) array, adding the atoms one at a time in order."""
-    total = np.zeros(terms.shape[0])
-    for column in terms.T:
-        total += column
-    return total
 
 
 def atom_values(block: np.ndarray, layout: ParamLayout, f: Callable) -> np.ndarray:
@@ -352,7 +349,7 @@ def atom_values(block: np.ndarray, layout: ParamLayout, f: Callable) -> np.ndarr
     all atoms of all rows, so it must work elementwise on float arrays.
     Raises DomainError if any value is non-finite.
     """
-    positions = [block[:, cols] for cols in _atom_columns(layout)[1]]
+    positions = [block[:, cols] for cols in layout_plan(layout.npts_per_dim).atom_positions]
     values = np.asarray(f(*positions), dtype=float)
     if values.shape != positions[0].shape:
         values = np.broadcast_to(values, positions[0].shape)
@@ -369,8 +366,11 @@ def expectation_of_values(block: np.ndarray, layout: ParamLayout, values: np.nda
     Weights are multiplied and terms added in the order expectation() uses.
     Factor masses are not checked: the rows must already be normalized.
     """
-    weights = np.multiply.reduce(block[:, _atom_columns(layout)[0]], axis=1)
-    return _sum_atoms(weights * values)
+    weights = np.multiply.reduce(block[:, layout_plan(layout.npts_per_dim).atom_weights], axis=1)
+    # accumulate adds the atoms left to right (np.sum adds 8 or more
+    # pairwise); + 0.0 gives a sum of negative zeros the sign of one
+    # started from 0.0
+    return np.add.accumulate(weights * values, axis=1)[:, -1] + 0.0
 
 
 def expectation_block(block: np.ndarray, layout: ParamLayout, f: Callable) -> np.ndarray:
@@ -390,10 +390,10 @@ def conditional_expectations_block(
     the product of its other factors' weights, so E[f] = sum_j w_kj g_kj
     for every k: E is affine in each factor's weights.
     """
-    _, _, others, onehot = _atom_columns(layout)
+    plan = layout_plan(layout.npts_per_dim)
     # per factor, the product of the other factors' weights at each atom,
     # multiplied in factor order as expectation_of_values multiplies them
-    products = np.multiply.reduce(block[:, others], axis=1)
+    products = np.multiply.reduce(block[:, plan.others], axis=1)
     # a C-ordered product, so the matmul's sums do not depend on the memory
     # layout of `values`
-    return np.multiply(products.transpose(1, 0, 2), values, order="C") @ onehot
+    return np.multiply(products.transpose(1, 0, 2), values, order="C") @ plan.onehot

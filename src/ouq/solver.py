@@ -31,7 +31,6 @@ the fallback for the initial population.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -62,10 +61,10 @@ from .measures import (
     expectation_of_values,
     factor_masses,
     flatten,
+    layout_plan,
     normalize,
     normalize_block,
     unflatten,
-    weight_columns,
 )
 
 # Slack on the expectation band that FeasibilityAudit allows.
@@ -260,7 +259,7 @@ def shift_weights(
     the farthest in g first, until E reaches the target.  The moves of all
     factors are computed together, on (dimension, m, n_max) arrays in which
     a factor with fewer points is padded with points of zero gap, which
-    take no move (`_shift_plan`).  A row takes the factor whose move is
+    take no move (`layout_plan`).  A row takes the factor whose move is
     smallest in L1, the first on ties; a row that no factor can move to the
     target comes back unchanged.  Each factor's weights stay on the simplex.
     """
@@ -269,7 +268,8 @@ def shift_weights(
     up = expect < lo
     sign = np.where(up, 1.0, -1.0)[:, None]
     need = np.where(up, lo + nudge - expect, expect - (hi - nudge))[:, None]
-    cols, real = _shift_plan(problem.layout)
+    plan = layout_plan(problem.layout.npts_per_dim)
+    cols, real = plan.shift_cols, plan.real
     out = block.copy()
     weights = block[:, cols].transpose(1, 0, 2).copy()
     g = conditional_expectations_block(block, problem.layout, values)
@@ -293,24 +293,6 @@ def shift_weights(
     choice = np.argmin(np.where(reach, 2.0 * moved, np.inf), axis=0)[rows]
     out[rows[:, None], cols[choice]] = weights[choice, rows]
     return out
-
-
-@functools.lru_cache(maxsize=16)
-def _shift_plan(layout: ParamLayout) -> tuple[np.ndarray, np.ndarray]:
-    """The (dimension, n_max) block columns `shift_weights` reads each
-    factor's weights from, and the mask of its real points.
-
-    Past a factor's points the column is the factor's first position: that
-    padding gets zero gap and zero take, so the move writes it back as it
-    was read.
-    """
-    cols = weight_columns(layout)
-    real = cols >= 0
-    first_position = np.array([xs.start for _, xs in layout.factor_slices()])[:, None]
-    cols = np.where(real, cols, first_position)
-    for a in (cols, real):
-        a.setflags(write=False)
-    return cols, real[:, None, :]
 
 
 def repair_block(

@@ -521,6 +521,13 @@ class TestSolve:
         assert "No space left" in capsys.readouterr().err
         assert sorted(p.name for p in outdir.iterdir()) == ["trace_0.csv"]
 
+    def test_renamed_temporaries_are_not_unlinked(self, tmp_path, monkeypatch):
+        path, outdir = write_tiny_config(tmp_path)
+        unlinked = []
+        monkeypatch.setattr(Path, "unlink", lambda self, missing_ok=False: unlinked.append(self))
+        assert main(["solve", str(path)]) == 0
+        assert unlinked == [] and not list(outdir.glob("*.tmp"))
+
     def test_failed_run_still_writes_the_summary(self, tmp_path, monkeypatch, capsys):
         path, outdir = write_tiny_config(tmp_path)
         assert main(["solve", str(path), "--runs", "2"]) == 0

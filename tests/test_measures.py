@@ -28,7 +28,9 @@ from ouq.measures import (
     atom_values,
     conditional_expectations_block,
     expectation_block,
+    expectation_of_values,
     factor_masses,
+    layout_plan,
     normalize_block,
 )
 
@@ -382,7 +384,7 @@ def below_line(*xs):
 
 @st.composite
 def unnormalized_blocks(draw):
-    npts = draw(st.sampled_from([(2, 2, 2), (3, 1, 2), (1,)]))
+    npts = draw(st.sampled_from([(2, 2, 2), (3, 1, 2), (1,), (3, 3, 2)]))
     layout = ParamLayout(npts, tuple((-5.0, 5.0) for _ in npts))
     weight = st.floats(1e-3, 1.0)
     position = st.floats(-5.0, 5.0)
@@ -460,3 +462,26 @@ class TestBlockKernels:
         out, feasible = normalize_block(raw, self.LAYOUT)
         assert feasible.tolist() == [True, False]
         assert np.array_equal(out[0], self.BLOCK[0])
+
+    def test_atoms_are_added_in_order(self):
+        # nine atoms of weight 1: numpy's pairwise sum of these values is 5.0,
+        # expectation()'s sum in atom order 6.0
+        layout = ParamLayout((3, 3), ((0.0, 1.0), (0.0, 1.0)))
+        block = np.array([[1.0, 1.0, 1.0, 0.0, 0.5, 1.0] * 2])
+        values = np.array([[1e16, 1.0, -1e16, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]])
+        assert expectation_of_values(block, layout, values).tolist() == [6.0]
+
+
+class TestLayoutPlan:
+    def test_keyed_by_points_per_axis(self):
+        a = ParamLayout((2, 1), ((0.0, 4.0), (0.0, 4.0)))
+        b = ParamLayout((2, 1), ((-1.0, 1.0), (2.0, 3.0)))
+        assert layout_plan(a.npts_per_dim) is layout_plan(b.npts_per_dim)
+
+    def test_arrays_are_read_only(self):
+        plan = layout_plan((3, 1, 2))
+        arrays = [a for a in plan if isinstance(a, np.ndarray)]
+        assert len(arrays) == 9
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0

@@ -1035,3 +1035,12 @@ class TestOuqSolve:
         assert a.probability_bound == b.probability_bound
         assert np.array_equal(a.report.opt_params, b.report.opt_params)
         assert a.report.evaluations == b.report.evaluations
+
+    def test_kernels_never_hash_the_layout(self, monkeypatch):
+        # the kernels' index plans are keyed by points per axis, a tuple of
+        # ints; the layout's dataclass hash runs in Python on every call
+        hashed = []
+        monkeypatch.setattr(ParamLayout, "__hash__", lambda self: hashed.append(self) or 0)
+        problem = build_problem(load_config(PAPER_CONFIG), 0)
+        result = ouq_solve(replace(problem, outer=replace(problem.outer, max_generations=5)))
+        assert result.report.generations_run == 5 and hashed == []
