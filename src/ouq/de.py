@@ -66,6 +66,11 @@ class ChangeOverGeneration:
         if not self.generations >= 1:
             raise ValueError(f"generations must be >= 1, got {self.generations}")
 
+    def met(self, history: Sequence[float]) -> bool:
+        if len(history) <= self.generations:
+            return False
+        return abs(history[-1] - history[-1 - self.generations]) <= self.tolerance
+
 
 @dataclass(frozen=True)
 class ValueBelow:
@@ -79,25 +84,11 @@ class ValueBelow:
         if not math.isfinite(self.tolerance):
             raise ValueError(f"tolerance must be finite, got {self.tolerance}")
 
+    def met(self, history: Sequence[float]) -> bool:
+        return history[-1] <= self.tolerance
+
 
 TerminationRule = ChangeOverGeneration | ValueBelow
-
-
-def termination_met(rule: TerminationRule, history: Sequence[float]) -> bool:
-    """Evaluate a termination rule on the best-cost history.
-
-    The history carries one entry per completed generation, preceded by the
-    initial-population best.
-    """
-    if len(history) == 0:
-        raise ValueError("history must be nonempty")
-    if isinstance(rule, ChangeOverGeneration):
-        if len(history) <= rule.generations:
-            return False
-        return abs(history[-1] - history[-1 - rule.generations]) <= rule.tolerance
-    if isinstance(rule, ValueBelow):
-        return history[-1] <= rule.tolerance
-    raise TypeError(f"unknown termination rule: {rule!r}")
 
 
 @dataclass(frozen=True)
@@ -182,7 +173,9 @@ def _trials(
 
 
 class _Run:
-    """One run of a lockstep: its generator, population, costs and best-cost history."""
+    """One run of a lockstep: its generator, population, costs and best-cost
+    history, which has one entry per completed generation, preceded by the
+    initial-population best."""
 
     def __init__(self, seed: int, settings: DESettings, bounds: Bounds):
         self.rng = np.random.default_rng(seed)
@@ -203,7 +196,7 @@ class _Run:
         )
 
     def stopped(self, termination: Optional[TerminationRule]) -> bool:
-        return termination is not None and termination_met(termination, self.history)
+        return termination is not None and termination.met(self.history)
 
 
 def de_lockstep(

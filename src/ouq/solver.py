@@ -25,8 +25,9 @@ probability and a `FeasibilityAudit`'s E from them.  Only the fallback's
 vectors, in the initial population, get a pass of their own.  The
 fallback's nested runs go in lockstep (`de_lockstep`), so each inner
 generation of all of them is one block too.  `constrain_params` is the one
-constraint the outer DE gets: the weight move for every generation, then
-the fallback for the initial population.
+repair, and the one constraint the outer DE gets: it renormalizes, makes
+the pass, runs the weight move for every generation, then the fallback for
+the initial population.
 """
 
 from __future__ import annotations
@@ -203,10 +204,10 @@ def impose_expectation(
     """The fallback: a seeded draw of one measure in the admissible
     expectation band per seed.
 
-    `ouq_solve` calls it once, for the rows of its initial population that
-    `repair_block` leaves infeasible.  Each seed starts its own nested DE
-    from a uniform population over the box of the outer problem,
-    minimizing (E[response] - m)^2 over weight-renormalized vectors,
+    `constrain_params` calls it once per solve, for the rows of the initial
+    population that the weight move leaves infeasible.  Each seed starts
+    its own nested DE from a uniform population over the box of the outer
+    problem, minimizing (E[response] - m)^2 over weight-renormalized vectors,
     terminating at value-to-reach d^2 (i.e. |E - m| <= d), for at most
     `problem.inner.max_generations` generations.  The runs go in lockstep
     (`de_lockstep`): each inner generation of all still-running runs is
@@ -295,21 +296,32 @@ def shift_weights(
     return out
 
 
-def repair_block(
-    block: np.ndarray, problem: OUQProblem, counts: InnerCounts
+def _derive_inner_seed(outer_seed: int, slot: int) -> int:
+    # Child streams keyed by (0, slot), 0 for the initial population, so
+    # nested runs never perturb the outer RNG stream.
+    ss = np.random.SeedSequence(entropy=outer_seed, spawn_key=(0, slot))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def constrain_params(
+    block: np.ndarray, generation: int, problem: OUQProblem, counts: InnerCounts
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Repair every row of a trial block: renormalize weights, then move
-    weight within one factor into the mean band.
+    """The constraint of `ouq_solve`: repair one outer generation.
 
     Every factor is renormalized, so the outer DE finds no slack in the
-    factor masses.  One pass of `atom_values` then serves the whole repair:
-    the weight move changes no position, so it gives E of the rows, the g
-    of `shift_weights` and E of the moved rows.  Each row outside [m-d, m+d]
-    gets the weight move, and keeps it if the moved row is in the band.
-    Returns the repaired block, the constraint protocol's mask `feasible`
-    (False for a row with a zero-mass factor, and for a row the move leaves
-    outside the band, which comes back normalized and unchanged) and the
-    atom values of the feasible rows, in row order.
+    factor masses.  One pass of `atom_values` then serves the weight move:
+    it changes no position, so the pass gives E of the rows, the g of
+    `shift_weights` and E of the moved rows.  Each row outside [m-d, m+d]
+    gets the weight move, and keeps it if the moved row is in the band; a
+    row the move leaves outside comes back normalized and unchanged.  In
+    the initial population (`generation` 0), every row still infeasible, a
+    zero-mass row too, is replaced by the fallback's draw, all of them in
+    one lockstep, row `row` with the inner seed derived from (outer seed,
+    row); a row the fallback does not bring into the band stays
+    infeasible, and the drawn rows get one `atom_values` pass of their
+    own.  From generation 1 on such rows are infeasible.  Returns the
+    repaired block, the constraint protocol's mask `feasible` and the atom
+    values of the feasible rows, in row order.
     """
     layout = problem.layout
     out, feasible = normalize_block(block, layout)
@@ -330,32 +342,6 @@ def repair_block(
         counts.repair_rows += rows.size
         outside[outside] = ~fixed  # the rows the move left outside the band
         values = values[~outside]
-    return out, feasible, values
-
-
-def _derive_inner_seed(outer_seed: int, slot: int) -> int:
-    # Child streams keyed by (0, slot), 0 for the initial population, so
-    # nested runs never perturb the outer RNG stream.
-    ss = np.random.SeedSequence(entropy=outer_seed, spawn_key=(0, slot))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def constrain_params(
-    block: np.ndarray, generation: int, problem: OUQProblem, counts: InnerCounts
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The constraint of `ouq_solve`: repair one outer generation.
-
-    `repair_block` gives the out-of-band rows the weight move.  In the
-    initial population (`generation` 0), every row it leaves infeasible, a
-    zero-mass row too, is replaced by the fallback's draw, all of them in
-    one lockstep, row `row` with the inner seed derived from (outer seed,
-    row); a row the fallback does not bring into the band stays
-    infeasible, and the drawn rows get one `atom_values` pass of their
-    own.  From generation 1 on such rows are infeasible.  Returns the
-    repaired block, its mask `feasible` and the atom values of the
-    feasible rows, in row order.
-    """
-    out, feasible, values = repair_block(block, problem, counts)
     rows = np.flatnonzero(~feasible)
     if generation == 0 and rows.size:
         seeds = [_derive_inner_seed(problem.outer.seed, row) for row in rows.tolist()]
@@ -363,7 +349,7 @@ def constrain_params(
         if reached.any():
             merged = np.empty((len(out), values.shape[1]))
             merged[feasible] = values
-            merged[rows[reached]] = atom_values(best, problem.layout, problem.response)
+            merged[rows[reached]] = atom_values(best, layout, problem.response)
             out[rows[reached]] = best
             feasible[rows] = reached
             values = merged[feasible]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ouq import Bounds, ChangeOverGeneration, DESettings, de_solve
-from ouq.de import Strategy, ValueBelow, _trials, de_lockstep, termination_met
+from ouq.de import Strategy, ValueBelow, _trials, de_lockstep
 from ouq.errors import InfeasibleConstrain
 
 
@@ -230,19 +230,19 @@ class TestTrials:
 class TestTermination:
     def test_change_over_generation_constant_history(self):
         rule = ChangeOverGeneration(1e-4, 10)
-        assert termination_met(rule, [1.0] * 11) is True
+        assert rule.met([1.0] * 11) is True
 
     def test_change_over_generation_short_history(self):
         rule = ChangeOverGeneration(1e-4, 10)
-        assert termination_met(rule, [1.0] * 5) is False
+        assert rule.met([1.0] * 5) is False
 
     def test_value_below(self):
-        assert termination_met(ValueBelow(1.0), [5.0, 2.0, 0.81]) is True
-        assert termination_met(ValueBelow(1.0), [5.0, 1.2]) is False
+        assert ValueBelow(1.0).met([5.0, 2.0, 0.81]) is True
+        assert ValueBelow(1.0).met([5.0, 1.2]) is False
 
     def test_value_below_takes_any_finite_target(self):
-        assert termination_met(ValueBelow(-0.3), [-0.1, -0.31]) is True
-        assert termination_met(ValueBelow(-0.3), [-0.1, -0.29]) is False
+        assert ValueBelow(-0.3).met([-0.1, -0.31]) is True
+        assert ValueBelow(-0.3).met([-0.1, -0.29]) is False
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 ValueBelow(bad)

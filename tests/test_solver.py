@@ -40,7 +40,6 @@ from ouq.solver import (
     constrain_params,
     cost_block,
     impose_expectation,
-    repair_block,
     shift_weights,
 )
 
@@ -452,7 +451,7 @@ class TestRepairBlock:
         # a mass slack of 1e-12 is a factor the outer DE could climb into
         problem = paper_problem()
         raw = np.array([0.63, 0.37 + 1e-12, 1.524, 2.667, 1.0, 0.0, 0.0, 0.1, 1.0, 0.0, 2.2885, 2.8])
-        out, feasible, _ = repair_block(raw[None, :], problem, InnerCounts())
+        out, feasible, _ = constrain_params(raw[None, :], 1, problem, InnerCounts())
         assert feasible.tolist() == [True] and de_reports == []
         assert np.array_equal(out[0, :2], raw[:2] / math.fsum(raw[:2]))
         assert abs(math.fsum(out[0, :2]) - 1.0) <= 2.0**-52
@@ -565,7 +564,7 @@ class TestShiftWeights:
             # the same plates at low speed: expectation ~4.27, below the band
             [0.5, 0.5, 1.524, 2.667, 0.5, 0.5, 0.0, 0.1, 0.5, 0.5, 2.1, 2.15],
         ])
-        out, feasible, _ = repair_block(trials, problem, InnerCounts())
+        out, feasible, _ = constrain_params(trials, 1, problem, InnerCounts())
         assert feasible.tolist() == [True, True] and de_reports == []
         assert not np.array_equal(out[0], out[1])
         for row, trial in zip(out, trials):
@@ -673,18 +672,18 @@ class TestOneResponsePass:
             [0.5, 0.5, 1.524, 2.667, 0.5, 0.5, 0.0, 0.1, 0.5, 0.5, 2.5, 2.6],  # in it
         ])
         counts = InnerCounts()
-        _, feasible, _ = repair_block(block, problem, counts)
+        _, feasible, _ = constrain_params(block, 1, problem, counts)
         assert feasible.all() and de_reports == [] and counts.repair_rows == 2
         assert calls == [(3, 8)]  # 3 rows of 8 atoms
 
     def test_fallback_rows(self, monkeypatch):
         # a row the weight move cannot repair costs no further response call:
-        # repair_block never calls the fallback
+        # from generation 1 on constrain_params never calls the fallback
         problem, calls = counted(sum_problem())
         fallback_calls = []
         monkeypatch.setattr(solver_mod, "impose_expectation", lambda *args: fallback_calls.append(args))
         block = np.stack([TestFallback.IN_BAND, TestFallback.MOVABLE, TestFallback.STUCK])
-        _, feasible, _ = repair_block(block, problem, InnerCounts())
+        _, feasible, _ = constrain_params(block, 1, problem, InnerCounts())
         assert feasible.tolist() == [True, True, False]
         assert fallback_calls == [] and calls == [(3, 4)]  # 3 rows of 4 atoms
 
@@ -693,12 +692,8 @@ class TestOneResponsePass:
         # moved, unmoved, fallback (generation 0 only) and zero-mass rows
         problem = sum_problem()
         block = np.stack([TestFallback.STUCK, TestFallback.IN_BAND, np.zeros(8), TestFallback.MOVABLE])
-        for repair in (
-            lambda: repair_block(block, problem, InnerCounts()),
-            lambda: constrain_params(block, generation, problem, InnerCounts()),
-        ):
-            out, feasible, values = repair()
-            assert np.array_equal(values, atom_values(out[feasible], problem.layout, problem.response))
+        out, feasible, values = constrain_params(block, generation, problem, InnerCounts())
+        assert np.array_equal(values, atom_values(out[feasible], problem.layout, problem.response))
         assert feasible.tolist() == [generation == 0, True, generation == 0, True]
 
     @staticmethod
@@ -777,26 +772,23 @@ class TestFallback:
 
     def test_inner_seeds_only_for_fallback_rows(self, monkeypatch):
         # in ouq_solve the fallback runs once, at generation 0, with one inner
-        # seed per row that repair_block left infeasible, derived from the row;
-        # constrain_params is looked up on the module for every generation
+        # seed per row that the weight move left infeasible, derived from the
+        # row; constrain_params is looked up on the module for every generation
         events, generations = [], []
-        real_repair, real_impose = solver_mod.repair_block, solver_mod.impose_expectation
-        real_constrain = solver_mod.constrain_params
-
-        def repair(*args):
-            out, feasible, values = real_repair(*args)
-            events.append(("repair", feasible.copy()))
-            return out, feasible, values
+        real_impose, real_constrain = solver_mod.impose_expectation, solver_mod.constrain_params
 
         def impose(problem, seeds, counts):
             events.append(("fallback", list(seeds)))
             return real_impose(problem, seeds, counts)
 
-        def constrain(block, generation, *args):
+        def constrain(block, generation, problem, counts):
             generations.append(generation)
-            return real_constrain(block, generation, *args)
+            if generation == 0:
+                # the weight move's verdict: at generation 1 no fallback runs
+                _, feasible, _ = real_constrain(block, 1, problem, InnerCounts())
+                events.append(("repair", feasible))
+            return real_constrain(block, generation, problem, counts)
 
-        monkeypatch.setattr(solver_mod, "repair_block", repair)
         monkeypatch.setattr(solver_mod, "impose_expectation", impose)
         monkeypatch.setattr(solver_mod, "constrain_params", constrain)
         for band in [(5.5, 7.5), (6.4, 6.6)]:
@@ -818,7 +810,7 @@ class TestFallback:
         row = np.array([[0.5, 0.5, edge - 2.0 + offset, edge + 2.0]])
         e = expectation_block(row, problem.layout, problem.response)[0]
         assert abs(e - (edge + offset / 2.0)) <= 1e-14
-        out, feasible, _ = repair_block(row, problem, InnerCounts())
+        out, feasible, _ = constrain_params(row, 1, problem, InnerCounts())
         assert feasible.tolist() == [True] and de_reports == []
         assert in_band(expectation_block(out, problem.layout, problem.response), problem)[0]
 
@@ -842,13 +834,14 @@ class TestFallbackOnlyForTheInitialPopulation:
         assert set(runs_at_cost) == {result.inner.runs}  # every generation's cost, from 0 on
 
     def test_no_inner_seed_no_fallback(self, de_reports):
-        # repair_block takes no inner seed and starts no nested run: a row the
-        # weight move cannot repair comes back normalized, unchanged, infeasible
+        # from generation 1 on no inner seed is derived and no nested run starts:
+        # a row the weight move cannot repair comes back normalized, unchanged,
+        # infeasible
         stuck = TestFallback.STUCK * [2, 2, 1, 1, 2, 2, 1, 1]  # mass 2 per factor
         block = np.stack([TestFallback.IN_BAND, TestFallback.MOVABLE, np.zeros(8), stuck])
         problem = sum_problem()
         counts = InnerCounts()
-        out, feasible, _ = repair_block(block, problem, counts)
+        out, feasible, _ = constrain_params(block, 1, problem, counts)
         assert feasible.tolist() == [True, True, False, False] and de_reports == []
         assert np.array_equal(out[0], TestFallback.IN_BAND)
         assert np.array_equal(out[1, :4], TestFallback.MOVABLE[:4])  # only y's weights move
@@ -857,13 +850,17 @@ class TestFallbackOnlyForTheInitialPopulation:
         assert np.array_equal(out[3], TestFallback.STUCK)  # normalized, not moved
         assert counts == InnerCounts(repair_rows=2)
 
-    @pytest.mark.parametrize("band", [(9.44, 9.48), (0.01, 0.2)])
+    @pytest.mark.parametrize("band", [(9.44, 9.48), (0.01, 0.2), (6.4, 6.6)])
     def test_extreme_bands_solve(self, band):
         # the weight move alone leaves no feasible initial member on some of
-        # these seeds; the generation-0 fallback finds them
+        # these seeds; the generation-0 fallback finds them, and every row
+        # the outer DE costs, the fallback's too, is normalized and in band
         for seed in range(5):
-            result = ouq_solve(paper_problem(seed=seed, band=band))
+            audit = FeasibilityAudit()
+            result = ouq_solve(paper_problem(seed=seed, band=band), audit=audit)
             assert band[0] - 1e-6 <= result.expectation_at_maximizer <= band[1] + 1e-6
+            assert audit.evaluations > 0
+            assert audit.mass_violations == audit.band_violations == 0
 
 
 class TestPerSeedQuality:
