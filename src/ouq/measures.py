@@ -347,12 +347,14 @@ def atom_values(block: np.ndarray, layout: ParamLayout, f: Callable) -> np.ndarr
 
     The response is called once, on (m, A) arrays holding the positions of
     all atoms of all rows, so it must work elementwise on float arrays.
-    Raises DomainError if any value is non-finite.
+    Raises DomainError if any value is non-finite.  The result is a new
+    array, a constant response broadcast into it, so the caller may write
+    to it.
     """
     positions = [block[:, cols] for cols in layout_plan(layout.npts_per_dim).atom_positions]
-    values = np.asarray(f(*positions), dtype=float)
+    values = np.array(f(*positions), dtype=float)
     if values.shape != positions[0].shape:
-        values = np.broadcast_to(values, positions[0].shape)
+        values = np.broadcast_to(values, positions[0].shape).copy()
     if not np.isfinite(values).all():
         row, atom = np.argwhere(~np.isfinite(values))[0]
         at = tuple(float(x[row, atom]) for x in positions)

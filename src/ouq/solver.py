@@ -17,17 +17,18 @@ value-to-reach d^2).
 
 Both loops work on whole generations: repair and cost take
 (m, param_length) blocks through the block kernels of `measures`.  The
-repair makes the one pass of atom values of an outer generation, which
-gives E of the trials, the g of the weight move and E of the moved
-trials; the weight move keeps every position, so the repair hands the
-values of its feasible rows to the cost, which reads the failure
-probability and a `FeasibilityAudit`'s E from them.  Only the fallback's
-vectors, in the initial population, get a pass of their own.  The
-fallback's nested runs go in lockstep (`de_lockstep`), so each inner
-generation of all of them is one block too.  `constrain_params` is the one
-repair, and the one constraint the outer DE gets: it renormalizes, makes
-the pass, runs the weight move for every generation, then the fallback for
-the initial population.
+repair makes the one pass of atom values of an outer generation, over
+every normalized row, zero-mass rows too, and reads E of the trials, the
+g of the weight move and E of the moved trials from that one (m, A)
+array in place; the weight move keeps every position, so the repair
+hands the values of its feasible rows to the cost, which reads the
+failure probability and a `FeasibilityAudit`'s E from them.  Only the
+fallback's vectors, in the initial population, get a pass of their own.
+The fallback's nested runs go in lockstep (`de_lockstep`), so each inner
+generation of all of them is one block too.  `constrain_params` is the
+one repair, and the one constraint the outer DE gets: it renormalizes,
+makes the pass, runs the weight move for every generation, then the
+fallback for the initial population.
 """
 
 from __future__ import annotations
@@ -309,51 +310,44 @@ def constrain_params(
     """The constraint of `ouq_solve`: repair one outer generation.
 
     Every factor is renormalized, so the outer DE finds no slack in the
-    factor masses.  One pass of `atom_values` then serves the weight move:
-    it changes no position, so the pass gives E of the rows, the g of
-    `shift_weights` and E of the moved rows.  Each row outside [m-d, m+d]
-    gets the weight move, and keeps it if the moved row is in the band; a
-    row the move leaves outside comes back normalized and unchanged.  In
-    the initial population (`generation` 0), every row still infeasible, a
+    factor masses.  One pass of `atom_values` over every row, zero-mass
+    rows too (their positions lie in the box), then serves the weight
+    move: it changes no position, so the pass gives E of the rows, the g
+    of `shift_weights` and E of the moved rows.  A non-finite value at any
+    row's atoms raises DomainError.  Each row outside [m-d, m+d] gets the
+    weight move, and keeps it if the moved row is in the band; a row the
+    move leaves outside comes back normalized and unchanged.  In the
+    initial population (`generation` 0), every row still infeasible, a
     zero-mass row too, is replaced by the fallback's draw, all of them in
     one lockstep, row `row` with the inner seed derived from (outer seed,
     row); a row the fallback does not bring into the band stays
     infeasible, and the drawn rows get one `atom_values` pass of their
-    own.  From generation 1 on such rows are infeasible.  Returns the
-    repaired block, the constraint protocol's mask `feasible` and the atom
-    values of the feasible rows, in row order.
+    own, written over their rows' values.  From generation 1 on such rows
+    are infeasible.  Returns the repaired block, the constraint protocol's
+    mask `feasible` and the atom values of the feasible rows, in row order.
     """
     layout = problem.layout
     out, feasible = normalize_block(block, layout)
-    rows = np.flatnonzero(feasible)
     lo, hi = problem.constraint.band
-    trials = out[rows]
-    values = atom_values(trials, layout, problem.response)
-    e = expectation_of_values(trials, layout, values)
-    outside = ~((lo <= e) & (e <= hi))
-    if outside.any():
-        moved_values = values[outside]
-        moved = shift_weights(trials[outside], moved_values, e[outside], problem)
-        e = expectation_of_values(moved, layout, moved_values)
+    values = atom_values(out, layout, problem.response)
+    e = expectation_of_values(out, layout, values)
+    rows = np.flatnonzero(feasible & ~((lo <= e) & (e <= hi)))
+    if rows.size:
+        moved = shift_weights(out[rows], values[rows], e[rows], problem)
+        e = expectation_of_values(moved, layout, values[rows])
         fixed = (lo <= e) & (e <= hi)
-        rows = rows[outside]
         out[rows[fixed]] = moved[fixed]
         feasible[rows[~fixed]] = False
         counts.repair_rows += rows.size
-        outside[outside] = ~fixed  # the rows the move left outside the band
-        values = values[~outside]
     rows = np.flatnonzero(~feasible)
     if generation == 0 and rows.size:
         seeds = [_derive_inner_seed(problem.outer.seed, row) for row in rows.tolist()]
         best, reached = impose_expectation(problem, seeds, counts)
         if reached.any():
-            merged = np.empty((len(out), values.shape[1]))
-            merged[feasible] = values
-            merged[rows[reached]] = atom_values(best, layout, problem.response)
+            values[rows[reached]] = atom_values(best, layout, problem.response)
             out[rows[reached]] = best
             feasible[rows] = reached
-            values = merged[feasible]
-    return out, feasible, values
+    return out, feasible, values[feasible]
 
 
 def ouq_solve(

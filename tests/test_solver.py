@@ -25,7 +25,7 @@ from ouq import (
 )
 from ouq.config import build_problem, load_config
 from ouq.de import Strategy, ValueBelow, de_lockstep
-from ouq.errors import InfeasibleConstrain
+from ouq.errors import DomainError, InfeasibleConstrain
 from ouq.measures import (
     atom_values,
     conditional_expectations_block,
@@ -675,6 +675,42 @@ class TestOneResponsePass:
         _, feasible, _ = constrain_params(block, 1, problem, counts)
         assert feasible.all() and de_reports == [] and counts.repair_rows == 2
         assert calls == [(3, 8)]  # 3 rows of 8 atoms
+
+    def test_zero_mass_rows(self, de_reports):
+        # the pass covers every normalized row, since a zero-mass row's
+        # positions lie in the box too; such a row is never costed, but a
+        # non-finite value at its atoms raises as at any other row's
+        problem, calls = counted(paper_problem())
+        block = np.array([
+            [0.5, 0.5, 1.524, 2.667, 1.0, 0.0, 0.0, 0.1, 0.5, 0.5, 2.79, 2.8],  # above the band
+            [0.5, 0.5, 1.524, 2.667, 0.5, 0.5, 0.0, 0.1, 0.5, 0.5, 2.1, 2.15],  # below it
+            [0.0, 0.0, 1.6, 2.0, 0.5, 0.5, 0.0, 0.1, 0.5, 0.5, 2.5, 2.6],  # zero mass
+            [0.5, 0.5, 1.524, 2.667, 0.5, 0.5, 0.0, 0.1, 0.5, 0.5, 2.5, 2.6],  # in the band
+        ])
+        out, feasible, values = constrain_params(block, 1, problem, InnerCounts())
+        assert feasible.tolist() == [True, True, False, True] and de_reports == []
+        assert calls == [(4, 8)]  # 4 rows of 8 atoms
+        assert np.array_equal(values, atom_values(out[feasible], problem.layout, perforation_area))
+
+        def nan_at_zero_mass_row(h, theta, v):  # its thicknesses occur in no other row
+            return np.where(np.isin(h, (1.6, 2.0)), np.nan, perforation_area(h, theta, v))
+
+        with pytest.raises(DomainError):
+            constrain_params(block, 1, replace(problem, response=nan_at_zero_mass_row), InnerCounts())
+
+    @pytest.mark.parametrize(
+        "response",
+        [lambda x: 0.0, lambda x: np.broadcast_to(0.0, np.shape(x))],
+        ids=["scalar", "read_only_array"],
+    )
+    def test_constant_response_with_fallback_rows(self, de_reports, response):
+        # the values are copied out of what the response returns, so the
+        # fallback's draw can write its values over its rows
+        problem = toy_problem(response, band=(-0.5, 0.5), npts=(2,), bounds=((0.0, 1.0),))
+        block = np.array([[0.5, 0.5, 0.2, 0.8], [0.0, 0.0, 0.2, 0.8]])  # the second has zero mass
+        _, feasible, values = constrain_params(block, 0, problem, InnerCounts())
+        assert feasible.tolist() == [True, True] and len(de_reports) == 1
+        assert np.array_equal(values, np.zeros((2, 2)))
 
     def test_fallback_rows(self, monkeypatch):
         # a row the weight move cannot repair costs no further response call:
