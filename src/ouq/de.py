@@ -173,14 +173,14 @@ def _trials(
 
 
 class _Run:
-    """One run of a lockstep: its generator, population, costs and best-cost
-    history, which has one entry per completed generation, preceded by the
-    initial-population best."""
+    """One run of a lockstep: its generator, its views of the lockstep's
+    population and costs, and its best-cost history, which has one entry per
+    generation, generation 0 (the initial population) included."""
 
-    def __init__(self, seed: int, settings: DESettings, bounds: Bounds):
+    def __init__(self, seed: int, pop: np.ndarray, costs: np.ndarray, bounds: Bounds):
         self.rng = np.random.default_rng(seed)
-        self.pop = self.rng.uniform(bounds.lower, bounds.upper, size=(settings.npop, len(bounds)))
-        self.costs = None
+        pop[...] = bounds.clip(self.rng.uniform(bounds.lower, bounds.upper, size=pop.shape))
+        self.pop, self.costs = pop, costs
         self.best, self.evaluations = 0, 0
         self.history: list[float] = []
         self.trace: list[GenerationRecord] = []
@@ -214,28 +214,31 @@ def de_lockstep(
     Each run is the run `de_solve` makes with that seed (see there): its own
     generator, uniform initial population, trial draws and best-cost
     history, so its result does not depend on the other runs.  What the
-    runs share is the work: each generation one `_trials` pass builds the
-    trials of all still-running runs, each from its own generator's draws,
-    stacked in seed order into one (runs * npop, d) block, whose row r is
-    slot r % npop of the (r // npop)-th of them.  It is clipped, passed to
+    runs share is the work: each generation the trials of all
+    still-running runs (their initial draws at generation 0, later one
+    `_trials` pass over each run's own generator's draws) are stacked in
+    seed order into one (runs * npop, d) block, whose row r is slot
+    r % npop of the (r // npop)-th of them.  It is clipped, passed to
     `constrain(block, generation)` and costed with one call of each, in
-    the forms of `de_solve(vectorized=True)`.  A run
-    leaves the block once its termination rule holds or after
-    `settings.max_generations`.
+    the forms of `de_solve(vectorized=True)`.  A run leaves the block once
+    its termination rule holds or after `settings.max_generations`.
 
     Returns one entry per seed: the run's SolveReport, or, if no member of
     its initial population was feasible, the InfeasibleConstrain that
     `de_solve` would raise.  `trace_hook` is called for every run at every
-    generation, in seed order.
+    generation from 1 on, in seed order; the trace starts there too.
     """
     npop, d = settings.npop, len(bounds)
-    runs = [_Run(seed, settings, bounds) for seed in seeds]
-    if not runs:
-        return []
-
-    def evaluate(block, generation):
-        """Per run: params and costs of its trials (infeasible ones cost +inf),
-        and how many were evaluated."""
+    # every run's population and costs are views of these, one run per row
+    pops, pop_costs = np.empty((len(seeds), npop, d)), np.full((len(seeds), npop), math.inf)
+    runs = [_Run(*views, bounds) for views in zip(seeds, pops, pop_costs)]
+    live, generation = list(range(len(runs))), 0
+    while live and generation <= settings.max_generations:
+        if generation:
+            best = [runs[k].best for k in live]
+            block = _trials([runs[k].rng for k in live], pops[live], pops[live, best], settings)
+        else:  # generation 0 tries the initial draws themselves
+            block = pops.reshape(-1, d)
         block = bounds.clip(block)
         feasible = None  # every row feasible: the block is costed as it is
         if constrain is not None:
@@ -248,32 +251,14 @@ def de_lockstep(
                 block = np.where(feasible[:, None], repaired, block)
         if feasible is None:
             costs = np.array(cost(block), dtype=float)
-            counts = [npop] * (len(block) // npop)
+            counts = [npop] * len(live)
         else:
             costs = np.full(len(block), math.inf)
             if feasible.any():
                 costs[feasible] = cost(block[feasible])
             counts = np.count_nonzero(feasible.reshape(-1, npop), axis=1).tolist()
-        return block.reshape(-1, npop, d), costs.reshape(-1, npop), counts
-
-    # every run's population and costs are views of these, one run per row
-    pops, costs, counts = evaluate(np.concatenate([run.pop for run in runs]), 0)
-    live = []
-    for k, (run, count) in enumerate(zip(runs, counts)):
-        run.pop, run.costs, run.evaluations = pops[k], costs[k], count
-        if count == 0:
-            continue
-        run.best = int(np.argmin(run.costs))
-        run.history.append(float(run.costs[run.best]))
-        if not run.stopped(termination):  # many inner runs stop here
-            live.append(k)
-
-    generation = 0
-    while live and generation < settings.max_generations:
-        generation += 1
-        best = [runs[k].best for k in live]
-        block = _trials([runs[k].rng for k in live], pops[live], pops[live, best], settings)
-        for k, trials, trial_costs, count in zip(live, *evaluate(block, generation)):
+        per_run = zip(live, block.reshape(-1, npop, d), costs.reshape(-1, npop), counts)
+        for k, trials, trial_costs, count in per_run:
             run = runs[k]
             run.evaluations += count
             improved = trial_costs < run.costs
@@ -282,13 +267,16 @@ def de_lockstep(
             run.best = int(np.argmin(run.costs))
             best_cost = float(run.costs[run.best])
             run.history.append(best_cost)
-            run.trace.append(GenerationRecord(generation, best_cost, run.pop[run.best].copy()))
-            if trace_hook is not None:
-                trace_hook(generation, best_cost, run.pop[run.best].copy())
-        live = [k for k in live if not runs[k].stopped(termination)]
+            if generation:
+                run.trace.append(GenerationRecord(generation, best_cost, run.pop[run.best].copy()))
+                if trace_hook is not None:
+                    trace_hook(generation, best_cost, run.pop[run.best].copy())
+        # a run that evaluated nothing at generation 0 is over; many inner runs stop there too
+        live = [k for k in live if runs[k].evaluations and not runs[k].stopped(termination)]
+        generation += 1
 
     return [
-        run.report(termination) if run.history
+        run.report(termination) if run.evaluations
         else InfeasibleConstrain("constrain rejected the entire initial population")
         for run in runs
     ]
@@ -306,13 +294,14 @@ def de_solve(
 ) -> SolveReport:
     """Minimize `cost` over the box with differential evolution.
 
-    Each generation builds all `npop` trials against the generation-start
-    population from one draw of npop * (d + 2) uniforms from the seeded
-    generator (`_trials`), then clips them to the box, passes them through
-    the constraint function, re-clips and evaluates them as one block; a
-    trial replaces its population slot only on strict improvement, so the
-    best-cost history is monotone non-increasing.  This is `de_lockstep`
-    with the one seed `settings.seed`.
+    Every population slot starts as a uniform draw at cost +inf.  Each
+    generation's `npop` trials, one per slot, are those draws at
+    generation 0, later built against the generation-start population
+    from one draw of npop * (d + 2) uniforms (`_trials`).  They are
+    clipped to the box, passed through the constraint function, re-clipped
+    and evaluated as one block, and a trial takes its slot only if it is
+    strictly cheaper, so the best-cost history is monotone non-increasing.
+    This is `de_lockstep` with the one seed `settings.seed`.
 
     `constrain(block, generation)` gets the (npop, d) trials, row i in
     slot i, and returns `(block, feasible)`, where `feasible` is a boolean
@@ -323,11 +312,12 @@ def de_solve(
     every trial is feasible the cost gets the block itself, not a copy,
     so it must not modify what it is given.
 
-    An infeasible trial (False in `feasible`) costs +inf, is never
-    evaluated and never replaces a population member, so a generation of
-    infeasible trials leaves the population unchanged.  An infeasible
-    initial member holds its slot, clipped but unrepaired, at cost +inf
-    until a feasible trial replaces it; if no initial member is feasible,
+    An infeasible trial (False in `feasible`) costs +inf and is never
+    evaluated; a NaN cost counts in `evaluations`.  Neither is cheaper
+    than +inf, so neither takes a slot: a generation of infeasible trials
+    leaves the population unchanged, an initial draw found infeasible or
+    NaN keeps its slot, clipped but unrepaired, at +inf, and NaN never
+    becomes the best cost.  If no initial member is feasible,
     InfeasibleConstrain is raised.
     """
     block_cost = cost if vectorized else lambda block: [cost(row) for row in block]

@@ -98,7 +98,8 @@ def perforation_area(
 
 
 def _perforation_area_array(h, theta, v, params: SurrogateParams) -> np.ndarray:
-    """perforation_area on arrays, with the scalar formula's order of operations."""
+    """perforation_area on arrays, with the scalar formula's order of operations;
+    np.tanh and np.power are not math.tanh and **: it agrees to about 1e-12, not bit for bit."""
     outside = ~((h > 0.0) & (0.0 <= theta) & (theta < _HALF_PI) & (v >= 0.0))
     if outside.any():
         i = tuple(np.argwhere(outside)[0])

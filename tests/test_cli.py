@@ -64,6 +64,60 @@ def write_tiny_config(tmp_path, **overrides):
     return path, Path(outdir)
 
 
+BANDS = {"reference": "[5.5, 7.5]", "narrow_band": "[6.4, 6.6]"}
+
+# numpy's np.power loops give other bits on other CPU dispatch targets, and
+# the seeded trajectories follow them.  So the pins are
+# kept per target, keyed by `dispatch_fingerprint()`: per workload, seed 0's
+# generations / evaluations / inner runs / inner generations / inner
+# evaluations / repair_rows / inner_failures, its bound, and the digest of the
+# artifacts of seeds 0-9.
+SEED_PINS = {
+    # AVX512: X86_V4, AVX512_ICL and AVX512_SPR all found
+    "b65699abb702ca33eedf1f39aef99e97740e1e78206ee8722f2bde050e165c72": {
+        "reference": (
+            (20, 833, 9, 0, 180, 293, 0),
+            0.37804727719574766,
+            "6799c230b10301bdd1e4a5367df51590fca3ae701c2af794882a4e6b1f3adcc2",
+        ),
+        "narrow_band": (
+            (37, 1503, 20, 12, 640, 884, 0),
+            0.2771543682362208,
+            "acc4e39fd5a6a88dd55573451322c745ffabc88b0ab673ca405a6fcfc40b1c9c",
+        ),
+    },
+    # X86_V3 (AVX2, FMA3), as under NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"
+    "33ee33e5ebf86c77182abacc996707d4b5700d9c8e40c14974bbb45309047f80": {
+        "reference": (
+            (20, 832, 9, 0, 180, 289, 0),
+            0.3780472771957477,
+            "f3652b03f59b1c14d682adae01146b911865ad7e3accbec99e856700c6560f5a",
+        ),
+        "narrow_band": (
+            (44, 1783, 20, 12, 640, 969, 0),
+            0.27715681738522596,
+            "4989f8ad7298cc579288c584027a93678fc69e70546fffa58d7ec2f1a513497d",
+        ),
+    },
+}
+
+
+def dispatch_fingerprint() -> str:
+    """sha256 of perforation_area's array form at the 64 cell midpoints of a
+    4 x 4 x 4 grid over paper.config's box."""
+    lower, upper = np.array([1.524, 0.0, 2.1]), np.array([2.667, 0.5235987755982988, 2.8])
+    axes = [lo + (hi - lo) * (np.arange(4) + 0.5) / 4 for lo, hi in zip(lower, upper)]
+    area = perforation_area(*np.meshgrid(*axes, indexing="ij"))
+    return hashlib.sha256(area.tobytes()).hexdigest()
+
+
+def seed_pins(workload):
+    fingerprint = dispatch_fingerprint()
+    if fingerprint not in SEED_PINS:
+        pytest.fail(f"no seed pins for numpy dispatch fingerprint {fingerprint}")
+    return SEED_PINS[fingerprint][workload]
+
+
 class TestLoadConfig:
     def test_paper_config(self):
         cfg = load_config(PAPER_CONFIG)
@@ -394,18 +448,12 @@ class TestSolve:
         summary = json.loads((outdir / "summary.json").read_text())
         assert (summary["best_run"], summary["bounds"], summary["failed_run"]["run"]) == (None, [], 0)
 
-    @pytest.mark.parametrize(
-        "band, generations, evaluations, bound",
-        [
-            ("[5.5, 7.5]", 20, 833, 0.37804727719574766),
-            ("[6.4, 6.6]", 37, 1503, 0.2771543682362208),
-        ],
-        ids=["reference", "narrow_band"],
-    )
-    def test_seed_0_result_pinned(self, tmp_path, capsys, band, generations, evaluations, bound):
+    @pytest.mark.parametrize("workload", list(BANDS))
+    def test_seed_0_result_pinned(self, tmp_path, capsys, workload):
+        (generations, evaluations, *_), bound, _ = seed_pins(workload)
         config = tmp_path / "paper.config"
         config.write_text(
-            PAPER_CONFIG.read_text().replace("mean_band: [5.5, 7.5]", f"mean_band: {band}")
+            PAPER_CONFIG.read_text().replace("mean_band: [5.5, 7.5]", f"mean_band: {BANDS[workload]}")
         )
         args = ["solve", str(config), "--seed", "0", "--runs", "1", "--output-dir", str(tmp_path)]
         assert main(args) == 0
@@ -419,19 +467,13 @@ class TestSolve:
         assert last[:2] == [generations, -bound]
         assert last[2:] == flatten(measure_from_dict(result["maximizer"])).tolist()
 
-    @pytest.mark.parametrize(
-        "band, counts",
-        [
-            ("[5.5, 7.5]", (20, 833, 9, 0, 180, 293, 0)),
-            ("[6.4, 6.6]", (37, 1503, 20, 12, 640, 884, 0)),
-        ],
-        ids=["reference", "narrow_band"],
-    )
-    def test_seed_0_inner_counts_pinned(self, tmp_path, capsys, band, counts):
+    @pytest.mark.parametrize("workload", list(BANDS))
+    def test_seed_0_inner_counts_pinned(self, tmp_path, capsys, workload):
         # the totals of the band repairs of seed 0
+        counts, _, _ = seed_pins(workload)
         config = tmp_path / "paper.config"
         config.write_text(
-            PAPER_CONFIG.read_text().replace("mean_band: [5.5, 7.5]", f"mean_band: {band}")
+            PAPER_CONFIG.read_text().replace("mean_band: [5.5, 7.5]", f"mean_band: {BANDS[workload]}")
         )
         args = ["solve", str(config), "--seed", "0", "--runs", "1", "--output-dir", str(tmp_path)]
         assert main(args) == 0
@@ -443,20 +485,14 @@ class TestSolve:
         assert tuple(result[k] for k in keys) == counts
         assert list(result)[-5:] == list(keys[2:])  # the earlier keys keep their bytes
 
-    @pytest.mark.parametrize(
-        "band, digest",
-        [
-            ("[5.5, 7.5]", "6799c230b10301bdd1e4a5367df51590fca3ae701c2af794882a4e6b1f3adcc2"),
-            ("[6.4, 6.6]", "acc4e39fd5a6a88dd55573451322c745ffabc88b0ab673ca405a6fcfc40b1c9c"),
-        ],
-        ids=["reference", "narrow_band"],
-    )
-    def test_seeds_0_to_9_artifacts_pinned(self, tmp_path, capsys, band, digest):
+    @pytest.mark.parametrize("workload", list(BANDS))
+    def test_seeds_0_to_9_artifacts_pinned(self, tmp_path, capsys, workload):
         # every byte of ten runs' traces, results and summary: a change that
         # does not mean to move the trajectory leaves this digest as it is
+        _, _, digest = seed_pins(workload)
         config = tmp_path / "paper.config"
         config.write_text(
-            PAPER_CONFIG.read_text().replace("mean_band: [5.5, 7.5]", f"mean_band: {band}")
+            PAPER_CONFIG.read_text().replace("mean_band: [5.5, 7.5]", f"mean_band: {BANDS[workload]}")
         )
         outdir = tmp_path / "out"
         args = ["solve", str(config), "--seed", "0", "--runs", "10", "--output-dir", str(outdir)]

@@ -434,6 +434,21 @@ class TestInfeasibleTrials:
                 constrain=initial_infeasible,
             )
 
+    def test_nan_initial_cost_never_becomes_best(self):
+        # seed 2 draws initial members with x0 > 4; their NaN costs are
+        # counted but, not cheaper than +inf, never take a slot
+        def nan_right_of_4(x):
+            return math.nan if x[0] > 4.0 else sphere(x)
+
+        report = de_solve(
+            nan_right_of_4,
+            Bounds.from_pairs([(-5.0, 5.0)] * 2),
+            DESettings(npop=10, seed=2, max_generations=50),
+        )
+        assert math.isfinite(report.opt_cost)
+        assert all(math.isfinite(rec.best_cost) for rec in report.trace)
+        assert report.evaluations == 10 * 51
+
 
 class TestLockstep:
     """Runs in lockstep give, run by run, what de_solve gives with the same seed."""
