@@ -33,9 +33,10 @@ ValueError as a ConfigError under the key it came from.
 The rules no type owns are checked here: `seed` >= 0, `runs` >= 1, a
 non-empty `output_dir`, and the response probe: the response must be
 registered, take one coordinate per axis, be defined and finite at every
-corner of the axis box, and give the same corner values when called once
-on arrays.  Length units mils and angle unit deg are converted at this
-boundary (1 mil = 0.0254 mm); mm, rad and km_s are native and pass through.
+corner of the axis box, and give the same corner values, within 1e-6 of
+the largest, when called once on arrays.  Length units mils and angle unit
+deg are converted at this boundary (1 mil = 0.0254 mm); mm, rad and km_s
+are native and pass through.
 """
 
 from __future__ import annotations
@@ -240,8 +241,9 @@ def _check_response(name: str, bounds: tuple[tuple[float, float], ...]):
 
     The surrogate's domain is itself a box, so a box whose corners all lie
     in it lies in it entirely.  Every corner value must be finite, and one
-    more call on the stacked corner arrays must give the same values, since
-    the solver evaluates the response elementwise on arrays.
+    more call on the stacked corner arrays must give the same values, within
+    1e-6 of the largest of them, since the solver evaluates the response
+    elementwise on arrays.
     """
     entry = get_response(name)
     check_arity(entry, len(bounds))
@@ -256,7 +258,10 @@ def _check_response(name: str, bounds: tuple[tuple[float, float], ...]):
             raise ConfigError(f"{name!r} is {values[-1]} at the box corner {corner}")
     try:
         stacked = entry.func(*(np.array(axis) for axis in zip(*corners)))
-        same = np.allclose(np.asarray(stacked, dtype=float), values, rtol=1e-12, atol=0.0)
+        # within a millionth of the largest corner value: next to the ballistic
+        # limit the area goes as t**0.468, so an ulp of t moves it by ~1e-6 mm^2
+        atol = 1e-6 * max(map(abs, values))
+        same = np.allclose(np.asarray(stacked, dtype=float), values, rtol=0.0, atol=atol)
     except (TypeError, ValueError, ArithmeticError, DomainError) as exc:
         raise ConfigError(f"{name!r} does not work elementwise on arrays: {exc!r}")
     if not same:

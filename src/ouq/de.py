@@ -30,6 +30,13 @@ class Strategy(str, enum.Enum):
     BEST1EXP_PAPER_SNIPPET = "best1exp_paper_snippet"
 
 
+def _check_count(name: str, value, minimum: int):
+    """Raise ValueError unless `value` is an integer (a numpy one too, not a
+    bool) of at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DESettings:
     npop: int = 40
@@ -41,14 +48,12 @@ class DESettings:
 
     # Each test is written so that NaN fails it.
     def __post_init__(self):
-        if not self.npop >= 4:
-            raise ValueError(f"npop must be >= 4 (best + two candidates + target), got {self.npop}")
+        _check_count("npop", self.npop, 4)  # best + two candidates + target
         if not 0.0 <= self.cross_probability <= 1.0:
             raise ValueError(f"cross_probability must lie in [0, 1], got {self.cross_probability}")
         if not self.scaling_factor > 0.0:
             raise ValueError(f"scaling_factor must be positive, got {self.scaling_factor}")
-        if not self.max_generations >= 1:
-            raise ValueError(f"max_generations must be >= 1, got {self.max_generations}")
+        _check_count("max_generations", self.max_generations, 1)
 
 
 @dataclass(frozen=True)
@@ -63,8 +68,7 @@ class ChangeOverGeneration:
     def __post_init__(self):
         if not self.tolerance > 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if not self.generations >= 1:
-            raise ValueError(f"generations must be >= 1, got {self.generations}")
+        _check_count("generations", self.generations, 1)
 
     def met(self, history: Sequence[float]) -> bool:
         if len(history) <= self.generations:
@@ -172,33 +176,6 @@ def _trials(
     return trials.reshape(-1, d)
 
 
-class _Run:
-    """One run of a lockstep: its generator, its views of the lockstep's
-    population and costs, and its best-cost history, which has one entry per
-    generation, generation 0 (the initial population) included."""
-
-    def __init__(self, seed: int, pop: np.ndarray, costs: np.ndarray, bounds: Bounds):
-        self.rng = np.random.default_rng(seed)
-        pop[...] = bounds.clip(self.rng.uniform(bounds.lower, bounds.upper, size=pop.shape))
-        self.pop, self.costs = pop, costs
-        self.best, self.evaluations = 0, 0
-        self.history: list[float] = []
-        self.trace: list[GenerationRecord] = []
-
-    def report(self, termination: Optional[TerminationRule]) -> SolveReport:
-        return SolveReport(
-            opt_params=self.pop[self.best].copy(),
-            opt_cost=float(self.costs[self.best]),
-            generations_run=len(self.history) - 1,
-            evaluations=self.evaluations,
-            trace=self.trace,
-            terminated_by=termination.name if self.stopped(termination) else "max_generations",
-        )
-
-    def stopped(self, termination: Optional[TerminationRule]) -> bool:
-        return termination is not None and termination.met(self.history)
-
-
 def de_lockstep(
     cost: Callable,
     bounds: Bounds,
@@ -214,14 +191,17 @@ def de_lockstep(
     Each run is the run `de_solve` makes with that seed (see there): its own
     generator, uniform initial population, trial draws and best-cost
     history, so its result does not depend on the other runs.  What the
-    runs share is the work: each generation the trials of all
-    still-running runs (their initial draws at generation 0, later one
-    `_trials` pass over each run's own generator's draws) are stacked in
-    seed order into one (runs * npop, d) block, whose row r is slot
-    r % npop of the (r // npop)-th of them.  It is clipped, passed to
+    runs share is the work and the state: the populations and costs of the
+    still-running runs are stacked in seed order as (runs, npop, d) and
+    (runs, npop) arrays, and each generation their trials (the initial
+    draws at generation 0, later one `_trials` pass over each run's own
+    generator's draws) form one (runs * npop, d) block, whose row r is
+    slot r % npop of the (r // npop)-th of them.  It is clipped, passed to
     `constrain(block, generation)` and costed with one call of each, in
-    the forms of `de_solve(vectorized=True)`.  A run leaves the block once
-    its termination rule holds or after `settings.max_generations`.
+    the forms of `de_solve(vectorized=True)`, and every run's population is
+    updated at once.  A run leaves the stack once its termination rule
+    holds, after `settings.max_generations`, or when it evaluated nothing
+    at generation 0, and its entry is built as it leaves.
 
     Returns one entry per seed: the run's SolveReport, or, if no member of
     its initial population was feasible, the InfeasibleConstrain that
@@ -229,57 +209,68 @@ def de_lockstep(
     generation from 1 on, in seed order; the trace starts there too.
     """
     npop, d = settings.npop, len(bounds)
-    # every run's population and costs are views of these, one run per row
-    pops, pop_costs = np.empty((len(seeds), npop, d)), np.full((len(seeds), npop), math.inf)
-    runs = [_Run(*views, bounds) for views in zip(seeds, pops, pop_costs)]
-    live, generation = list(range(len(runs))), 0
-    while live and generation <= settings.max_generations:
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    draws = [rng.uniform(bounds.lower, bounds.upper, size=(npop, d)) for rng in rngs]
+    pops = bounds.clip(np.reshape(draws, (len(seeds), npop, d)))
+    costs = np.full((len(seeds), npop), math.inf)
+    evaluations = np.zeros(len(seeds), dtype=int)
+    histories: list[list[float]] = [[] for _ in seeds]
+    traces: list[list[GenerationRecord]] = [[] for _ in seeds]
+    results: list = [None] * len(seeds)
+    live = list(range(len(seeds)))  # the seed index of each row of the stack
+    generation = 0
+    while live:
+        rows = np.arange(len(live))
         if generation:
-            best = [runs[k].best for k in live]
-            block = _trials([runs[k].rng for k in live], pops[live], pops[live, best], settings)
+            block = _trials([rngs[k] for k in live], pops, pops[rows, best], settings)
         else:  # generation 0 tries the initial draws themselves
             block = pops.reshape(-1, d)
         block = bounds.clip(block)
         feasible = None  # every row feasible: the block is costed as it is
         if constrain is not None:
-            repaired, feasible = constrain(block, generation)
+            block, feasible = constrain(block, generation)
+            block = bounds.clip(np.asarray(block, dtype=float))
             feasible = np.asarray(feasible, dtype=bool)
-            repaired = bounds.clip(np.asarray(repaired, dtype=float))
             if feasible.all():
-                block, feasible = repaired, None
-            else:
-                block = np.where(feasible[:, None], repaired, block)
+                feasible = None
         if feasible is None:
-            costs = np.array(cost(block), dtype=float)
-            counts = [npop] * len(live)
-        else:
-            costs = np.full(len(block), math.inf)
+            trial_costs = np.array(cost(block), dtype=float)
+            evaluations += npop
+        else:  # an infeasible row costs +inf, so it never takes a slot
+            trial_costs = np.full(len(block), math.inf)
             if feasible.any():
-                costs[feasible] = cost(block[feasible])
-            counts = np.count_nonzero(feasible.reshape(-1, npop), axis=1).tolist()
-        per_run = zip(live, block.reshape(-1, npop, d), costs.reshape(-1, npop), counts)
-        for k, trials, trial_costs, count in per_run:
-            run = runs[k]
-            run.evaluations += count
-            improved = trial_costs < run.costs
-            np.copyto(run.pop, trials, where=improved[:, None])
-            np.copyto(run.costs, trial_costs, where=improved)
-            run.best = int(np.argmin(run.costs))
-            best_cost = float(run.costs[run.best])
-            run.history.append(best_cost)
+                trial_costs[feasible] = cost(block[feasible])
+            evaluations += np.count_nonzero(feasible.reshape(-1, npop), axis=1)
+        trial_costs = trial_costs.reshape(costs.shape)
+        improved = trial_costs < costs
+        np.copyto(pops, block.reshape(pops.shape), where=improved[..., None])
+        np.copyto(costs, trial_costs, where=improved)
+        best = np.argmin(costs, axis=1)
+        for i, (k, best_cost) in enumerate(zip(live, costs[rows, best].tolist())):
+            history = histories[k]
+            history.append(best_cost)
             if generation:
-                run.trace.append(GenerationRecord(generation, best_cost, run.pop[run.best].copy()))
+                traces[k].append(GenerationRecord(generation, best_cost, pops[i, best[i]].copy()))
                 if trace_hook is not None:
-                    trace_hook(generation, best_cost, run.pop[run.best].copy())
-        # a run that evaluated nothing at generation 0 is over; many inner runs stop there too
-        live = [k for k in live if runs[k].evaluations and not runs[k].stopped(termination)]
+                    trace_hook(generation, best_cost, pops[i, best[i]].copy())
+            stopped = termination is not None and termination.met(history)
+            if not evaluations[i]:  # nothing was feasible at generation 0
+                results[k] = InfeasibleConstrain("constrain rejected the entire initial population")
+            elif stopped or generation == settings.max_generations:
+                results[k] = SolveReport(
+                    opt_params=pops[i, best[i]].copy(),
+                    opt_cost=best_cost,
+                    generations_run=generation,
+                    evaluations=int(evaluations[i]),
+                    trace=traces[k],
+                    terminated_by=termination.name if stopped else "max_generations",
+                )
+        staying = [results[k] is None for k in live]
+        if not all(staying):
+            pops, costs, best, evaluations = (a[staying] for a in (pops, costs, best, evaluations))
+            live = [k for k in live if results[k] is None]
         generation += 1
-
-    return [
-        run.report(termination) if run.evaluations
-        else InfeasibleConstrain("constrain rejected the entire initial population")
-        for run in runs
-    ]
+    return results
 
 
 def de_solve(
@@ -301,7 +292,8 @@ def de_solve(
     clipped to the box, passed through the constraint function, re-clipped
     and evaluated as one block, and a trial takes its slot only if it is
     strictly cheaper, so the best-cost history is monotone non-increasing.
-    This is `de_lockstep` with the one seed `settings.seed`.
+    This is `de_lockstep` with the one seed `settings.seed`: a stack of one
+    run, whose report is built when it stops.
 
     `constrain(block, generation)` gets the (npop, d) trials, row i in
     slot i, and returns `(block, feasible)`, where `feasible` is a boolean

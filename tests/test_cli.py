@@ -49,6 +49,13 @@ output_dir: {outdir}
 """
 
 
+BOUNDS_LINES = """\
+  - {lower: 60.0, upper: 105.0, unit: mils}
+  - {lower: 0.0, upper: 30.0, unit: deg}
+  - [2.1, 2.8]
+"""
+
+
 OUTER_TERMINATION_LINE = (
     "outer_termination: {rule: change_over_generation, tolerance: 1.0e-4, generations: 10}\n"
 )
@@ -628,6 +635,12 @@ def branching(h, theta, v):
     return 0.0 if v < 2.5 else v
 
 
+def off_on_arrays(h, theta, v):
+    # on arrays, 1e-4 relative off at the corner of the largest area
+    area = perforation_area(h, theta, v)
+    return np.where(area == area.max(), area * (1 + 1e-4), area) if np.ndim(v) else area
+
+
 class TestResponseContract:
     """Responses must be finite and elementwise over arrays; a break is
     caught at load or as soon as the solver meets it."""
@@ -647,8 +660,9 @@ class TestResponseContract:
             (nan_above_2_7, "is nan at the box corner"),
             (scalar_only, "does not work elementwise"),
             (branching, "does not work elementwise"),
+            (off_on_arrays, "not the values"),
         ],
-        ids=["nan_corner", "scalar_only", "branching"],
+        ids=["nan_corner", "scalar_only", "branching", "off_on_arrays"],
     )
     def test_rejected_at_load(self, tmp_path, capsys, register, func, message):
         name = register(func)
@@ -659,6 +673,17 @@ class TestResponseContract:
             load_config(path)
         assert main(["solve", str(path)]) == 1
         assert not outdir.exists()
+
+    def test_corner_next_to_the_ballistic_limit_loads(self, tmp_path):
+        # one corner lies 0.0079 mm^2 above the limit, where the array and
+        # scalar forms differ by 5e-10 relative
+        box = "".join(f"  - [{lo!r}, {hi!r}]\n" for lo, hi in (
+            (1.524, 1.980225706431619),
+            (0.0, 0.22883467822033626),
+            (1.5335506176614329, 2.8),
+        ))
+        path, _ = write_tiny_config(tmp_path, **{BOUNDS_LINES: box})
+        assert load_config(path).bounds_per_dim[2] == (1.5335506176614329, 2.8)
 
     def test_interior_nan_fails_fast(self, tmp_path, capsys, register):
         # the box corners are finite, so the load check passes

@@ -28,6 +28,29 @@ class TestSettings:
         with pytest.raises(ValueError):
             DESettings(cross_probability=1.5)
 
+    @pytest.mark.parametrize("key", ["npop", "max_generations"])
+    @pytest.mark.parametrize(
+        "value", [8.0, 8.5, True, np.float64(8.0)], ids=["float", "fraction", "bool", "np_float"]
+    )
+    def test_counts_are_integers(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            DESettings(**{key: value})
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True])
+    def test_generations_are_integers(self, value):
+        with pytest.raises(ValueError, match="generations must be an integer"):
+            ChangeOverGeneration(1e-4, value)
+
+    def test_numpy_integer_counts_run_as_ints(self):
+        bounds = Bounds.from_pairs([(-5.0, 5.0)] * 2)
+        reports = [
+            de_solve(sphere, bounds, DESettings(npop=npop, max_generations=gens, seed=3),
+                     termination=ChangeOverGeneration(1e-4, window))
+            for npop, gens, window in [(8, 60, 2), (np.int64(8), np.int32(60), np.int64(2))]
+        ]
+        assert [(r.opt_cost, r.generations_run, r.evaluations) for r in reports[1:]] == [
+            (reports[0].opt_cost, reports[0].generations_run, reports[0].evaluations)]
+
 
 def one_run(rng, pop, best, settings):
     """The trials of one run: the one-run stack of `_trials`."""
@@ -504,18 +527,25 @@ class TestLockstep:
     def test_infeasible_run_fails_alone(self):
         npop = self.SETTINGS.npop
 
-        def second_run_infeasible_at_start(block, generation):
-            return block, (np.arange(len(block)) // npop != 1) | (generation != 0)
+        def second_and_fourth_runs_infeasible_at_start(block, generation):
+            return block, ~np.isin(np.arange(len(block)) // npop, [1, 3]) | (generation != 0)
 
         runs = de_lockstep(
-            sphere_block, self.BOUNDS, self.SETTINGS, [1, 2, 3], second_run_infeasible_at_start
+            sphere_block, self.BOUNDS, self.SETTINGS, [1, 2, 3, 4],
+            second_and_fourth_runs_infeasible_at_start,
         )
-        assert isinstance(runs[1], InfeasibleConstrain)
-        assert "entire initial population" in str(runs[1])
+        for failed in (runs[1], runs[3]):
+            assert isinstance(failed, InfeasibleConstrain)
+            assert "entire initial population" in str(failed)
+        assert runs[1] is not runs[3]
         for seed, run in [(1, runs[0]), (3, runs[2])]:
             (alone,) = de_lockstep(sphere_block, self.BOUNDS, self.SETTINGS, [seed])
             assert (run.generations_run, run.evaluations) == (40, alone.evaluations)
+            assert (run.opt_cost, run.terminated_by) == (alone.opt_cost, alone.terminated_by)
             assert np.array_equal(run.opt_params, alone.opt_params)
+            assert [(r.generation, r.best_cost, r.best_params.tolist()) for r in run.trace] == [
+                (r.generation, r.best_cost, r.best_params.tolist()) for r in alone.trace
+            ]
 
     def test_no_seeds_no_runs(self):
         assert de_lockstep(sphere_block, self.BOUNDS, self.SETTINGS, []) == []
