@@ -22,21 +22,23 @@ Schema (all keys shown; unknown keys are rejected):
     output_dir: out
 
 This module only parses: the YAML shape, key sets, value types,
-finiteness, units and strategy names.  Range rules (points per axis,
-lower < upper, the mean band, npop, generation caps, tolerances,
-failure_tolerance) and defaults belong to the types the values build
-(`ParamLayout`, `MeanConstraint`, `OUQProblem`, `DESettings`, the
-termination rules), so a file and a library caller are held to the same
-rules.  `load_config` builds the problem once and reports a type's
-ValueError as a ConfigError under the key it came from.
+finiteness, units and strategy names.  `_build` turns the file, and each
+mapping in it that stands for a type, into that type, picking each field's
+parser from the field's type.  Range rules (seed and runs, points per axis, lower < upper,
+the mean band, npop, generation caps, tolerances, failure_tolerance) and
+defaults belong to the types the values build (`RunConfig`, `ParamLayout`,
+`MeanConstraint`, `OUQProblem`, `DESettings`, the termination rules), so a
+file, a command-line flag and a library caller are held to the same rules.
+A type's ValueError is reported as a ConfigError under the key or flag it
+came from.
 
-The rules no type owns are checked here: `seed` >= 0, `runs` >= 1, a
-non-empty `output_dir`, and the response probe: the response must be
-registered, take one coordinate per axis, be defined and finite at every
-corner of the axis box, and give the same corner values, within 1e-6 of
-the largest, when called once on arrays.  Length units mils and angle unit
-deg are converted at this boundary (1 mil = 0.0254 mm); mm, rad and km_s
-are native and pass through.
+The rules no type owns are checked here: the string shape (`response` and
+`output_dir` are non-empty strings) and the response probe: the response
+must be registered, take one coordinate per axis, be defined and finite at
+every corner of the axis box, and give the same corner values, within 1e-6
+of the largest, when called once on arrays.  Length units mils and angle
+unit deg are converted at this boundary (1 mil = 0.0254 mm); mm, rad and
+km_s are native and pass through.
 """
 
 from __future__ import annotations
@@ -51,7 +53,9 @@ from typing import get_type_hints
 import numpy as np
 import yaml
 
-from .de import ChangeOverGeneration, DESettings, Strategy, TerminationRule, ValueBelow
+from .de import (
+    ChangeOverGeneration, DESettings, Strategy, TerminationRule, ValueBelow, _check_count,
+)
 from .errors import ConfigError, DomainError
 from .measures import ParamLayout
 from .registry import check_arity, get_response
@@ -97,6 +101,10 @@ class RunConfig:
     runs: int = 1
     output_dir: str = "out"
 
+    def __post_init__(self):
+        _check_count("seed", self.seed, 0)
+        _check_count("runs", self.runs, 1)
+
 
 def _require_mapping(value, where: str) -> dict:
     if not isinstance(value, dict):
@@ -107,7 +115,7 @@ def _require_mapping(value, where: str) -> dict:
 def _reject_unknown(mapping: dict, allowed: set[str], where: str):
     unknown = set(mapping) - allowed
     if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(map(str, unknown)))}")
+        raise ConfigError(f"{where} has unknown key(s): {', '.join(sorted(map(str, unknown)))}")
 
 
 def _as_float(value, where: str) -> float:
@@ -118,11 +126,9 @@ def _as_float(value, where: str) -> float:
     return float(value)
 
 
-def _as_int(value, where: str, minimum: int | None = None) -> int:
+def _as_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where} must be >= {minimum}, got {value}")
     return value
 
 
@@ -145,14 +151,12 @@ def _as_list(value, where: str, item) -> tuple:
     return tuple(item(entry, f"{where}[{i}]") for i, entry in enumerate(value))
 
 
-_AS_TYPE = {int: _as_int, float: _as_float, Strategy: _as_strategy}
-
-
 def _build(cls, value, where: str, fixed: tuple[str, ...] = ()):
     """`cls` built from a mapping with one key per field not in `fixed`.
 
-    The values' types are checked here; their ranges and the defaults of
-    left-out keys are `cls`'s own.
+    The values' types are checked here, by the parser of each field's type;
+    their ranges and the defaults of left-out keys are `cls`'s own, and a
+    ValueError of `cls` is reported under `where`.
     """
     value = _require_mapping(value, where)
     settable = [f for f in fields(cls) if f.name not in fixed]
@@ -161,7 +165,11 @@ def _build(cls, value, where: str, fixed: tuple[str, ...] = ()):
     if missing:
         raise ConfigError(f"{where} needs {', '.join(missing)}")
     types = _type_hints(cls)
-    return cls(**{k: _AS_TYPE[types[k]](v, f"{where}.{k}") for k, v in value.items()})
+    values = {k: _AS_TYPE[types[k]](v, f"{where}: {k}") for k, v in value.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_bounds_entry(entry, where: str) -> tuple[float, float]:
@@ -201,24 +209,18 @@ def _parse_termination(value, where: str) -> TerminationRule:
     raise ConfigError(f"{where}.rule must be one of: change_over_generation, value_below")
 
 
-def _parse_de_settings(value, where: str) -> DESettings:
+# One parser per field type, called as parser(value, where).
+_AS_TYPE = {
+    int: _as_int,
+    float: _as_float,
+    str: _as_str,
+    Strategy: _as_strategy,
+    tuple[int, ...]: functools.partial(_as_list, item=_as_int),
+    tuple[tuple[float, float], ...]: functools.partial(_as_list, item=_parse_bounds_entry),
+    tuple[float, float]: _parse_mean_band,
     # the seed is not a file key: build_problem sets the outer one per run
-    return _build(DESettings, value, where, fixed=("seed",))
-
-
-# One parser per RunConfig field, called as parser(value, key).
-_PARSERS = {
-    "response": _as_str,
-    "npts_per_dim": lambda value, where: _as_list(value, where, _as_int),
-    "bounds_per_dim": lambda value, where: _as_list(value, where, _parse_bounds_entry),
-    "mean_band": _parse_mean_band,
-    "outer": _parse_de_settings,
-    "inner": _parse_de_settings,
-    "seed": lambda value, where: _as_int(value, where, minimum=0),
-    "outer_termination": _parse_termination,
-    "failure_tolerance": _as_float,
-    "runs": lambda value, where: _as_int(value, where, minimum=1),
-    "output_dir": _as_str,
+    DESettings: functools.partial(_build, DESettings, fixed=("seed",)),
+    TerminationRule | None: _parse_termination,
 }
 
 
@@ -274,26 +276,15 @@ def _check_response(name: str, bounds: tuple[tuple[float, float], ...]):
 def load_config(path) -> RunConfig:
     """Parse a run configuration file, build its problem once and probe its response.
 
-    Any ValueError, whether a type's range rule or an undecodable file,
-    becomes a ConfigError prefixed with the key being parsed, or with the
-    path once the parsed values are being built into the problem.
+    A ValueError, such as an undecodable file or a rule of the problem's
+    types, becomes a ConfigError prefixed with the path.
     """
-    key = str(path)
     try:
-        raw = _require_mapping(yaml.load(Path(path).read_text("utf-8"), _Loader), key)
-        _reject_unknown(raw, {f.name for f in fields(RunConfig)}, key)
-        missing = [f.name for f in fields(RunConfig) if f.default is MISSING and f.name not in raw]
-        if missing:
-            raise ConfigError(f"{path}: missing required key(s): {', '.join(missing)}")
-        values = {}
-        for key in (f.name for f in fields(RunConfig) if f.name in raw):
-            values[key] = _PARSERS[key](raw[key], key)
-        key = str(path)
-        config = RunConfig(**values)
+        config = _build(RunConfig, yaml.load(Path(path).read_text("utf-8"), _Loader), str(path))
         build_problem(config, config.seed)
         _check_response(config.response, config.bounds_per_dim)
     except (ValueError, yaml.YAMLError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}") from exc
     return config
 
 
@@ -301,10 +292,13 @@ def apply_overrides(
     config: RunConfig, seed=None, runs=None, output_dir=None
 ) -> RunConfig:
     """Return `config` with the given command-line overrides, each checked
-    by the parser of the file key it replaces."""
-    flags = {"seed": seed, "runs": runs, "output_dir": output_dir}
-    return replace(config, **{
-        key: _PARSERS[key](value, "--" + key.replace("_", "-"))
-        for key, value in flags.items()
-        if value is not None
-    })
+    by the parser and the rule of the file key it replaces."""
+    types = _type_hints(RunConfig)
+    for key, value in {"seed": seed, "runs": runs, "output_dir": output_dir}.items():
+        if value is not None:
+            flag = "--" + key.replace("_", "-")
+            try:
+                config = replace(config, **{key: _AS_TYPE[types[key]](value, flag)})
+            except ValueError as exc:
+                raise ConfigError(f"{flag}: {exc}") from exc
+    return config

@@ -54,6 +54,7 @@ class DESettings:
         if not self.scaling_factor > 0.0:
             raise ValueError(f"scaling_factor must be positive, got {self.scaling_factor}")
         _check_count("max_generations", self.max_generations, 1)
+        _check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

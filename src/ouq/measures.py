@@ -32,6 +32,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .de import _check_count
 from .errors import DomainError, ZeroMassMeasure
 
 # Expectations demand factor masses within 1e-9 of 1.
@@ -131,8 +132,8 @@ class ParamLayout:
     def __post_init__(self):
         if len(self.npts_per_dim) != len(self.bounds_per_dim):
             raise ValueError("npts_per_dim and bounds_per_dim differ in length")
-        if not all(n >= 1 for n in self.npts_per_dim):
-            raise ValueError(f"npts_per_dim must be >= 1 per axis, got {self.npts_per_dim}")
+        for i, n in enumerate(self.npts_per_dim):
+            _check_count(f"npts_per_dim[{i}]", n, 1)
         for i, (lo, hi) in enumerate(self.bounds_per_dim):
             if not lo < hi:
                 raise ValueError(f"bounds_per_dim[{i}]: need lower < upper, got [{lo}, {hi}]")

@@ -5,7 +5,9 @@ import inspect
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -17,12 +19,15 @@ import ouq.config as config_mod
 import ouq.errors as errors_mod
 import ouq.registry as registry_mod
 import ouq.cli
-from ouq import ChangeOverGeneration, event_probability, flatten, ouq_solve, perforation_area
-from ouq.de import Strategy, de_lockstep
+from ouq import (
+    ChangeOverGeneration, DESettings, MeanConstraint, event_probability, flatten, ouq_solve,
+    perforation_area,
+)
+from ouq.de import Strategy, ValueBelow, de_lockstep
 from ouq.errors import ConfigError, DomainError, InfeasibleConstrain
 from ouq.solver import InnerCounts, impose_expectation
 from ouq.cli import build_problem, main, measure_from_dict, measure_to_dict
-from ouq.config import load_config
+from ouq.config import RunConfig, load_config
 from ouq.registry import ResponseEntry, get_response
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -330,6 +335,19 @@ class TestLoadConfig:
             load_config(path)
         assert main(["solve", str(path)]) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["tiny.config"]
+
+    @pytest.mark.parametrize(
+        "key, value", [("runs", 0), ("seed", -1), ("runs", 2.5), ("seed", True)],
+        ids=["runs_0", "seed_negative", "runs_fraction", "seed_bool"],
+    )
+    def test_library_caller_held_to_the_file_rules(self, key, value):
+        # runs=0 would write a summary with no best run, then crash in run_solve
+        with pytest.raises(ValueError, match=f"{key} must be an integer >= "):
+            replace(load_config(PAPER_CONFIG), **{key: value})
+
+    def test_every_field_type_has_a_parser(self):
+        for cls in (RunConfig, DESettings, MeanConstraint, ChangeOverGeneration, ValueBelow):
+            assert set(get_type_hints(cls).values()) <= set(config_mod._AS_TYPE), cls
 
 
 class TestEval:

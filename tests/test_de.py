@@ -36,6 +36,15 @@ class TestSettings:
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             DESettings(**{key: value})
 
+    @pytest.mark.parametrize(
+        "value", [None, -1, 2.5, True, np.float64(3.0)],
+        ids=["none", "negative", "fraction", "bool", "np_float"],
+    )
+    def test_seed_is_a_nonnegative_integer(self, value):
+        # None would draw from OS entropy; -1 and 2.5 fail only at the first draw
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            DESettings(seed=value)
+
     @pytest.mark.parametrize("value", [2.5, 2.0, True])
     def test_generations_are_integers(self, value):
         with pytest.raises(ValueError, match="generations must be an integer"):
@@ -44,9 +53,10 @@ class TestSettings:
     def test_numpy_integer_counts_run_as_ints(self):
         bounds = Bounds.from_pairs([(-5.0, 5.0)] * 2)
         reports = [
-            de_solve(sphere, bounds, DESettings(npop=npop, max_generations=gens, seed=3),
+            de_solve(sphere, bounds, DESettings(npop=npop, max_generations=gens, seed=seed),
                      termination=ChangeOverGeneration(1e-4, window))
-            for npop, gens, window in [(8, 60, 2), (np.int64(8), np.int32(60), np.int64(2))]
+            for npop, gens, window, seed in [
+                (8, 60, 2, 3), (np.int64(8), np.int32(60), np.int64(2), np.uint8(3))]
         ]
         assert [(r.opt_cost, r.generations_run, r.evaluations) for r in reports[1:]] == [
             (reports[0].opt_cost, reports[0].generations_run, reports[0].evaluations)]

@@ -209,6 +209,14 @@ class TestFlattenUnflatten:
         )
         assert layout.param_length == 12
 
+    @pytest.mark.parametrize(
+        "n", [2.5, 2.0, True, 0], ids=["fraction", "float", "bool", "zero"]
+    )
+    def test_points_per_axis_are_positive_integers(self, n):
+        # 2.5 would fail only in the solve, and True would run as one point
+        with pytest.raises(ValueError, match=r"npts_per_dim\[1\] must be an integer >= 1"):
+            ParamLayout((2, n), ((0.0, 1.0), (0.0, 1.0)))
+
     def test_length_mismatch(self):
         layout = ParamLayout(
             (2, 2, 2), ((1.524, 2.667), (0.0, math.pi / 6), (2.1, 2.8))

@@ -1069,6 +1069,15 @@ class TestOuqSolve:
         assert np.array_equal(a.report.opt_params, b.report.opt_params)
         assert a.report.evaluations == b.report.evaluations
 
+    def test_numpy_integer_points_per_axis_solve_as_ints(self):
+        problem = paper_problem(seed=1, outer_max=25)
+        layout = ParamLayout(
+            tuple(map(np.int64, PAPER_LAYOUT.npts_per_dim)), PAPER_LAYOUT.bounds_per_dim
+        )
+        a, b = ouq_solve(problem), ouq_solve(replace(problem, layout=layout))
+        assert a.probability_bound == b.probability_bound
+        assert np.array_equal(a.report.opt_params, b.report.opt_params)
+
     def test_kernels_never_hash_the_layout(self, monkeypatch):
         # the kernels' index plans are keyed by points per axis, a tuple of
         # ints; the layout's dataclass hash runs in Python on every call
