@@ -211,8 +211,11 @@ def de_lockstep(
     """
     npop, d = settings.npop, len(bounds)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    draws = [rng.uniform(bounds.lower, bounds.upper, size=(npop, d)) for rng in rngs]
-    pops = bounds.clip(np.reshape(draws, (len(seeds), npop, d)))
+    u = np.empty((len(seeds), npop, d))
+    for rng, draws in zip(rngs, u):
+        rng.random(out=draws)
+    # scaled as rng.uniform(lower, upper, (npop, d)) scales its draws
+    pops = bounds.clip(bounds.lower + (bounds.upper - bounds.lower) * u)
     costs = np.full((len(seeds), npop), math.inf)
     evaluations = np.zeros(len(seeds), dtype=int)
     histories: list[list[float]] = [[] for _ in seeds]

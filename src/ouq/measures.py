@@ -271,8 +271,10 @@ class LayoutPlan(NamedTuple):
     weight_factor: np.ndarray  # and its factor
     atom_weights: np.ndarray  # (dimension, A) columns of every atom's weights
     atom_positions: np.ndarray  # (dimension, A) columns of every atom's positions
-    others: np.ndarray  # (dimension - 1, dimension, A) each factor's other factors' atom_weights
-    onehot: np.ndarray  # (dimension, A, n_max) one-hot of each atom's point in each factor
+    # g's terms (`conditional_expectations_block`): slot s of (factor k, point j)
+    # holds the s-th atom, in atom order, whose factor-k point is j
+    slot_columns: np.ndarray  # (dimension, L, dimension, n_max) its columns of [block | values]
+    slot_mask: np.ndarray | None  # (L, dimension, n_max, 1) 0.0 where it holds none, or None
     shift_cols: np.ndarray  # (dimension, n_max) each factor's weights, then its first position
     real: np.ndarray  # (dimension, 1, n_max) mask of the real points of shift_cols
 
@@ -292,6 +294,17 @@ def layout_plan(npts_per_dim: tuple[int, ...]) -> LayoutPlan:
     shift_cols = starts[:, None] + np.where(real, j, n[:, None])
     combos = np.array(list(itertools.product(*map(range, npts_per_dim)))).T
     atom_weights = combos + starts[:, None]
+    # a slot past the A / n_k atoms of a point, or of a point past n_k, holds
+    # atom 0 and is masked
+    slot_atoms = np.zeros((combos.shape[1] // n.min(), n.size, n.max()), dtype=np.intp)
+    slot_mask = np.zeros(slot_atoms.shape + (1,))
+    for k, n_k in enumerate(npts_per_dim):
+        atoms = np.argsort(combos[k], kind="stable").reshape(n_k, -1).T  # (A / n_k, n_k)
+        slot_atoms[: len(atoms), k, :n_k] = atoms
+        slot_mask[: len(atoms), k, :n_k] = 1.0
+    # per slot, the other factors' weights in factor order, then the value
+    others = [np.delete(atom_weights, k, axis=0)[:, slot_atoms[:, k]] for k in range(n.size)]
+    slot_columns = np.concatenate([np.stack(others, axis=2), slot_atoms[None] + 2 * n.sum()])
     plan = LayoutPlan(
         segments=np.ravel([starts, starts + n], order="F"),
         wide=wide,
@@ -299,8 +312,8 @@ def layout_plan(npts_per_dim: tuple[int, ...]) -> LayoutPlan:
         weight_factor=np.nonzero(real)[0],
         atom_weights=atom_weights,
         atom_positions=atom_weights + n[:, None],
-        others=np.stack([np.delete(atom_weights, k, axis=0) for k in range(len(n))], axis=1),
-        onehot=(combos[:, :, None] == j).astype(float),
+        slot_columns=slot_columns,
+        slot_mask=None if slot_mask.all() else slot_mask,
         shift_cols=shift_cols,
         real=real[:, None, :],
     )
@@ -394,9 +407,18 @@ def conditional_expectations_block(
     for every k: E is affine in each factor's weights.
     """
     plan = layout_plan(layout.npts_per_dim)
-    # per factor, the product of the other factors' weights at each atom,
-    # multiplied in factor order as expectation_of_values multiplies them
-    products = np.multiply.reduce(block[:, plan.others], axis=1)
-    # a C-ordered product, so the matmul's sums do not depend on the memory
-    # layout of `values`
-    return np.multiply(products.transpose(1, 0, 2), values, order="C") @ plan.onehot
+    # each term is its atom's other factors' weights multiplied in factor
+    # order, as expectation_of_values multiplies them, times its value; the
+    # rows go last, so every array below is (..., m)
+    factors = np.concatenate((block.T, values.T)).take(plan.slot_columns, axis=0)
+    terms = factors[0]
+    for f in factors[1:]:
+        terms *= f
+    if plan.slot_mask is not None:
+        terms *= plan.slot_mask  # a slot without an atom adds an exact zero
+    # g_kj adds its terms left to right, in atom order: with ufuncs only, no
+    # BLAS kernel picks the order of the sums
+    g = terms[0]
+    for term in terms[1:]:
+        g += term
+    return np.ascontiguousarray(g.transpose(0, 2, 1))

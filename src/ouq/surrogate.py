@@ -60,7 +60,7 @@ def _check_domain(h: float, theta: float):
     # comparisons are written so that NaN fails them
     if not h > 0.0:
         raise DomainError(f"plate thickness must be positive, got {h}")
-    if not 0.0 <= theta < math.pi / 2:
+    if not 0.0 <= theta < _HALF_PI:
         raise DomainError(f"obliquity must lie in [0, pi/2), got {theta}")
 
 
@@ -72,7 +72,9 @@ def _raise_domain_error(h: float, theta: float, v: float):
 
 def ballistic_limit(h: float, theta: float, params: SurrogateParams = DEFAULT_PARAMS) -> float:
     """Speed (km/s) below which a plate of thickness h (mm) is not perforated."""
-    _check_domain(h, theta)
+    # the domain test is inlined, as in perforation_area's scalar path
+    if not h > 0.0 or not 0.0 <= theta < _HALF_PI:
+        _check_domain(h, theta)
     return params.H0 * (h / math.cos(theta) ** params.n) ** params.s
 
 

@@ -479,6 +479,28 @@ class TestBlockKernels:
         values = np.array([[1e16, 1.0, -1e16, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]])
         assert expectation_of_values(block, layout, values).tolist() == [6.0]
 
+    @pytest.mark.parametrize("npts", [(2, 2, 2), (3, 3, 2), (3, 3, 3), (4, 2, 3)])
+    def test_conditional_expectations_add_in_atom_order(self, npts):
+        # g_kj term by term in Python floats: per atom whose factor-k point is
+        # j, in atom order, the other factors' weights multiplied in factor
+        # order, times the atom's value, the terms added left to right.  A
+        # matrix product may add them in another order, which depends on the
+        # BLAS kernel
+        layout = ParamLayout(npts, ((0.0, 1.0),) * len(npts))
+        rng = np.random.default_rng(len(npts) * sum(npts))
+        block = rng.random((40, layout.param_length))
+        values = 10.0 * rng.random((40, math.prod(npts)))
+        weights = [block[:, ws].tolist() for ws, _ in layout.factor_slices()]
+        atoms = list(itertools.product(*map(range, npts)))
+        want = [[[0.0] * max(npts) for _ in block] for _ in npts]  # 0.0 past n_k
+        for k in range(len(npts)):
+            for row, value in enumerate(values.tolist()):
+                for a, atom in enumerate(atoms):
+                    others = [weights[i][row][x] for i, x in enumerate(atom) if i != k]
+                    # 0.0 + t is t for the nonnegative terms here
+                    want[k][row][atom[k]] += math.prod(others) * value[a]
+        assert conditional_expectations_block(block, layout, values).tolist() == want
+
 
 class TestLayoutPlan:
     def test_keyed_by_points_per_axis(self):

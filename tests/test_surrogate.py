@@ -34,6 +34,24 @@ class TestBallisticLimit:
         with pytest.raises(DomainError):
             ballistic_limit(2.0, math.pi / 2)
 
+    @pytest.mark.parametrize(
+        "h, theta, message",
+        [
+            (0.0, 0.0, "plate thickness must be positive, got 0.0"),
+            (-1.0, 0.0, "plate thickness must be positive, got -1.0"),
+            (math.nan, 0.0, "plate thickness must be positive, got nan"),
+            # thickness is tested first
+            (0.0, math.pi / 2, "plate thickness must be positive, got 0.0"),
+            (2.0, -0.1, r"obliquity must lie in \[0, pi/2\), got -0.1"),
+            (2.0, math.pi / 2, r"obliquity must lie in \[0, pi/2\), got 1.5707963267948966"),
+            (2.0, math.nan, r"obliquity must lie in \[0, pi/2\), got nan"),
+        ],
+        ids=["zero", "negative", "nan_thickness", "both", "below_0", "pi_over_2", "nan_obliquity"],
+    )
+    def test_domain_error_messages(self, h, theta, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            ballistic_limit(h, theta)
+
 
 class TestPerforationArea:
     def test_zero_exactly_at_ballistic_limit(self):
