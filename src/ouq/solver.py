@@ -10,10 +10,10 @@ factor reaches the nearest band edge exactly whenever the conditional
 expectation at one of that factor's points lies past it
 (`shift_weights`); the positions, and with them the outer DE's mutation,
 are kept.  A trial that no single factor can bring back is infeasible;
-in the initial population it is replaced by the fallback's seeded draw of
-an in-band measure, the best member of a nested differential-evolution run
-from a uniform population (least-squares distance to the target mean,
-value-to-reach d^2).
+the outer DE keeps its slot at +inf.  Only if no initial row is feasible
+does the fallback replace each with a seeded draw of an in-band measure,
+the best member of a nested differential-evolution run from a uniform
+population (least-squares distance to the target mean, value-to-reach d^2).
 
 Both loops work on whole generations: repair and cost take
 (m, param_length) blocks through the block kernels of `measures`.  The
@@ -23,12 +23,12 @@ g of the weight move and E of the moved trials from that one (m, A)
 array in place; the weight move keeps every position, so the repair
 hands the values of its feasible rows to the cost, which reads the
 failure probability and a `FeasibilityAudit`'s E from them.  Only the
-fallback's vectors, in the initial population, get a pass of their own.
-The fallback's nested runs go in lockstep (`de_lockstep`), so each inner
-generation of all of them is one block too.  `constrain_params` is the
-one repair, and the one constraint the outer DE gets: it renormalizes,
-makes the pass, runs the weight move for every generation, then the
-fallback for the initial population.
+fallback's vectors get a pass of their own.  The fallback's nested runs
+go in lockstep (`de_lockstep`), so each inner generation of all of them
+is one block too.  `constrain_params` is the one repair, and the one
+constraint the outer DE gets: it renormalizes, makes the pass, runs the
+weight move for every generation, then the fallback if generation 0 has
+no feasible row.
 """
 
 from __future__ import annotations
@@ -127,10 +127,10 @@ class OUQProblem:
 class InnerCounts:
     """Totals over the band repairs of a solve; they depend only on the seed.
 
-    `runs`, `generations` and `evaluations` count the nested-DE runs of
-    the fallback, one run per row handed to it; `repair_rows` counts the
-    out-of-band rows that reached the weight move; `failures` counts the
-    fallback's rows that did not reach the band.
+    `runs`, `generations` and `evaluations` count the fallback's nested-DE
+    runs, one per initial row when no initial row is feasible; `repair_rows`
+    counts the out-of-band rows that reached the weight move; `failures`
+    counts the fallback's rows that did not reach the band.
     """
 
     runs: int = 0
@@ -205,8 +205,8 @@ def impose_expectation(
     """The fallback: a seeded draw of one measure in the admissible
     expectation band per seed.
 
-    `constrain_params` calls it once per solve, for the rows of the initial
-    population that the weight move leaves infeasible.  Each seed starts
+    `constrain_params` calls it at most once per solve, the last resort
+    for an initial population with no feasible row.  Each seed starts
     its own nested DE from a uniform population over the box of the outer
     problem, minimizing (E[response] - m)^2 over weight-renormalized vectors,
     terminating at value-to-reach d^2 (i.e. |E - m| <= d), for at most
@@ -316,15 +316,15 @@ def constrain_params(
     of `shift_weights` and E of the moved rows.  A non-finite value at any
     row's atoms raises DomainError.  Each row outside [m-d, m+d] gets the
     weight move, and keeps it if the moved row is in the band; a row the
-    move leaves outside comes back normalized and unchanged.  In the
-    initial population (`generation` 0), every row still infeasible, a
-    zero-mass row too, is replaced by the fallback's draw, all of them in
-    one lockstep, row `row` with the inner seed derived from (outer seed,
-    row); a row the fallback does not bring into the band stays
-    infeasible, and the drawn rows get one `atom_values` pass of their
-    own, written over their rows' values.  From generation 1 on such rows
-    are infeasible.  Returns the repaired block, the constraint protocol's
-    mask `feasible` and the atom values of the feasible rows, in row order.
+    move leaves outside comes back normalized and unchanged, infeasible.
+    If the initial population (`generation` 0) then has no feasible row,
+    every row is replaced by the fallback's draw, all in one lockstep,
+    row `row` with the inner seed derived from (outer seed, row); a row
+    the fallback does not bring into the band stays infeasible, and the
+    drawn rows get one `atom_values` pass of their own, written over
+    their rows' values.  Returns the repaired block, the constraint
+    protocol's mask `feasible` and the atom values of the feasible rows,
+    in row order.
     """
     layout = problem.layout
     out, feasible = normalize_block(block, layout)
@@ -339,14 +339,12 @@ def constrain_params(
         out[rows[fixed]] = moved[fixed]
         feasible[rows[~fixed]] = False
         counts.repair_rows += rows.size
-    rows = np.flatnonzero(~feasible)
-    if generation == 0 and rows.size:
-        seeds = [_derive_inner_seed(problem.outer.seed, row) for row in rows.tolist()]
-        best, reached = impose_expectation(problem, seeds, counts)
-        if reached.any():
-            values[rows[reached]] = atom_values(best, layout, problem.response)
-            out[rows[reached]] = best
-            feasible[rows] = reached
+    if generation == 0 and not feasible.any():
+        seeds = [_derive_inner_seed(problem.outer.seed, row) for row in range(len(out))]
+        best, feasible = impose_expectation(problem, seeds, counts)
+        if feasible.any():
+            values[feasible] = atom_values(best, layout, problem.response)
+            out[feasible] = best
     return out, feasible, values[feasible]
 
 

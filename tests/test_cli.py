@@ -88,27 +88,27 @@ SEED_PINS = {
     # AVX512: X86_V4, AVX512_ICL and AVX512_SPR all found
     "b65699abb702ca33eedf1f39aef99e97740e1e78206ee8722f2bde050e165c72": {
         "reference": (
-            (20, 833, 9, 0, 180, 293, 0),
-            0.37804727719574766,
-            "6799c230b10301bdd1e4a5367df51590fca3ae701c2af794882a4e6b1f3adcc2",
+            (41, 1659, 0, 0, 0, 528, 0),
+            0.3788045322798797,
+            "fc5bcc1335a20e5c7233cfc66daa12555bf70b29d86ca3688ce0b2681b42e0be",
         ),
         "narrow_band": (
-            (37, 1503, 20, 12, 640, 884, 0),
-            0.2771543682362208,
-            "acc4e39fd5a6a88dd55573451322c745ffabc88b0ab673ca405a6fcfc40b1c9c",
+            (40, 1592, 0, 0, 0, 1072, 0),
+            0.277142256242404,
+            "dc554fae4dac7ab479b95a1bfb6d49e06ac236fe08792f147bcff58da4e63340",
         ),
     },
     # X86_V3 (AVX2, FMA3), as under NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"
     "33ee33e5ebf86c77182abacc996707d4b5700d9c8e40c14974bbb45309047f80": {
         "reference": (
-            (20, 832, 9, 0, 180, 289, 0),
-            0.3780472771957477,
-            "f3652b03f59b1c14d682adae01146b911865ad7e3accbec99e856700c6560f5a",
+            (41, 1659, 0, 0, 0, 525, 0),
+            0.37880453227987976,
+            "d894af026298a96aabb1162b110e502dba8097d8285982d8438f9e8d39b4a6a6",
         ),
         "narrow_band": (
-            (44, 1783, 20, 12, 640, 969, 0),
-            0.27715681738522596,
-            "4989f8ad7298cc579288c584027a93678fc69e70546fffa58d7ec2f1a513497d",
+            (27, 1074, 0, 0, 0, 820, 0),
+            0.2770702559251748,
+            "f09faf0aff59bb6ab3cc74aad7c807ba944386fca7f5cb31890c344c82a34f1d",
         ),
     },
 }

@@ -60,6 +60,11 @@ def paper_problem(seed=0, band=(5.5, 7.5), outer_max=500):
     )
 
 
+# the weight move leaves no row of a uniform paper.config block in this band,
+# so generation 0 goes to the fallback
+FALLBACK_BAND = (9.44, 9.48)
+
+
 def paper_closed_form(band):
     """The best bound of the reference problem: thin-plate mass carries the
     lower mean bound, the rest sits on the thick plate at its ballistic limit."""
@@ -194,20 +199,20 @@ class TestConstrainParams:
         assert out[0, 2:4].tolist() == [1.524, 2.667]  # positions untouched
 
     def test_output_is_fixed_point_without_inner_loop(self, de_reports):
-        problem = paper_problem(seed=5)
+        problem = paper_problem(seed=5, band=FALLBACK_BAND)
         rng = np.random.default_rng(99)
         bounds = build_bounds(problem.layout)
         block = rng.uniform(bounds.lower, bounds.upper, size=(20, len(bounds)))
         repaired, feasible, _ = constrain_params(block, 0, problem, InnerCounts())
-        assert len(de_reports) > 0  # some trials did go through the inner loop
+        assert len(de_reports) == 20  # every trial went through the inner loop
         de_reports.clear()
         again, still, _ = constrain_params(repaired[feasible], 0, problem, InnerCounts())
         assert de_reports == []  # band already satisfied: no inner loop
         assert still.all() and again == pytest.approx(repaired[feasible], abs=1e-12)
 
     def test_zero_mass_rejected(self, de_reports):
-        # a zero-mass row is infeasible from generation 1 on; in the initial
-        # population it gets the fallback's draw, like any row the move leaves
+        # a zero-mass row is infeasible from generation 1 on; an initial
+        # population with no feasible row gets the fallback's draws
         problem = paper_problem()
         params = np.zeros(12)
         params[2:4] = 2.0
@@ -431,22 +436,6 @@ class TestLockstepOracle:
 
 
 class TestRepairBlock:
-    def test_out_of_band_rows_go_through_one_lockstep(self, monkeypatch):
-        # generation 0's rows that the weight move leaves out of band all go to
-        # one fallback, whose nested runs share one lockstep
-        lockstep_seeds = []
-        real = solver_mod.de_lockstep
-
-        def recording(cost, bounds, settings, seeds, *args, **kwargs):
-            lockstep_seeds.append(len(seeds))
-            return real(cost, bounds, settings, seeds, *args, **kwargs)
-
-        monkeypatch.setattr(solver_mod, "de_lockstep", recording)
-        for band in [(5.5, 7.5), (6.4, 6.6)]:
-            lockstep_seeds.clear()
-            result = ouq_solve(paper_problem(band=band))
-            assert lockstep_seeds == [result.inner.runs] and result.inner.runs > 1
-
     def test_near_unit_masses_are_renormalized(self, de_reports):
         # a mass slack of 1e-12 is a factor the outer DE could climb into
         problem = paper_problem()
@@ -660,9 +649,9 @@ class TestOneResponsePass:
     for E, for the g of the weight move and for E of the moved rows.  It
     returns those values for the feasible rows, and the cost reads them, so
     a solve calls the response once per outer generation outside the
-    fallback's nested runs, plus once for the fallback's vectors.  Every
-    array call of the response goes through `atom_values`, and the audit
-    shares the cost's values."""
+    fallback's nested runs, plus once for the fallback's vectors if it
+    runs.  Every array call of the response goes through `atom_values`,
+    and the audit shares the cost's values."""
 
     def test_weight_move_rows(self, de_reports):
         problem, calls = counted(paper_problem())
@@ -707,9 +696,9 @@ class TestOneResponsePass:
         # the values are copied out of what the response returns, so the
         # fallback's draw can write its values over its rows
         problem = toy_problem(response, band=(-0.5, 0.5), npts=(2,), bounds=((0.0, 1.0),))
-        block = np.array([[0.5, 0.5, 0.2, 0.8], [0.0, 0.0, 0.2, 0.8]])  # the second has zero mass
+        block = np.array([[0.0, 0.0, 0.2, 0.8], [0.0, 0.0, 0.3, 0.9]])  # zero mass: no feasible row
         _, feasible, values = constrain_params(block, 0, problem, InnerCounts())
-        assert feasible.tolist() == [True, True] and len(de_reports) == 1
+        assert feasible.tolist() == [True, True] and len(de_reports) == 2
         assert np.array_equal(values, np.zeros((2, 2)))
 
     def test_fallback_rows(self, monkeypatch):
@@ -725,18 +714,24 @@ class TestOneResponsePass:
 
     @pytest.mark.parametrize("generation", [0, 1])
     def test_values_are_those_of_the_feasible_rows(self, de_reports, generation):
-        # moved, unmoved, fallback (generation 0 only) and zero-mass rows
+        # generation 1: moved, unmoved, stuck and zero-mass rows; generation 0:
+        # a stuck and a zero-mass row, no feasible row, so both are drawn
         problem = sum_problem()
-        block = np.stack([TestFallback.STUCK, TestFallback.IN_BAND, np.zeros(8), TestFallback.MOVABLE])
+        if generation == 0:
+            block, want = np.stack([TestFallback.STUCK, np.zeros(8)]), [True, True]
+        else:
+            block = np.stack([TestFallback.STUCK, TestFallback.IN_BAND, np.zeros(8), TestFallback.MOVABLE])
+            want = [False, True, False, True]
         out, feasible, values = constrain_params(block, generation, problem, InnerCounts())
         assert np.array_equal(values, atom_values(out[feasible], problem.layout, problem.response))
-        assert feasible.tolist() == [generation == 0, True, generation == 0, True]
+        assert feasible.tolist() == want and len(de_reports) == 2 * (generation == 0)
 
     @staticmethod
-    def solve_array_calls(audit=None):
-        """Short paper.config solve: the result and the response's array
-        calls, each as the set of the functions it was made inside, of
-        `atom_values`, `impose_expectation` and `cost_block`."""
+    def solve_array_calls(audit=None, band=None):
+        """Short paper.config solve, on its own band or on `band`: the
+        result and the response's array calls, each as the set of the
+        functions it was made inside, of `atom_values`,
+        `impose_expectation` and `cost_block`."""
         open_calls, calls = [], []
 
         def inside(name, real):
@@ -755,6 +750,8 @@ class TestOneResponsePass:
 
         problem = build_problem(load_config(PAPER_CONFIG), 0)
         problem = replace(problem, response=response, outer=replace(problem.outer, max_generations=5))
+        if band is not None:
+            problem = replace(problem, constraint=MeanConstraint.from_band(*band))
         with pytest.MonkeyPatch.context() as patch:
             atom_values = inside("atom_values", measures_mod.atom_values)
             patch.setattr(measures_mod, "atom_values", atom_values)
@@ -765,15 +762,17 @@ class TestOneResponsePass:
         return calls, result
 
     def test_solve_calls_the_response_on_arrays_only_in_atom_values(self):
-        calls, _ = self.solve_array_calls()
-        assert calls and all("atom_values" in inside for inside in calls)
+        for band in (None, FALLBACK_BAND):
+            calls, _ = self.solve_array_calls(band=band)
+            assert calls and all("atom_values" in inside for inside in calls)
 
     def test_one_call_per_generation(self):
-        calls, result = self.solve_array_calls()
+        calls, result = self.solve_array_calls(band=FALLBACK_BAND)
         assert not any("cost_block" in inside for inside in calls)
         outer = [inside for inside in calls if "impose_expectation" not in inside]
         fallback_drew = result.inner.runs > result.inner.failures  # one pass for its vectors
-        assert result.inner.runs > 0 and result.report.generations_run == 5
+        assert result.inner.runs == 40  # one nested run per row
+        assert result.report.generations_run == 5
         assert len(outer) == result.report.generations_run + 1 + fallback_drew
 
     def test_audit_adds_no_response_call(self):
@@ -796,26 +795,40 @@ class TestFallback:
     MOVABLE = np.array([0.5, 0.5, 6.0, 7.0, 0.5, 0.5, 1.0, 9.5])  # E = 11.75; y = 9.5 reaches 14
     IN_BAND = np.array([0.5, 0.5, 7.0, 8.0, 0.5, 0.5, 7.0, 8.0])  # E = 15
 
-    def test_stuck_row_matches_impose_expectation(self, de_reports):
+    def test_stuck_row_beside_a_feasible_row_stays_infeasible(self, de_reports):
+        # DE keeps an infeasible initial slot at +inf and later trials fill it
         problem = sum_problem()
         block = np.stack([self.IN_BAND, self.MOVABLE, self.STUCK])
-        out, feasible, _ = constrain_params(block, 0, problem, InnerCounts())
-        want, reached = impose_expectation(problem, [_derive_inner_seed(0, 2)], InnerCounts())
-        assert len(de_reports) == 2  # one fallback run, then the oracle's
-        assert feasible.all() and reached.tolist() == [True]
-        assert np.array_equal(out[2], want[0])
-        assert not np.array_equal(out[2], self.STUCK)  # the fallback replaced it
+        counts = InnerCounts()
+        out, feasible, _ = constrain_params(block, 0, problem, counts)
+        assert feasible.tolist() == [True, True, False]
+        assert de_reports == [] and counts == InnerCounts(repair_rows=2)
+        assert np.array_equal(out[2], self.STUCK)  # normalized, not moved
+
+    @pytest.mark.parametrize("band", [(5.5, 7.5), (6.4, 6.6)], ids=["reference", "narrow_band"])
+    def test_paper_seeds_start_no_nested_run(self, de_reports, band):
+        # generation 0 of every seed has a feasible row after the weight move
+        for seed in range(10):
+            result = ouq_solve(paper_problem(seed=seed, band=band))
+            assert result.inner == InnerCounts(repair_rows=result.inner.repair_rows)
+            assert result.inner.repair_rows > 0 and de_reports == []
 
     def test_inner_seeds_only_for_fallback_rows(self, monkeypatch):
-        # in ouq_solve the fallback runs once, at generation 0, with one inner
-        # seed per row that the weight move left infeasible, derived from the
-        # row; constrain_params is looked up on the module for every generation
-        events, generations = [], []
+        # in ouq_solve the fallback runs once, at generation 0, when the weight
+        # move leaves no row feasible: one lockstep, one inner seed per row,
+        # derived from the row, and all of it before generation 0 is costed;
+        # constrain_params is looked up on the module for every generation
+        events, generations, lockstep_seeds = [], [], []
         real_impose, real_constrain = solver_mod.impose_expectation, solver_mod.constrain_params
+        real_lockstep, real_cost = solver_mod.de_lockstep, solver_mod.cost_block
 
         def impose(problem, seeds, counts):
             events.append(("fallback", list(seeds)))
             return real_impose(problem, seeds, counts)
+
+        def lockstep(cost, bounds, settings, seeds, *args, **kwargs):
+            lockstep_seeds.append(len(seeds))
+            return real_lockstep(cost, bounds, settings, seeds, *args, **kwargs)
 
         def constrain(block, generation, problem, counts):
             generations.append(generation)
@@ -825,19 +838,21 @@ class TestFallback:
                 events.append(("repair", feasible))
             return real_constrain(block, generation, problem, counts)
 
+        def cost(*args, **kwargs):
+            events.append(("cost", None))
+            return real_cost(*args, **kwargs)
+
         monkeypatch.setattr(solver_mod, "impose_expectation", impose)
+        monkeypatch.setattr(solver_mod, "de_lockstep", lockstep)
         monkeypatch.setattr(solver_mod, "constrain_params", constrain)
-        for band in [(5.5, 7.5), (6.4, 6.6)]:
-            events.clear()
-            generations.clear()
-            problem = paper_problem(seed=4, band=band)
-            result = ouq_solve(problem)
-            kinds = [kind for kind, _ in events]
-            assert kinds[:2] == ["repair", "fallback"] and kinds.count("fallback") == 1
-            rows = np.flatnonzero(~events[0][1]).tolist()
-            assert events[1][1] == [_derive_inner_seed(4, row) for row in rows]
-            assert len(rows) == result.inner.runs > 0
-            assert generations == list(range(result.report.generations_run + 1))
+        monkeypatch.setattr(solver_mod, "cost_block", cost)
+        result = ouq_solve(paper_problem(seed=0, band=FALLBACK_BAND))
+        kinds = [kind for kind, _ in events]
+        assert kinds[:3] == ["repair", "fallback", "cost"] and kinds.count("fallback") == 1
+        assert not events[0][1].any()
+        assert events[1][1] == [_derive_inner_seed(0, row) for row in range(40)]
+        assert lockstep_seeds == [40] and result.inner.runs == 40
+        assert generations == list(range(result.report.generations_run + 1))
 
     @pytest.mark.parametrize("edge", [4.5, 5.5])
     @pytest.mark.parametrize("offset", [-1e-12, -1e-15, 0.0, 1e-15, 1e-12])
@@ -854,20 +869,6 @@ class TestFallback:
 class TestFallbackOnlyForTheInitialPopulation:
     """From generation 1 on, a trial the weight move cannot repair is
     infeasible: the nested DE repairs only the initial population."""
-
-    @pytest.mark.parametrize("band", [(5.5, 7.5), (6.4, 6.6)], ids=["reference", "narrow_band"])
-    def test_nested_runs_end_before_generation_0_is_costed(self, monkeypatch, de_reports, band):
-        runs_at_cost = []
-        real = solver_mod.cost_block
-
-        def recording(*args, **kwargs):
-            runs_at_cost.append(len(de_reports))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(solver_mod, "cost_block", recording)
-        result = ouq_solve(paper_problem(band=band))
-        assert len(de_reports) == result.inner.runs > 0
-        assert set(runs_at_cost) == {result.inner.runs}  # every generation's cost, from 0 on
 
     def test_no_inner_seed_no_fallback(self, de_reports):
         # from generation 1 on no inner seed is derived and no nested run starts:
