@@ -3,9 +3,9 @@
 Computes optimal upper bounds on failure probabilities by differential-
 evolution search over finite-dimensional product measures.  The mean
 constraint is enforced by repair: each trial's weight is moved within one
-factor into the band, and a nested inner optimization only seeds the
-initial population's trials that the move cannot repair.  Ships with the
-hypervelocity-impact perforation surrogate.
+factor into the band; only if the move leaves no initial trial feasible
+does a nested inner optimization draw the initial population.  Ships with
+the hypervelocity-impact perforation surrogate.
 
 The names below are the public surface; everything else (exception
 classes, block kernels, the repair internals) is imported from the module

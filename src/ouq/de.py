@@ -7,8 +7,9 @@ vector at a time or on a whole generation at once (`vectorized=True`).
 `de_lockstep` runs several independently seeded runs side by side and
 evaluates each generation of all of them as one block, npop rows per run
 in seed order; `de_solve` is that loop with one run.  Runs are fully
-deterministic given the seed: each generation's trials come from one block
-of npop * (d + 2) uniforms of the run's own generator.
+deterministic given the seed: each generation's trials read the next
+npop * (d + 2) uniforms of the run's own generator, drawn up to a window of
+generations at a time, so the stream is the same whatever the window.
 """
 
 from __future__ import annotations
@@ -137,44 +138,53 @@ class SolveReport:
     terminated_by: str
 
 
-def _trials(
-    rngs: Sequence[np.random.Generator], pop: np.ndarray, best: np.ndarray, settings: DESettings
-):
-    """One generation's Best1Exp trials of a stack of runs: for run k,
-    best[k] + F*(pop[k, c1] - pop[k, c2]), from one (npop, d + 2) block of
-    uniforms u drawn from its own generator rngs[k], the runs in order.
+WINDOW_UNIFORMS = 4096  # the most uniforms a window draws, unless one generation needs more
 
-    `pop` is (runs, npop, d) and `best` (runs, d); the (runs * npop, d)
-    trials come run after run.  Slot i takes its candidates i + a and
-    i + b (mod npop), a uniform over 1..npop-1 from u0 and b uniform over
-    the rest from u1, so the pair is uniform over ordered pairs of other
-    rows.  The standard strategy copies the donor into slot i's row over a
-    cyclic run starting at floor(u2*d), of length 1 plus the number of
-    leading u3.. below cr (geometric, at most d); the snippet strategy
-    takes the whole donor, or keeps best when u2 >= cr.
+
+def _draw_window(rngs, generation: int, npop: int, d: int, settings: DESettings):
+    """The Best1Exp choices of a stack of runs for W generations from
+    `generation` on (at least 1, at most WINDOW_UNIFORMS uniforms, never
+    past max_generations), from one call per run of its generator rngs[k]:
+    the stream of one (npop, d + 2) block u per generation.
+
+    Slot i takes its candidates i + a and i + b (mod npop), a uniform over
+    1..npop-1 from u0 and b uniform over the rest from u1, so the pair is
+    uniform over ordered pairs of other rows.  The standard strategy
+    copies the donor into slot i's row over a cyclic run starting at
+    floor(u2*d), of length 1 plus the number of leading u3.. below cr
+    (geometric, at most d); the snippet strategy takes the whole donor, or
+    keeps best when u2 >= cr.  Returns the (runs, W, 2, npop) slots (a, b)
+    and where each trial keeps its base, not the donor: the target,
+    (runs, W, npop, d), or best for the snippet, (runs, W, npop, 1).
     """
-    runs, npop, d = pop.shape
-    if best.shape != (runs, d):
-        raise ValueError(f"vector lengths differ: population rows {d}, best {best.shape[-1]}")
-    u = np.empty((runs, npop, d + 2))
+    size = max(WINDOW_UNIFORMS // (len(rngs) * npop * (d + 2)), 1)
+    u = np.empty((len(rngs), min(size, settings.max_generations + 1 - generation), npop, d + 2))
     for rng, draws in zip(rngs, u, strict=True):
         rng.random(out=draws)
-    cr, slots = settings.cross_probability, np.arange(npop)
-    # floor(u0 (npop - 1)), floor(u1 (npop - 2)) and the crossover start floor(u2 d)
-    picks = (u[..., :3] * [npop - 1, npop - 2, d]).astype(np.intp)
-    offsets = picks[..., :2]  # turned into a and b in place
-    offsets += 1
-    offsets[..., 1] += offsets[..., 1] >= offsets[..., 0]
-    first_rows = np.arange(0, runs * npop, npop)[:, None, None]
-    pair = pop.reshape(-1, d)[first_rows + (slots[:, None] + offsets) % npop]
-    best = best[:, None]
-    donors = best + settings.scaling_factor * (pair[..., 0, :] - pair[..., 1, :])
+    # a = floor(u0 (npop - 1)) + 1, b = floor(u1 (npop - 2)) + 1, start = floor(u2 d)
+    a, b = ((u[..., k] * (npop - 1 - k)).astype(np.intp) + 1 for k in (0, 1))
+    start = (u[..., 2:3] * d).astype(np.intp)
+    below = u < settings.cross_probability
+    del u  # freed before the rest, which numpy buffers, so a window takes less memory
+    pairs = (np.stack([a, b + (b >= a)], axis=2) + np.arange(npop)) % npop
     if settings.strategy is Strategy.BEST1EXP_PAPER_SNIPPET:
-        trials = np.where(u[..., 2:3] >= cr, best, donors)
-    else:
-        run = 1 + np.logical_and.accumulate(u[..., 3:] < cr, axis=2).sum(axis=2)
-        trials = np.where((np.arange(d) - picks[..., 2:]) % d < run[..., None], donors, pop)
-    return trials.reshape(-1, d)
+        return pairs, ~below[..., 2:3]
+    run = np.logical_and.accumulate(below[..., 3:], axis=3).sum(axis=3, keepdims=True)
+    return pairs, (np.arange(d) - start) % d > run
+
+
+def _trials(pops, best, pairs, keep, settings: DESettings):
+    """One generation's trials of a stack of runs, (runs, npop, d) `pops` and
+    (runs, d) `best`, from its slice of a window (`_draw_window`): run k's
+    slot i gets best[k] + F*(pops[k, a] - pops[k, b]), (a, b) = pairs[k, :, i],
+    or its base where `keep` holds; the (runs * npop, d) trials come run by run."""
+    runs, npop, d = pops.shape
+    if best.shape != (runs, d):
+        raise ValueError(f"vector lengths differ: population rows {d}, best {best.shape[-1]}")
+    rows = pops.reshape(-1, d)[pairs + np.arange(0, runs * npop, npop)[:, None, None]]
+    donors = best[:, None] + settings.scaling_factor * (rows[:, 0] - rows[:, 1])
+    snippet = settings.strategy is Strategy.BEST1EXP_PAPER_SNIPPET
+    return np.where(keep, best[:, None] if snippet else pops, donors).reshape(-1, d)
 
 
 def de_lockstep(
@@ -195,9 +205,9 @@ def de_lockstep(
     runs share is the work and the state: the populations and costs of the
     still-running runs are stacked in seed order as (runs, npop, d) and
     (runs, npop) arrays, and each generation their trials (the initial
-    draws at generation 0, later one `_trials` pass over each run's own
-    generator's draws) form one (runs * npop, d) block, whose row r is
-    slot r % npop of the (r // npop)-th of them.  It is clipped, passed to
+    draws at generation 0, later one `_trials` pass over the stack's
+    window of draws, `_draw_window`) form one (runs * npop, d) block, whose
+    row r is slot r % npop of the (r // npop)-th of them.  It is clipped, passed to
     `constrain(block, generation)` and costed with one call of each, in
     the forms of `de_solve(vectorized=True)`, and every run's population is
     updated at once.  A run leaves the stack once its termination rule
@@ -222,11 +232,15 @@ def de_lockstep(
     traces: list[list[GenerationRecord]] = [[] for _ in seeds]
     results: list = [None] * len(seeds)
     live = list(range(len(seeds)))  # the seed index of each row of the stack
+    pairs = keep = np.empty((len(seeds), 0))  # the live runs' drawn generations to come
     generation = 0
     while live:
         rows = np.arange(len(live))
         if generation:
-            block = _trials([rngs[k] for k in live], pops, pops[rows, best], settings)
+            if not pairs.shape[1]:
+                pairs, keep = _draw_window([rngs[k] for k in live], generation, npop, d, settings)
+            block = _trials(pops, pops[rows, best], pairs[:, 0], keep[:, 0], settings)
+            pairs, keep = pairs[:, 1:], keep[:, 1:]
         else:  # generation 0 tries the initial draws themselves
             block = pops.reshape(-1, d)
         block = bounds.clip(block)
@@ -271,7 +285,8 @@ def de_lockstep(
                 )
         staying = [results[k] is None for k in live]
         if not all(staying):
-            pops, costs, best, evaluations = (a[staying] for a in (pops, costs, best, evaluations))
+            pops, costs, best, evaluations, pairs, keep = (
+                a[staying] for a in (pops, costs, best, evaluations, pairs, keep))
             live = [k for k in live if results[k] is None]
         generation += 1
     return results
@@ -292,10 +307,11 @@ def de_solve(
     Every population slot starts as a uniform draw at cost +inf.  Each
     generation's `npop` trials, one per slot, are those draws at
     generation 0, later built against the generation-start population
-    from one draw of npop * (d + 2) uniforms (`_trials`).  They are
-    clipped to the box, passed through the constraint function, re-clipped
-    and evaluated as one block, and a trial takes its slot only if it is
-    strictly cheaper, so the best-cost history is monotone non-increasing.
+    from the next npop * (d + 2) uniforms of its generator, drawn up to a
+    window of generations at a time (`_draw_window`).  They are clipped to
+    the box, passed to the constraint, re-clipped and evaluated as one
+    block, and a trial takes its slot only if it is strictly cheaper, so
+    the best-cost history never rises.
     This is `de_lockstep` with the one seed `settings.seed`: a stack of one
     run, whose report is built when it stops.
 

@@ -276,7 +276,7 @@ class LayoutPlan(NamedTuple):
     slot_columns: np.ndarray  # (dimension, L, dimension, n_max) its columns of [block | values]
     slot_mask: np.ndarray | None  # (L, dimension, n_max, 1) 0.0 where it holds none, or None
     shift_cols: np.ndarray  # (dimension, n_max) each factor's weights, then its first position
-    real: np.ndarray  # (dimension, 1, n_max) mask of the real points of shift_cols
+    real: np.ndarray | None  # (dimension, 1, n_max) mask of shift_cols' real points, or None
 
 
 @functools.lru_cache(maxsize=16)
@@ -315,7 +315,7 @@ def layout_plan(npts_per_dim: tuple[int, ...]) -> LayoutPlan:
         slot_columns=slot_columns,
         slot_mask=None if slot_mask.all() else slot_mask,
         shift_cols=shift_cols,
-        real=real[:, None, :],
+        real=None if real.all() else real[:, None, :],
     )
     for a in plan:
         if isinstance(a, np.ndarray):

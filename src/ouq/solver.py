@@ -213,9 +213,8 @@ def impose_expectation(
     `problem.inner.max_generations` generations.  The runs go in lockstep
     (`de_lockstep`): each inner generation of all still-running runs is
     renormalized and costed as one block, and a run's result is the one it
-    would reach alone.  When any member of the initial population already
-    lies in the band, as on the reference problem for every run, the run
-    stops at generation 0 with the member whose expectation is nearest m.
+    would reach alone.  A run whose own initial population has a member in
+    the band stops at generation 0 with the member nearest m in E.
 
     Returns the best vectors of the runs that ended at cost <= d^2, in seed
     order, and the mask `reached` over the seeds: False where a run ended
@@ -274,16 +273,19 @@ def shift_weights(
     cols, real = plan.shift_cols, plan.real
     out = block.copy()
     weights = block[:, cols].transpose(1, 0, 2).copy()
-    g = conditional_expectations_block(block, problem.layout, values)
-    h = np.where(real, sign * g, -np.inf)  # in the move's direction: h must rise by `need`
+    h = sign * conditional_expectations_block(block, problem.layout, values)  # to rise by `need`
+    if real is not None:
+        h = np.where(real, h, -np.inf)
     # the arrays are indexed flat: `first` is each (factor, row)'s first point
     first = np.arange(0, h.size, h.shape[2]).reshape(h.shape[:2])
-    dest = first + np.argmax(h, axis=2)
-    gap = np.where(real, h.reshape(-1)[dest][..., None] - h, 0.0)
-    order = first[..., None] + np.argsort(-gap, axis=2, kind="stable")
+    dest = first + h.argmax(axis=2)
+    gap = h.reshape(-1)[dest][..., None] - h
+    if real is not None:
+        gap = np.where(real, gap, 0.0)
+    order = first[..., None] + (-gap).argsort(axis=2, kind="stable")
     gap, w = gap.reshape(-1)[order], weights.reshape(-1)[order]
     gain = w * gap
-    before = np.cumsum(gain, axis=2) - gain  # what the farther points reach
+    before = gain.cumsum(axis=2) - gain  # what the farther points reach
     take = np.divide(need - before, gap, out=np.zeros(gap.shape), where=gap > 0.0)
     # clamped to 0 last: padding holds a position, which may be negative
     take = np.maximum(np.minimum(take, w), 0.0)
@@ -291,8 +293,8 @@ def shift_weights(
     weights.reshape(-1)[order] = w - take
     weights.reshape(-1)[dest] += moved
     reach = gain.sum(axis=2) >= need[:, 0]
-    rows = np.flatnonzero(reach.any(axis=0))
-    choice = np.argmin(np.where(reach, 2.0 * moved, np.inf), axis=0)[rows]
+    rows = reach.any(axis=0).nonzero()[0]
+    choice = np.where(reach, 2.0 * moved, np.inf).argmin(axis=0)[rows]
     out[rows[:, None], cols[choice]] = weights[choice, rows]
     return out
 

@@ -1,13 +1,15 @@
 import math
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ouq.de as de_mod
 from ouq import Bounds, ChangeOverGeneration, DESettings, de_solve
-from ouq.de import Strategy, ValueBelow, _trials, de_lockstep
+from ouq.de import Strategy, ValueBelow, _draw_window, _trials, de_lockstep
 from ouq.errors import InfeasibleConstrain
 
 
@@ -62,9 +64,21 @@ class TestSettings:
             (reports[0].opt_cost, reports[0].generations_run, reports[0].evaluations)]
 
 
+def window_trials(rng, pop, best, settings, generations):
+    """One run's trials at each generation of a window from generation 1 of
+    a run of at most `generations`, as de_lockstep builds them from a
+    one-run stack: (W, npop, d)."""
+    settings = replace(settings, max_generations=generations)
+    pairs, keep = _draw_window([rng], 1, *pop.shape, settings)
+    return np.array([
+        _trials(pop[None], best[None], pairs[:, j], keep[:, j], settings)
+        for j in range(pairs.shape[1])
+    ])
+
+
 def one_run(rng, pop, best, settings):
-    """The trials of one run: the one-run stack of `_trials`."""
-    return _trials([rng], pop[None], best[None], settings)
+    """The trials of one run from a window of one generation."""
+    return window_trials(rng, pop, best, settings, 1)[0]
 
 
 def build_trials(settings, pop, best, seed=0):
@@ -185,6 +199,41 @@ class _Fixed:
         out[...] = self.row
 
 
+def best1exp(u, pop, best, de):
+    """One run's Best1Exp trials from one generation's (npop, d + 2) block of
+    uniforms u, each slot from its own row: the candidates from u0 and u1,
+    the crossover start from u2 and its length from u3.. (`_draw_window`)."""
+    npop, d = pop.shape
+    a = 1 + (u[:, 0] * (npop - 1)).astype(int)
+    b = 1 + (u[:, 1] * (npop - 2)).astype(int)
+    b += b >= a
+    slots = np.arange(npop)
+    donors = best + de.scaling_factor * (pop[(slots + a) % npop] - pop[(slots + b) % npop])
+    if de.strategy is Strategy.BEST1EXP_PAPER_SNIPPET:
+        return np.where(u[:, 2:3] >= de.cross_probability, best, donors)
+    start = (u[:, 2] * d).astype(int)
+    run = 1 + np.logical_and.accumulate(u[:, 3:] < de.cross_probability, axis=1).sum(axis=1)
+    return np.where((np.arange(d) - start[:, None]) % d < run[:, None], donors, pop)
+
+
+@st.composite
+def window_cases(draw):
+    """Lockstep runs whose windows span 1 to 7 generations while every run
+    is live (longer once some have left), a value_below target that ends
+    them at different generations, and max_generations of 1 to 40."""
+    npop, d = draw(st.integers(4, 50)), draw(st.integers(1, 14))
+    settings = DESettings(
+        npop=npop,
+        cross_probability=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        scaling_factor=draw(st.floats(0.1, 1.5)),
+        strategy=draw(st.sampled_from(list(Strategy))),
+        max_generations=draw(st.integers(1, 40)),
+    )
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=4))
+    budget = draw(st.integers(1, 7)) * len(seeds) * npop * (d + 2)
+    return settings, d, seeds, draw(st.floats(0.0, 4.0)) * d, budget
+
+
 class TestTrials:
     """_trials draws Best1Exp choices with the distributions of DE/best/1/exp."""
 
@@ -193,51 +242,85 @@ class TestTrials:
     def test_trials_are_best1exp(self, case):
         de, d, seed = case
         pop, best = indexed(de.npop, d)
-        trials = one_run(np.random.default_rng(seed), pop, best, de)
-        for slot, (trial, target) in enumerate(zip(trials, pop)):
-            if de.strategy is Strategy.BEST1EXP_PAPER_SNIPPET:
-                if np.array_equal(trial, best):
-                    assert de.cross_probability < 1.0
-                    continue
-                assert de.cross_probability > 0.0 and np.all(trial == trial[0])
-                mutated = np.ones(d, dtype=bool)
-            else:
-                mutated = trial != target
-                # one cyclic run: at most one mutated coordinate follows an unmutated one
-                assert 1 <= mutated.sum() and np.sum(mutated & ~np.roll(mutated, 1)) <= 1
-                if de.cross_probability == 1.0:
-                    assert mutated.all()
-                if de.cross_probability == 0.0:
-                    assert mutated.sum() == 1
-            assert np.all(trial[mutated] == trial[mutated][0])
-            c1, c2 = candidates(trial[mutated][0])
-            assert len({slot, c1, c2}) == 3 and max(c1, c2) < de.npop
+        for trials in window_trials(np.random.default_rng(seed), pop, best, de, 3):
+            for slot, (trial, target) in enumerate(zip(trials, pop)):
+                if de.strategy is Strategy.BEST1EXP_PAPER_SNIPPET:
+                    if np.array_equal(trial, best):
+                        assert de.cross_probability < 1.0
+                        continue
+                    assert de.cross_probability > 0.0 and np.all(trial == trial[0])
+                    mutated = np.ones(d, dtype=bool)
+                else:
+                    mutated = trial != target
+                    # one cyclic run: at most one mutated coordinate follows an unmutated one
+                    assert 1 <= mutated.sum() and np.sum(mutated & ~np.roll(mutated, 1)) <= 1
+                    if de.cross_probability == 1.0:
+                        assert mutated.all()
+                    if de.cross_probability == 0.0:
+                        assert mutated.sum() == 1
+                assert np.all(trial[mutated] == trial[mutated][0])
+                c1, c2 = candidates(trial[mutated][0])
+                assert len({slot, c1, c2}) == 3 and max(c1, c2) < de.npop
 
     def test_every_pair_and_start_occurs(self):
         de = DESettings(npop=4, cross_probability=0.0, scaling_factor=1.0)
         pop, best = indexed(4, 3)
         seen = [set() for _ in range(4)]
-        for seed in range(200):
-            trials = one_run(np.random.default_rng(seed), pop, best, de)
-            for slot, (trial, target) in enumerate(zip(trials, pop)):
-                (start,) = np.flatnonzero(trial != target)
-                seen[slot].add((candidates(trial[start]), start))
+        for seed in range(100):
+            for trials in window_trials(np.random.default_rng(seed), pop, best, de, 2):
+                for slot, (trial, target) in enumerate(zip(trials, pop)):
+                    (start,) = np.flatnonzero(trial != target)
+                    seen[slot].add((candidates(trial[start]), start))
         for slot, pairs in enumerate(seen):
             others = [row for row in range(4) if row != slot]
-            assert pairs == {((i, j), k) for i in others for j in others if i != j for k in range(3)}
+            assert pairs == {
+                ((i, j), k) for i in others for j in others if i != j for k in range(3)}
 
     @pytest.mark.parametrize("strategy", list(Strategy))
-    def test_one_call_reads_npop_times_d_plus_2_words(self, strategy):
-        de, d = DESettings(npop=7, strategy=strategy), 5
+    def test_one_window_reads_w_times_npop_times_d_plus_2_words(self, strategy):
+        # generations 2 to 4 of a 4-generation run
+        de, d, w = DESettings(npop=7, strategy=strategy, max_generations=4), 5, 3
         rng, twin = np.random.default_rng(21), np.random.default_rng(21)
         spy = _Spy(rng)
-        pop = rng.uniform(size=(7, d))
+        rng.uniform(size=(7, d))
         twin.uniform(size=(7, d))
-        one_run(spy, pop, pop[0], de)
-        words = twin.bit_generator.random_raw(7 * (d + 2))
+        _draw_window([spy], 2, 7, d, de)
+        words = twin.bit_generator.random_raw(w * 7 * (d + 2))
         assert len(spy.drawn) == 1
-        assert np.array_equal(spy.drawn[0], ((words >> 11) * 2**-53).reshape(7, d + 2))
+        assert np.array_equal(spy.drawn[0], ((words >> 11) * 2**-53).reshape(w, 7, d + 2))
         assert rng.bit_generator.state == twin.bit_generator.state
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(case=window_cases())
+    def test_lockstep_trials_equal_one_generation_draws(self, case):
+        # each run's trials, replayed alone with one (npop, d + 2) draw per
+        # generation of a twin generator, across window boundaries and runs
+        # that leave mid-window
+        de, d, seeds, target, budget = case
+        npop, bounds, blocks = de.npop, Bounds.from_pairs([(-5.0, 5.0)] * d), []
+
+        def record(block, generation):
+            blocks.append(block.copy())
+            return block, np.ones(len(block), dtype=bool)
+
+        with patch.object(de_mod, "WINDOW_UNIFORMS", budget):
+            runs = de_lockstep(sphere_block, bounds, de, seeds, record, ValueBelow(target))
+        for k, (seed, run) in enumerate(zip(seeds, runs)):
+            twin = np.random.default_rng(seed)
+            pop = bounds.lower + (bounds.upper - bounds.lower) * twin.random((npop, d))
+            costs = np.full(npop, math.inf)
+            for generation in range(run.generations_run + 1):
+                if generation:
+                    u = twin.random((npop, d + 2))
+                    trials = bounds.clip(best1exp(u, pop, pop[np.argmin(costs)], de))
+                else:
+                    trials = bounds.clip(pop)
+                row = npop * sum(r.generations_run >= generation for r in runs[:k])
+                assert np.array_equal(blocks[generation][row:row + npop], trials)
+                trial_costs = sphere_block(trials)
+                better = trial_costs < costs
+                pop[better], costs[better] = trials[better], trial_costs[better]
+            assert run.opt_cost == costs.min()
 
     # u just below 1 takes the two rows before the slot and mutates the last
     # coordinate only; u = 0 takes the two rows after it and mutates all

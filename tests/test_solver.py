@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -972,6 +973,13 @@ def markov_cases(draw):
     return c, (m1, m2), npts, draw(st.integers(0, 2**16))
 
 
+MARKOV_PINS = (
+    (319, 12035, 640, 1594, 44670, 8791, 0),
+    0.3076688642118099,
+    "fb449a32e16553adaaf583fd74cf8dd146f7436eda641081ec191155ca86ac29",
+)
+
+
 class TestMarkovOracle:
     """A second closed form, beside the reference problem's 0.3788."""
 
@@ -991,6 +999,34 @@ class TestMarkovOracle:
         result = ouq_solve(problem)
         assert result.probability_bound <= (1.4 - 0.5) / (1.4 - 0.05) + 1e-12
         assert max(abs(f.mass() - 1.0) for f in result.maximizer.factors) <= 1e-15
+
+    def test_solves_pinned_on_every_cpu(self):
+        # the Markov response uses only max, -, * and +, so unlike the paper's
+        # surrogate its bits, and those of the whole solve, do not depend on
+        # numpy's CPU dispatch: one set of values holds on every target.  On
+        # band [1.0, 1.1] some solves start the fallback and some do not.
+        # Pinned: the counts summed over the 20 solves (generations /
+        # evaluations / inner runs / inner generations / inner evaluations /
+        # repair_rows / inner failures), the best bound, and a digest of
+        # every solve's counts, bound and trace rows.
+        totals, best, sha = np.zeros(7, dtype=int), 0.0, hashlib.sha256()
+        for npts in [(2, 2, 2), (3, 2, 1)]:
+            for tol in (0.0, 0.1):
+                for seed in range(5):
+                    result = ouq_solve(markov_problem(0.3, (1.0, 1.1), npts, seed, tol=tol))
+                    report, inner = result.report, result.inner
+                    counts = (
+                        report.generations_run, report.evaluations, inner.runs,
+                        inner.generations, inner.evaluations, inner.repair_rows, inner.failures,
+                    )
+                    totals += counts
+                    best = max(best, result.probability_bound)
+                    sha.update(repr((npts, tol, seed, counts, result.probability_bound)).encode())
+                    for rec in report.trace:
+                        sha.update(np.append(rec.best_cost, rec.best_params).tobytes())
+        assert tuple(totals.tolist()) == MARKOV_PINS[0]
+        assert best == MARKOV_PINS[1]
+        assert sha.hexdigest() == MARKOV_PINS[2]
 
 
 def scaled(problem, factor):
