@@ -1,8 +1,10 @@
 """Differential-evolution global minimizer (Best1Exp) with strict bounds.
 
 The engine supports a pluggable constraint function applied to each
-generation's block of trials before cost evaluation, and solver-independent
-termination rules evaluated on the best-cost history.  Cost may work one
+generation's block of trials, clipped to the box, before cost evaluation:
+it returns the block, every row still inside the box, and a boolean mask
+of the feasible rows, the only ones costed.  Termination rules are
+solver-independent, evaluated on the best-cost history.  Cost may work one
 vector at a time or on a whole generation at once (`vectorized=True`).
 `de_lockstep` runs several independently seeded runs side by side and
 evaluates each generation of all of them as one block, npop rows per run
@@ -179,8 +181,6 @@ def _trials(pops, best, pairs, keep, settings: DESettings):
     slot i gets best[k] + F*(pops[k, a] - pops[k, b]), (a, b) = pairs[k, :, i],
     or its base where `keep` holds; the (runs * npop, d) trials come run by run."""
     runs, npop, d = pops.shape
-    if best.shape != (runs, d):
-        raise ValueError(f"vector lengths differ: population rows {d}, best {best.shape[-1]}")
     rows = pops.reshape(-1, d)[pairs + np.arange(0, runs * npop, npop)[:, None, None]]
     donors = best[:, None] + settings.scaling_factor * (rows[:, 0] - rows[:, 1])
     snippet = settings.strategy is Strategy.BEST1EXP_PAPER_SNIPPET
@@ -207,12 +207,12 @@ def de_lockstep(
     (runs, npop) arrays, and each generation their trials (the initial
     draws at generation 0, later one `_trials` pass over the stack's
     window of draws, `_draw_window`) form one (runs * npop, d) block, whose
-    row r is slot r % npop of the (r // npop)-th of them.  It is clipped, passed to
-    `constrain(block, generation)` and costed with one call of each, in
-    the forms of `de_solve(vectorized=True)`, and every run's population is
-    updated at once.  A run leaves the stack once its termination rule
-    holds, after `settings.max_generations`, or when it evaluated nothing
-    at generation 0, and its entry is built as it leaves.
+    row r is slot r % npop of the (r // npop)-th of them.  It is clipped,
+    passed to `constrain(block, generation)` and its feasible rows costed,
+    with one call of each, in the forms of `de_solve(vectorized=True)`, and
+    every run's population is updated at once.  A run leaves the stack once
+    its termination rule holds, after `settings.max_generations`, or when it
+    evaluated nothing at generation 0, and its entry is built as it leaves.
 
     Returns one entry per seed: the run's SolveReport, or, if no member of
     its initial population was feasible, the InfeasibleConstrain that
@@ -244,21 +244,15 @@ def de_lockstep(
         else:  # generation 0 tries the initial draws themselves
             block = pops.reshape(-1, d)
         block = bounds.clip(block)
-        feasible = None  # every row feasible: the block is costed as it is
-        if constrain is not None:
+        if constrain is None:
+            feasible = np.ones(len(block), dtype=bool)
+        else:
             block, feasible = constrain(block, generation)
-            block = bounds.clip(np.asarray(block, dtype=float))
-            feasible = np.asarray(feasible, dtype=bool)
-            if feasible.all():
-                feasible = None
-        if feasible is None:
-            trial_costs = np.array(cost(block), dtype=float)
-            evaluations += npop
-        else:  # an infeasible row costs +inf, so it never takes a slot
-            trial_costs = np.full(len(block), math.inf)
-            if feasible.any():
-                trial_costs[feasible] = cost(block[feasible])
-            evaluations += np.count_nonzero(feasible.reshape(-1, npop), axis=1)
+        # an infeasible row costs +inf, so it never takes a slot
+        trial_costs = np.full(len(block), math.inf)
+        if feasible.any():
+            trial_costs[feasible] = cost(block[feasible])
+        evaluations += feasible.reshape(-1, npop).sum(axis=1)
         trial_costs = trial_costs.reshape(costs.shape)
         improved = trial_costs < costs
         np.copyto(pops, block.reshape(pops.shape), where=improved[..., None])
@@ -309,20 +303,22 @@ def de_solve(
     generation 0, later built against the generation-start population
     from the next npop * (d + 2) uniforms of its generator, drawn up to a
     window of generations at a time (`_draw_window`).  They are clipped to
-    the box, passed to the constraint, re-clipped and evaluated as one
-    block, and a trial takes its slot only if it is strictly cheaper, so
-    the best-cost history never rises.
+    the box, passed to the constraint, and its feasible rows are evaluated
+    as one block; a trial takes its slot only if it is strictly cheaper,
+    so the best-cost history never rises.
     This is `de_lockstep` with the one seed `settings.seed`: a stack of one
     run, whose report is built when it stops.
 
     `constrain(block, generation)` gets the (npop, d) trials, row i in
-    slot i, and returns `(block, feasible)`, where `feasible` is a boolean
-    mask; generation 0 is the initial population.
+    slot i, and returns two numpy arrays: the (npop, d) float block to
+    cost, every row inside the box, and the (npop,) boolean mask
+    `feasible`; generation 0 is the initial population.  The DE takes
+    both as they are: it neither clips nor converts them.  Without a
+    constraint every trial is feasible.
     By default `cost(params)` takes one vector and returns a float; with
-    `vectorized=True` `cost(block)` gets an (m, d) array and returns m
-    costs.  Out-of-box trials are always clipped, never rejected.  When
-    every trial is feasible the cost gets the block itself, not a copy,
-    so it must not modify what it is given.
+    `vectorized=True` `cost(block)` gets the (m, d) array
+    `block[feasible]` and returns m costs.  Out-of-box trials are always
+    clipped, never rejected.
 
     An infeasible trial (False in `feasible`) costs +inf and is never
     evaluated; a NaN cost counts in `evaluations`.  Neither is cheaper

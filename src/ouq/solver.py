@@ -262,7 +262,8 @@ def shift_weights(
     a factor with fewer points is padded with points of zero gap, which
     take no move (`layout_plan`).  A row takes the factor whose move is
     smallest in L1, the first on ties; a row that no factor can move to the
-    target comes back unchanged.  Each factor's weights stay on the simplex.
+    target comes back unchanged.  Each factor's weights stay on the simplex,
+    and every weight in [0, 1].
     """
     lo, hi = problem.constraint.band
     nudge = BAND_NUDGE * (hi - lo)
@@ -291,7 +292,8 @@ def shift_weights(
     take = np.maximum(np.minimum(take, w), 0.0)
     moved = take.sum(axis=2)
     weights.reshape(-1)[order] = w - take
-    weights.reshape(-1)[dest] += moved
+    # the whole mass of a factor, moved, can sum to an ulp above 1
+    weights.reshape(-1)[dest] = np.minimum(weights.reshape(-1)[dest] + moved, 1.0)
     reach = gain.sum(axis=2) >= need[:, 0]
     rows = reach.any(axis=0).nonzero()[0]
     choice = np.where(reach, 2.0 * moved, np.inf).argmin(axis=0)[rows]
@@ -324,9 +326,9 @@ def constrain_params(
     row `row` with the inner seed derived from (outer seed, row); a row
     the fallback does not bring into the band stays infeasible, and the
     drawn rows get one `atom_values` pass of their own, written over
-    their rows' values.  Returns the repaired block, the constraint
-    protocol's mask `feasible` and the atom values of the feasible rows,
-    in row order.
+    their rows' values.  Returns the repaired block, every row inside the
+    box, the constraint protocol's mask `feasible` and the atom values of
+    the feasible rows, in row order.
     """
     layout = problem.layout
     out, feasible = normalize_block(block, layout)

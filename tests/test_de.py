@@ -144,11 +144,6 @@ class TestMutate:
             trials = build_trials(settings, pop, best, seed=seed)
             assert np.all(np.sum(trials != pop, axis=1) == 1)
 
-    def test_dimension_mismatch(self):
-        settings = self.make()
-        with pytest.raises(ValueError, match="vector lengths differ"):
-            build_trials(settings, np.zeros((10, 2)), np.zeros(3))
-
 
 @st.composite
 def generation_cases(draw):

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import math
 from dataclasses import replace
@@ -544,6 +545,14 @@ class TestShiftWeights:
                     continue
                 assert (l1 <= np.abs(samples - row[ws]).sum(axis=1)[feasible] + 1e-6).all()
 
+    def test_moved_weight_stays_in_the_box(self):
+        # the whole mass goes to x = 1; unclipped, the normalized weights
+        # (0.59, 0.5) / 1.09 would sum to 1 + 2**-52 there, above the box
+        problem = toy_problem(lambda x: x, bounds=((0.0, 1.0),),
+                              band=(0.9999999990000001, 1.9999999990000001))
+        out, feasible, _ = constrain_params(np.array([[0.59, 0.5, 0.0, 1.0]]), 1, problem, InnerCounts())
+        assert out.tolist() == [[0.0, 1.0, 0.0, 1.0]] and feasible.tolist() == [True]
+
     def test_repair_depends_on_the_trial(self, de_reports):
         # the opposite of TestRepairSemantics, where the nested DE maps two
         # trials to one measure: the weight move keeps each trial's positions
@@ -590,7 +599,7 @@ def per_factor_shift(block, values, expect, problem):
         moved = take.sum(axis=1)
         weights = block[:, ws].copy()
         np.put_along_axis(weights, order, w - take, axis=1)
-        weights[every, dest] += moved
+        weights[every, dest] = np.minimum(weights[every, dest] + moved, 1.0)
         l1s.append(np.where(gain.sum(axis=1) >= need[:, 0], 2.0 * moved, np.inf))
         moves.append(weights)
     l1s = np.stack(l1s)
@@ -632,6 +641,69 @@ def test_stacked_move_equals_per_factor_move(case):
     assert np.array_equal(
         shift_weights(rows, values, e, problem), per_factor_shift(rows, values, e, problem)
     )
+
+
+@st.composite
+def protocol_cases(draw):
+    """1-3 points on each of 1-3 axes, a block of 6 trials inside the box
+    of `build_bounds` as the DE clips them (uniforms of 0 and 1 included),
+    a generation and a band.  The band lies among the rows' expectations,
+    or, when `beyond`, above every atom value of every row, where no weight
+    move reaches; at generation 0 that sends every row to the fallback."""
+    npts = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    lows = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(npts), max_size=len(npts)))
+    widths = draw(st.lists(st.floats(0.5, 5.0), min_size=len(npts), max_size=len(npts)))
+    layout = ParamLayout(npts, tuple((lo, lo + w) for lo, w in zip(lows, widths)))
+    response = draw(st.sampled_from(RESPONSES))
+    box = build_bounds(layout)
+    u = draw(st.lists(st.floats(0.0, 1.0), min_size=6 * len(box), max_size=6 * len(box)))
+    block = box.clip(box.lower + (box.upper - box.lower) * np.reshape(u, (6, len(box))))
+    beyond = draw(st.booleans())
+    if beyond:
+        lo = atom_values(block, layout, response).max() + draw(st.floats(1e-6, 1.0))
+    else:
+        e = expectation_block(normalize_block(block, layout)[0], layout, response)
+        lo = np.quantile(e, draw(st.floats(0.0, 1.0)))
+    band = MeanConstraint.from_band(lo, lo + draw(st.floats(1e-3, 2.0)))
+    problem = OUQProblem(
+        response=response,
+        layout=layout,
+        constraint=band,
+        outer=DESettings(npop=6, seed=draw(st.integers(0, 2**16))),
+        inner=DESettings(npop=4, max_generations=3),
+    )
+    return problem, block, draw(st.integers(0, 2)), beyond
+
+
+def assert_protocol(out, feasible, box, m):
+    """The constraint protocol of `de_lockstep`: an (m, d) float array with
+    every row inside the box, and an (m,) boolean mask."""
+    assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == (m, len(box))
+    assert ((box.lower <= out) & (out <= box.upper)).all()
+    assert type(feasible) is np.ndarray and feasible.dtype == bool and feasible.shape == (m,)
+
+
+class TestConstraintProtocol:
+    """Both constraints the solver hands `de_lockstep` keep its protocol,
+    which the DE relies on: it neither clips nor converts what they return."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(case=protocol_cases())
+    def test_constrain_params(self, case):
+        problem, block, generation, beyond = case
+        counts = InnerCounts()
+        out, feasible, _ = constrain_params(block, generation, problem, counts)
+        assert_protocol(out, feasible, build_bounds(problem.layout), len(block))
+        if beyond and generation == 0:
+            assert counts.runs == len(block)  # the fallback ran
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(case=protocol_cases())
+    def test_normalize_block(self, case):
+        # impose_expectation's constraint
+        problem, block, _, _ = case
+        out, feasible = normalize_block(block, problem.layout)
+        assert_protocol(out, feasible, build_bounds(problem.layout), len(block))
 
 
 def counted(problem):
@@ -903,19 +975,28 @@ class TestFallbackOnlyForTheInitialPopulation:
 
 class TestPerSeedQuality:
     """One-run solves of paper.config, seed by seed: best-of-10 would hide a
-    seed that ends in a local optimum."""
+    seed that ends in a local optimum.
 
-    @pytest.mark.parametrize("band", [(5.5, 7.5), (6.4, 6.6)], ids=["reference", "narrow_band"])
-    def test_one_run_solves_reach_the_closed_form(self, band):
+    Misses over seeds 0-199 depend on numpy's CPU dispatch: `reference`
+    misses seed 84 under AVX512, 113 under X86_V3 and both under X86_V2;
+    `narrow_band` misses none under AVX512 and seed 127 under X86_V3 and
+    X86_V2.  The bounds hold on all three."""
+
+    @pytest.mark.parametrize(
+        "band, allowed", [((5.5, 7.5), 2), ((6.4, 6.6), 1)], ids=["reference", "narrow_band"]
+    )
+    def test_one_run_solves_reach_the_closed_form(self, band, allowed):
         closed_form = paper_closed_form(band)
         config = load_config(PAPER_CONFIG)
         misses = []
-        for seed in range(50):
+        for seed in range(200):
             problem = replace(build_problem(config, seed), constraint=MeanConstraint.from_band(*band))
-            bound = ouq_solve(problem).probability_bound
-            if abs(bound - closed_form) > 0.01:
-                misses.append((seed, bound))
-        assert len(misses) <= 2, misses
+            result = ouq_solve(problem)
+            assert result.inner.runs == 0, seed  # no nested run on paper.config
+            assert result.probability_bound <= closed_form + 1e-12, seed
+            if abs(result.probability_bound - closed_form) > 0.01:
+                misses.append((seed, result.probability_bound))
+        assert len(misses) <= allowed, misses
 
 
 BANDS = pytest.mark.parametrize(
@@ -1027,6 +1108,28 @@ class TestMarkovOracle:
         assert tuple(totals.tolist()) == MARKOV_PINS[0]
         assert best == MARKOV_PINS[1]
         assert sha.hexdigest() == MARKOV_PINS[2]
+
+
+MATRIX_PRODUCTS = {"matmul", "dot", "einsum", "linalg"}
+
+
+def test_src_makes_no_matrix_product():
+    # a BLAS kernel rounds as the CPU it picks, so a product would tie the
+    # pins to the OpenBLAS core type; only attributes of np and numpy count,
+    # since other receivers are the package's own objects
+    found = []
+    for path in sorted(Path(solver_mod.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append((path.name, node.lineno, "@"))
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in MATRIX_PRODUCTS
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")
+            ):
+                found.append((path.name, node.lineno, node.attr))
+    assert found == []
 
 
 def scaled(problem, factor):
