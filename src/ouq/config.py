@@ -10,8 +10,8 @@ Schema (all keys shown; unknown keys are rejected):
       - {lower: 2.1, upper: 2.8, unit: km_s}
     mean_band: [5.5, 7.5]                # or {m: 6.5, d: 1.0}
     failure_tolerance: 0.0
-    outer: {npop, cross_probability, scaling_factor, strategy, max_generations}
-    inner: {npop, cross_probability, scaling_factor, strategy, max_generations}
+    outer: {npop, cross_probability, scaling_factor, max_generations}
+    inner: {npop, cross_probability, scaling_factor, max_generations}
     outer_termination:                   # optional; omitted, the outer DE runs
       rule: change_over_generation       # to outer.max_generations
       tolerance: 1.0e-4
@@ -22,9 +22,9 @@ Schema (all keys shown; unknown keys are rejected):
     output_dir: out
 
 This module only parses: the YAML shape, key sets, value types,
-finiteness, units and strategy names.  `_build` turns the file, and each
-mapping in it that stands for a type, into that type, picking each field's
-parser from the field's type.  Range rules (seed and runs, points per axis, lower < upper,
+finiteness and units.  `_build` turns the file, and each mapping in it
+that stands for a type, into that type, picking each field's parser from
+the field's type.  Range rules (seed and runs, points per axis, lower < upper,
 the mean band, npop, generation caps, tolerances, failure_tolerance) and
 defaults belong to the types the values build (`RunConfig`, `ParamLayout`,
 `MeanConstraint`, `OUQProblem`, `DESettings`, the termination rules), so a
@@ -53,9 +53,7 @@ from typing import get_type_hints
 import numpy as np
 import yaml
 
-from .de import (
-    ChangeOverGeneration, DESettings, Strategy, TerminationRule, ValueBelow, _check_count,
-)
+from .de import ChangeOverGeneration, DESettings, TerminationRule, ValueBelow, _check_count
 from .errors import ConfigError, DomainError
 from .measures import ParamLayout
 from .registry import check_arity, get_response
@@ -138,13 +136,6 @@ def _as_str(value, where: str) -> str:
     return value
 
 
-def _as_strategy(value, where: str) -> Strategy:
-    try:
-        return Strategy(value)
-    except ValueError:
-        raise ConfigError(f"{where} must be one of: " + ", ".join(s.value for s in Strategy))
-
-
 def _as_list(value, where: str, item) -> tuple:
     if not isinstance(value, list):
         raise ConfigError(f"{where} must be a list, got {value!r}")
@@ -152,14 +143,14 @@ def _as_list(value, where: str, item) -> tuple:
 
 
 def _build(cls, value, where: str, fixed: tuple[str, ...] = ()):
-    """`cls` built from a mapping with one key per field not in `fixed`.
+    """`cls` built from a mapping with one key per constructor field not in `fixed`.
 
     The values' types are checked here, by the parser of each field's type;
     their ranges and the defaults of left-out keys are `cls`'s own, and a
     ValueError of `cls` is reported under `where`.
     """
     value = _require_mapping(value, where)
-    settable = [f for f in fields(cls) if f.name not in fixed]
+    settable = [f for f in fields(cls) if f.init and f.name not in fixed]
     _reject_unknown(value, {f.name for f in settable}, where)
     missing = [f.name for f in settable if f.default is MISSING and f.name not in value]
     if missing:
@@ -214,7 +205,6 @@ _AS_TYPE = {
     int: _as_int,
     float: _as_float,
     str: _as_str,
-    Strategy: _as_strategy,
     tuple[int, ...]: functools.partial(_as_list, item=_as_int),
     tuple[tuple[float, float], ...]: functools.partial(_as_list, item=_parse_bounds_entry),
     tuple[float, float]: _parse_mean_band,

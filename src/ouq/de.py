@@ -1,4 +1,5 @@
-"""Differential-evolution global minimizer (Best1Exp) with strict bounds.
+"""Differential-evolution global minimizer (Best1Exp: DE/best/1 with
+exponential crossover) with strict bounds.
 
 The engine supports a pluggable constraint function applied to each
 generation's block of trials, clipped to the box, before cost evaluation:
@@ -16,7 +17,6 @@ generations at a time, so the stream is the same whatever the window.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -24,13 +24,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InfeasibleConstrain
-
-
-class Strategy(str, enum.Enum):
-    # Standard Best1Exp: per-coordinate exponential crossover into the target.
-    BEST1EXP_STANDARD = "best1exp_standard"
-    # Whole-vector variant: mutate every coordinate at once or return best as-is.
-    BEST1EXP_PAPER_SNIPPET = "best1exp_paper_snippet"
 
 
 def _check_count(name: str, value, minimum: int):
@@ -45,7 +38,6 @@ class DESettings:
     npop: int = 40
     cross_probability: float = 0.9
     scaling_factor: float = 0.9
-    strategy: Strategy = Strategy.BEST1EXP_STANDARD
     seed: int = 0
     max_generations: int = 1000
 
@@ -151,13 +143,12 @@ def _draw_window(rngs, generation: int, npop: int, d: int, settings: DESettings)
 
     Slot i takes its candidates i + a and i + b (mod npop), a uniform over
     1..npop-1 from u0 and b uniform over the rest from u1, so the pair is
-    uniform over ordered pairs of other rows.  The standard strategy
+    uniform over ordered pairs of other rows.  The exponential crossover
     copies the donor into slot i's row over a cyclic run starting at
     floor(u2*d), of length 1 plus the number of leading u3.. below cr
-    (geometric, at most d); the snippet strategy takes the whole donor, or
-    keeps best when u2 >= cr.  Returns the (runs, W, 2, npop) slots (a, b)
-    and where each trial keeps its base, not the donor: the target,
-    (runs, W, npop, d), or best for the snippet, (runs, W, npop, 1).
+    (geometric, at most d).  Returns the (runs, W, 2, npop) slots (a, b)
+    and the (runs, W, npop, d) mask of the coordinates where each trial
+    keeps its target, not the donor.
     """
     size = max(WINDOW_UNIFORMS // (len(rngs) * npop * (d + 2)), 1)
     u = np.empty((len(rngs), min(size, settings.max_generations + 1 - generation), npop, d + 2))
@@ -166,12 +157,10 @@ def _draw_window(rngs, generation: int, npop: int, d: int, settings: DESettings)
     # a = floor(u0 (npop - 1)) + 1, b = floor(u1 (npop - 2)) + 1, start = floor(u2 d)
     a, b = ((u[..., k] * (npop - 1 - k)).astype(np.intp) + 1 for k in (0, 1))
     start = (u[..., 2:3] * d).astype(np.intp)
-    below = u < settings.cross_probability
+    below = u[..., 3:] < settings.cross_probability
     del u  # freed before the rest, which numpy buffers, so a window takes less memory
     pairs = (np.stack([a, b + (b >= a)], axis=2) + np.arange(npop)) % npop
-    if settings.strategy is Strategy.BEST1EXP_PAPER_SNIPPET:
-        return pairs, ~below[..., 2:3]
-    run = np.logical_and.accumulate(below[..., 3:], axis=3).sum(axis=3, keepdims=True)
+    run = np.logical_and.accumulate(below, axis=3).sum(axis=3, keepdims=True)
     return pairs, (np.arange(d) - start) % d > run
 
 
@@ -179,12 +168,12 @@ def _trials(pops, best, pairs, keep, settings: DESettings):
     """One generation's trials of a stack of runs, (runs, npop, d) `pops` and
     (runs, d) `best`, from its slice of a window (`_draw_window`): run k's
     slot i gets best[k] + F*(pops[k, a] - pops[k, b]), (a, b) = pairs[k, :, i],
-    or its base where `keep` holds; the (runs * npop, d) trials come run by run."""
+    or its target pops[k, i] where `keep` holds; the (runs * npop, d) trials
+    come run by run."""
     runs, npop, d = pops.shape
     rows = pops.reshape(-1, d)[pairs + np.arange(0, runs * npop, npop)[:, None, None]]
     donors = best[:, None] + settings.scaling_factor * (rows[:, 0] - rows[:, 1])
-    snippet = settings.strategy is Strategy.BEST1EXP_PAPER_SNIPPET
-    return np.where(keep, best[:, None] if snippet else pops, donors).reshape(-1, d)
+    return np.where(keep, pops, donors).reshape(-1, d)
 
 
 def de_lockstep(

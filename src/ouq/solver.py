@@ -34,7 +34,7 @@ no feasible row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -77,26 +77,30 @@ BAND_NUDGE = 1e-9
 
 @dataclass(frozen=True)
 class MeanConstraint:
-    """Admissible band [m - d, m + d] for the expected response."""
+    """Admissible band [m - d, m + d] for the expected response.
+
+    `band` holds its edges: (m - d, m + d), or, when built by `from_band`,
+    the edges given, which m - d and m + d can miss by an ulp.
+    """
 
     m: float
     d: float
+    band: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
         if not math.isfinite(self.m):
             raise ValueError(f"band centre m must be finite, got {self.m}")
         if not self.d > 0.0:
             raise ValueError(f"acceptable deviation d must be positive, got {self.d}")
+        object.__setattr__(self, "band", (self.m - self.d, self.m + self.d))
 
     @classmethod
     def from_band(cls, m1: float, m2: float) -> "MeanConstraint":
         if not m1 < m2:
             raise ValueError(f"mean band needs m1 < m2, got [{m1}, {m2}]")
-        return cls(m=(m1 + m2) / 2.0, d=(m2 - m1) / 2.0)
-
-    @property
-    def band(self) -> tuple[float, float]:
-        return (self.m - self.d, self.m + self.d)
+        constraint = cls(m=(m1 + m2) / 2.0, d=(m2 - m1) / 2.0)
+        object.__setattr__(constraint, "band", (m1, m2))
+        return constraint
 
 
 @dataclass(frozen=True)
@@ -287,7 +291,9 @@ def shift_weights(
     gap, w = gap.reshape(-1)[order], weights.reshape(-1)[order]
     gain = w * gap
     before = gain.cumsum(axis=2) - gain  # what the farther points reach
-    take = np.divide(need - before, gap, out=np.zeros(gap.shape), where=gap > 0.0)
+    # a subnormal gap overflows the quotient to inf, which the clamp makes w
+    with np.errstate(over="ignore"):
+        take = np.divide(need - before, gap, out=np.zeros(gap.shape), where=gap > 0.0)
     # clamped to 0 last: padding holds a position, which may be negative
     take = np.maximum(np.minimum(take, w), 0.0)
     moved = take.sum(axis=2)

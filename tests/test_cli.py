@@ -5,7 +5,7 @@ import inspect
 import json
 import math
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -23,7 +23,7 @@ from ouq import (
     ChangeOverGeneration, DESettings, MeanConstraint, event_probability, flatten, ouq_solve,
     perforation_area,
 )
-from ouq.de import Strategy, ValueBelow, de_lockstep
+from ouq.de import ValueBelow, de_lockstep
 from ouq.errors import ConfigError, DomainError, InfeasibleConstrain
 from ouq.solver import InnerCounts, impose_expectation
 from ouq.cli import build_problem, main, measure_from_dict, measure_to_dict
@@ -159,7 +159,6 @@ class TestLoadConfig:
         assert cfg.inner.npop == 20
         assert cfg.outer.cross_probability == 0.9
         assert cfg.outer.scaling_factor == 0.9
-        assert cfg.outer.strategy is Strategy.BEST1EXP_STANDARD
         assert cfg.outer_termination == ChangeOverGeneration(1e-4, 10)
         assert cfg.runs == 10
 
@@ -173,6 +172,13 @@ class TestLoadConfig:
         path, _ = write_tiny_config(tmp_path, **{"mean_band: [5.5, 7.5]": "mean_band: {m: 6.5, d: 1.0}"})
         cfg = load_config(path)
         assert cfg.mean_band == pytest.approx((5.5, 7.5))
+
+    def test_band_edges_kept(self, tmp_path):
+        # (0.1 + 0.3) / 2 - (0.3 - 0.1) / 2 is 0.10000000000000002
+        path, _ = write_tiny_config(tmp_path, **{"mean_band: [5.5, 7.5]": "mean_band: [0.1, 0.3]"})
+        cfg = load_config(path)
+        assert cfg.mean_band == (0.1, 0.3)
+        assert build_problem(cfg, cfg.seed).constraint.band == (0.1, 0.3)
 
     def test_zero_npts_rejected(self, tmp_path):
         path, _ = write_tiny_config(tmp_path, **{"npts_per_dim: [2, 2, 2]": "npts_per_dim: [0, 2, 2]"})
@@ -872,6 +878,20 @@ class TestContract:
             if not name.startswith("__") and not inspect.ismodule(value)
         }
         assert public == self.PUBLIC_NAMES
+
+    def test_de_settings_fields(self):
+        # the settable values of each DE loop (seed is set per run); there is
+        # one trial strategy, Best1Exp with exponential crossover
+        assert [f.name for f in fields(DESettings)] == [
+            "npop", "cross_probability", "scaling_factor", "seed", "max_generations"]
+
+    @pytest.mark.parametrize("loop", ["outer", "inner"])
+    def test_strategy_key_rejected(self, tmp_path, capsys, loop):
+        path, outdir = write_tiny_config(
+            tmp_path, **{f"{loop}:\n": f"{loop}:\n  strategy: best1exp_standard\n"})
+        assert main(["solve", str(path)]) == 1
+        assert f"{loop} has unknown key(s): strategy" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_error_classes(self):
         # ouq.errors keeps a class only while a handler or an exit code depends on it

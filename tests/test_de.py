@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import ouq.de as de_mod
 from ouq import Bounds, ChangeOverGeneration, DESettings, de_solve
-from ouq.de import Strategy, ValueBelow, _draw_window, _trials, de_lockstep
+from ouq.de import ValueBelow, _draw_window, _trials, de_lockstep
 from ouq.errors import InfeasibleConstrain
 
 
@@ -91,7 +91,7 @@ class TestMutate:
         return DESettings(npop=10, **kw)
 
     def test_zero_scaling_standard(self):
-        settings = self.make(scaling_factor=1e-300, strategy=Strategy.BEST1EXP_STANDARD)
+        settings = self.make(scaling_factor=1e-300)
         best = np.array([1.0, 2.0, 3.0])
         pop = 9.0 + np.arange(10.0)[:, None] + np.zeros(3)
         trials = build_trials(settings, pop, best)
@@ -108,33 +108,6 @@ class TestMutate:
         for trial in trials:
             for t, b, g in zip(trial, best, c):
                 assert t == b or t == g
-
-    def test_paper_snippet_whole_vector(self):
-        settings = self.make(
-            strategy=Strategy.BEST1EXP_PAPER_SNIPPET, cross_probability=0.9, scaling_factor=0.9
-        )
-        best = np.array([1.0, 1.0])
-        pop = np.arange(10.0)[:, None] * np.array([1.0, 2.0])
-        trials = build_trials(settings, pop, best)
-        mutated = 0
-        for slot, trial in enumerate(trials):
-            if np.array_equal(trial, best):
-                continue
-            # best + F*(c1 - c2) over the whole vector, from two other slots
-            others = [i for i in range(10) if i != slot]
-            assert any(
-                np.array_equal(trial, best + 0.9 * (pop[i] - pop[j]))
-                for i in others for j in others if i != j
-            )
-            mutated += 1
-        assert mutated > 0
-
-    def test_paper_snippet_no_mutation_branch(self):
-        settings = self.make(strategy=Strategy.BEST1EXP_PAPER_SNIPPET, cross_probability=0.0)
-        best = np.array([1.0, 2.0])
-        pop = np.arange(20.0).reshape(10, 2)
-        trials = build_trials(settings, pop, best, seed=3)
-        assert all(np.array_equal(trial, best) for trial in trials)
 
     def test_standard_mutates_at_least_one_coordinate(self):
         settings = self.make(cross_probability=0.0)
@@ -153,7 +126,6 @@ def generation_cases(draw):
         npop=npop,
         cross_probability=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
         scaling_factor=1.0,
-        strategy=draw(st.sampled_from(list(Strategy))),
     )
     return settings, d, draw(st.integers(0, 2**32))
 
@@ -204,8 +176,6 @@ def best1exp(u, pop, best, de):
     b += b >= a
     slots = np.arange(npop)
     donors = best + de.scaling_factor * (pop[(slots + a) % npop] - pop[(slots + b) % npop])
-    if de.strategy is Strategy.BEST1EXP_PAPER_SNIPPET:
-        return np.where(u[:, 2:3] >= de.cross_probability, best, donors)
     start = (u[:, 2] * d).astype(int)
     run = 1 + np.logical_and.accumulate(u[:, 3:] < de.cross_probability, axis=1).sum(axis=1)
     return np.where((np.arange(d) - start[:, None]) % d < run[:, None], donors, pop)
@@ -221,7 +191,6 @@ def window_cases(draw):
         npop=npop,
         cross_probability=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
         scaling_factor=draw(st.floats(0.1, 1.5)),
-        strategy=draw(st.sampled_from(list(Strategy))),
         max_generations=draw(st.integers(1, 40)),
     )
     seeds = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=4))
@@ -239,20 +208,13 @@ class TestTrials:
         pop, best = indexed(de.npop, d)
         for trials in window_trials(np.random.default_rng(seed), pop, best, de, 3):
             for slot, (trial, target) in enumerate(zip(trials, pop)):
-                if de.strategy is Strategy.BEST1EXP_PAPER_SNIPPET:
-                    if np.array_equal(trial, best):
-                        assert de.cross_probability < 1.0
-                        continue
-                    assert de.cross_probability > 0.0 and np.all(trial == trial[0])
-                    mutated = np.ones(d, dtype=bool)
-                else:
-                    mutated = trial != target
-                    # one cyclic run: at most one mutated coordinate follows an unmutated one
-                    assert 1 <= mutated.sum() and np.sum(mutated & ~np.roll(mutated, 1)) <= 1
-                    if de.cross_probability == 1.0:
-                        assert mutated.all()
-                    if de.cross_probability == 0.0:
-                        assert mutated.sum() == 1
+                mutated = trial != target
+                # one cyclic run: at most one mutated coordinate follows an unmutated one
+                assert 1 <= mutated.sum() and np.sum(mutated & ~np.roll(mutated, 1)) <= 1
+                if de.cross_probability == 1.0:
+                    assert mutated.all()
+                if de.cross_probability == 0.0:
+                    assert mutated.sum() == 1
                 assert np.all(trial[mutated] == trial[mutated][0])
                 c1, c2 = candidates(trial[mutated][0])
                 assert len({slot, c1, c2}) == 3 and max(c1, c2) < de.npop
@@ -271,10 +233,9 @@ class TestTrials:
             assert pairs == {
                 ((i, j), k) for i in others for j in others if i != j for k in range(3)}
 
-    @pytest.mark.parametrize("strategy", list(Strategy))
-    def test_one_window_reads_w_times_npop_times_d_plus_2_words(self, strategy):
+    def test_one_window_reads_w_times_npop_times_d_plus_2_words(self):
         # generations 2 to 4 of a 4-generation run
-        de, d, w = DESettings(npop=7, strategy=strategy, max_generations=4), 5, 3
+        de, d, w = DESettings(npop=7, max_generations=4), 5, 3
         rng, twin = np.random.default_rng(21), np.random.default_rng(21)
         spy = _Spy(rng)
         rng.uniform(size=(7, d))
@@ -572,16 +533,16 @@ class TestLockstep:
     def left_half(block, generation):
         return block, block[:, 0] <= 1.0
 
-    @pytest.mark.parametrize("strategy", list(Strategy))
-    def test_each_run_matches_de_solve(self, strategy):
+    def test_each_run_matches_de_solve(self):
         # value_below ends the runs at different generations, so the stacked
         # trials of later generations come from fewer runs
-        rule, settings = ValueBelow(0.5), replace(self.SETTINGS, strategy=strategy)
-        runs = de_lockstep(sphere_block, self.BOUNDS, settings, self.SEEDS, self.left_half, rule)
+        rule = ValueBelow(0.5)
+        runs = de_lockstep(
+            sphere_block, self.BOUNDS, self.SETTINGS, self.SEEDS, self.left_half, rule)
         assert len({r.generations_run for r in runs}) > 1
         for seed, run in zip(self.SEEDS, runs):
             alone = de_solve(
-                sphere_block, self.BOUNDS, replace(settings, seed=seed), self.left_half,
+                sphere_block, self.BOUNDS, replace(self.SETTINGS, seed=seed), self.left_half,
                 rule, vectorized=True,
             )
             assert (run.opt_cost, run.generations_run, run.evaluations, run.terminated_by) == (

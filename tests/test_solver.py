@@ -26,7 +26,7 @@ from ouq import (
     unflatten,
 )
 from ouq.config import build_problem, load_config
-from ouq.de import Strategy, ValueBelow, de_lockstep
+from ouq.de import ValueBelow, de_lockstep
 from ouq.errors import DomainError, InfeasibleConstrain
 from ouq.measures import (
     atom_values,
@@ -90,6 +90,18 @@ class TestMeanConstraint:
         assert c.m == pytest.approx(6.5)
         assert c.d == pytest.approx(1.0)
         assert c.band == pytest.approx((5.5, 7.5))
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(
+        places=st.integers(1, 4),
+        ends=st.lists(st.integers(-10**5, 10**5), min_size=2, max_size=2, unique=True),
+    )
+    def test_band_keeps_its_edges(self, places, ends):
+        # decimal edges, which m - d and m + d can miss by an ulp
+        m1, m2 = (k / 10**places for k in sorted(ends))
+        c = MeanConstraint.from_band(m1, m2)
+        assert c.band == (m1, m2)
+        assert (c.m, c.d) == ((m1 + m2) / 2.0, (m2 - m1) / 2.0)
 
     def test_center_deviation_form(self):
         assert MeanConstraint(m=6.5, d=1.0).band == pytest.approx((5.5, 7.5))
@@ -332,7 +344,6 @@ def lockstep_cases(draw):
         npop=draw(st.integers(4, 8)),
         cross_probability=draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
         scaling_factor=draw(st.sampled_from([0.5, 0.9])),
-        strategy=draw(st.sampled_from(list(Strategy))),
         max_generations=draw(st.integers(1, 8)),
     )
     problem = OUQProblem(
@@ -689,6 +700,17 @@ class TestConstraintProtocol:
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(case=protocol_cases())
+    # a subnormal gap in the weight move, whose quotient overflows
+    @example(case=(
+        OUQProblem(
+            response=lambda x: x,
+            layout=ParamLayout((3,), ((0.0, 1.0),)),
+            constraint=MeanConstraint.from_band(1.0, 2.0),
+        ),
+        np.array([[0.0, 0.0, 1.0, 0.0, 0.0, 5e-324]]),
+        1,
+        False,
+    ))
     def test_constrain_params(self, case):
         problem, block, generation, beyond = case
         counts = InnerCounts()
