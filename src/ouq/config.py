@@ -8,7 +8,7 @@ Schema (all keys shown; unknown keys are rejected):
       - {lower: 1.524, upper: 2.667, unit: mm}   # a tagged mapping
       - [0.0, 0.5235987755982988]
       - {lower: 2.1, upper: 2.8, unit: km_s}
-    mean_band: [5.5, 7.5]                # or {m: 6.5, d: 1.0}
+    mean_band: [5.5, 7.5]                # edges [m1, m2] of the band of E
     failure_tolerance: 0.0
     outer: {npop, cross_probability, scaling_factor, max_generations}
     inner: {npop, cross_probability, scaling_factor, max_generations}
@@ -142,6 +142,12 @@ def _as_list(value, where: str, item) -> tuple:
     return tuple(item(entry, f"{where}[{i}]") for i, entry in enumerate(value))
 
 
+def _as_pair(value, where: str, form: str) -> tuple[float, float]:
+    if isinstance(value, list) and len(value) == 2:
+        return (_as_float(value[0], f"{where}[0]"), _as_float(value[1], f"{where}[1]"))
+    raise ConfigError(f"{where} must be {form}, got {value!r}")
+
+
 def _build(cls, value, where: str, fixed: tuple[str, ...] = ()):
     """`cls` built from a mapping with one key per constructor field not in `fixed`.
 
@@ -150,7 +156,7 @@ def _build(cls, value, where: str, fixed: tuple[str, ...] = ()):
     ValueError of `cls` is reported under `where`.
     """
     value = _require_mapping(value, where)
-    settable = [f for f in fields(cls) if f.init and f.name not in fixed]
+    settable = [f for f in fields(cls) if f.name not in fixed]
     _reject_unknown(value, {f.name for f in settable}, where)
     missing = [f.name for f in settable if f.default is MISSING and f.name not in value]
     if missing:
@@ -178,17 +184,7 @@ def _parse_bounds_entry(entry, where: str) -> tuple[float, float]:
             conv(_as_float(entry["lower"], f"{where}.lower")),
             conv(_as_float(entry["upper"], f"{where}.upper")),
         )
-    if isinstance(entry, list) and len(entry) == 2:
-        return (_as_float(entry[0], f"{where}[0]"), _as_float(entry[1], f"{where}[1]"))
-    raise ConfigError(f"{where} must be a [lower, upper] pair or a tagged mapping")
-
-
-def _parse_mean_band(value, where: str) -> tuple[float, float]:
-    if isinstance(value, dict):
-        return _build(MeanConstraint, value, where).band
-    if isinstance(value, list) and len(value) == 2:
-        return (_as_float(value[0], f"{where}[0]"), _as_float(value[1], f"{where}[1]"))
-    raise ConfigError(f"{where} must be [m1, m2] or {{m: ..., d: ...}}")
+    return _as_pair(entry, where, "a [lower, upper] pair or a tagged mapping")
 
 
 def _parse_termination(value, where: str) -> TerminationRule:
@@ -207,7 +203,7 @@ _AS_TYPE = {
     str: _as_str,
     tuple[int, ...]: functools.partial(_as_list, item=_as_int),
     tuple[tuple[float, float], ...]: functools.partial(_as_list, item=_parse_bounds_entry),
-    tuple[float, float]: _parse_mean_band,
+    tuple[float, float]: functools.partial(_as_pair, form="an [m1, m2] pair"),
     # the seed is not a file key: build_problem sets the outer one per run
     DESettings: functools.partial(_build, DESettings, fixed=("seed",)),
     TerminationRule | None: _parse_termination,
@@ -220,7 +216,7 @@ def build_problem(config: RunConfig, seed: int) -> OUQProblem:
     return OUQProblem(
         response=get_response(config.response).func,
         layout=ParamLayout(config.npts_per_dim, config.bounds_per_dim),
-        constraint=MeanConstraint.from_band(*config.mean_band),
+        constraint=MeanConstraint(*config.mean_band),
         failure_tolerance=config.failure_tolerance,
         outer=replace(config.outer, seed=seed),
         inner=config.inner,

@@ -4,7 +4,7 @@ The outer loop maximizes the probability of the failure event over product
 measures of weighted Dirac masses (recast as minimizing the negative).
 Each trial parameter vector is first repaired by the constraint function:
 weights are renormalized per factor, and if the expected response leaves
-the admissible band [m-d, m+d] the trial's weights are moved to bring it
+the admissible band [lower, upper] its weights are moved to bring it
 back.  E is affine in each factor's weights, so moving weight within one
 factor reaches the nearest band edge exactly whenever the conditional
 expectation at one of that factor's points lies past it
@@ -13,7 +13,7 @@ are kept.  A trial that no single factor can bring back is infeasible;
 the outer DE keeps its slot at +inf.  Only if no initial row is feasible
 does the fallback replace each with a seeded draw of an in-band measure,
 the best member of a nested differential-evolution run from a uniform
-population (least-squares distance to the target mean, value-to-reach d^2).
+population (least-squares distance to the band's centre, value-to-reach d^2).
 
 Both loops work on whole generations: repair and cost take
 (m, param_length) blocks through the block kernels of `measures`.  The
@@ -34,7 +34,7 @@ no feasible row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -77,30 +77,33 @@ BAND_NUDGE = 1e-9
 
 @dataclass(frozen=True)
 class MeanConstraint:
-    """Admissible band [m - d, m + d] for the expected response.
-
-    `band` holds its edges: (m - d, m + d), or, when built by `from_band`,
-    the edges given, which m - d and m + d can miss by an ulp.
+    """Admissible band [lower, upper] for the expected response, its edges as
+    given.  The centre `m` and half-width `d` derive from them, for the
+    fallback's inner cost (E - m)^2 and its stop d^2, which must be finite.
     """
 
-    m: float
-    d: float
-    band: tuple[float, float] = field(init=False)
+    lower: float
+    upper: float
 
     def __post_init__(self):
-        if not math.isfinite(self.m):
-            raise ValueError(f"band centre m must be finite, got {self.m}")
-        if not self.d > 0.0:
-            raise ValueError(f"acceptable deviation d must be positive, got {self.d}")
-        object.__setattr__(self, "band", (self.m - self.d, self.m + self.d))
+        if not (self.lower < self.upper and math.isfinite(self.d * self.d)):
+            raise ValueError(f"mean band needs m1 < m2 and a finite d^2, got {list(self.band)}")
 
     @classmethod
     def from_band(cls, m1: float, m2: float) -> "MeanConstraint":
-        if not m1 < m2:
-            raise ValueError(f"mean band needs m1 < m2, got [{m1}, {m2}]")
-        constraint = cls(m=(m1 + m2) / 2.0, d=(m2 - m1) / 2.0)
-        object.__setattr__(constraint, "band", (m1, m2))
-        return constraint
+        return cls(m1, m2)
+
+    @property
+    def band(self) -> tuple[float, float]:
+        return (self.lower, self.upper)
+
+    @property
+    def m(self) -> float:
+        return (self.lower + self.upper) / 2.0
+
+    @property
+    def d(self) -> float:
+        return (self.upper - self.lower) / 2.0
 
 
 @dataclass(frozen=True)
@@ -134,7 +137,7 @@ class InnerCounts:
     `runs`, `generations` and `evaluations` count the fallback's nested-DE
     runs, one per initial row when no initial row is feasible; `repair_rows`
     counts the out-of-band rows that reached the weight move; `failures`
-    counts the fallback's rows that did not reach the band.
+    counts the fallback's rows left outside the band.
     """
 
     runs: int = 0
@@ -206,24 +209,23 @@ def cost_block(
 def impose_expectation(
     problem: OUQProblem, seeds: Sequence[int], counts: InnerCounts
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The fallback: a seeded draw of one measure in the admissible
-    expectation band per seed.
+    """The fallback: one seeded draw of a measure per seed, aimed at the band.
 
     `constrain_params` calls it at most once per solve, the last resort
     for an initial population with no feasible row.  Each seed starts
     its own nested DE from a uniform population over the box of the outer
     problem, minimizing (E[response] - m)^2 over weight-renormalized vectors,
-    terminating at value-to-reach d^2 (i.e. |E - m| <= d), for at most
+    terminating at value-to-reach d^2 (about |E - m| <= d), for at most
     `problem.inner.max_generations` generations.  The runs go in lockstep
     (`de_lockstep`): each inner generation of all still-running runs is
     renormalized and costed as one block, and a run's result is the one it
-    would reach alone.  A run whose own initial population has a member in
-    the band stops at generation 0 with the member nearest m in E.
+    would reach alone.  A run whose own initial population has a member
+    at cost <= d^2 stops at generation 0 with the member nearest m in E.
 
-    Returns the best vectors of the runs that ended at cost <= d^2, in seed
-    order, and the mask `reached` over the seeds: False where a run ended
-    above d^2 or its whole initial population was degenerate.  The runs'
-    counts, and the runs not reached as `failures`, are added to `counts`.
+    Returns the best vectors of the runs that ran, in seed order, and the
+    mask `ran` over the seeds: False where a run's whole initial population
+    was degenerate.  Whether a vector lies in the band is the caller's
+    test.  The runs' counts are added to `counts`.
     """
     con = problem.constraint
     layout = problem.layout
@@ -239,14 +241,12 @@ def impose_expectation(
         constrain=lambda block, generation: normalize_block(block, layout),
         termination=ValueBelow(con.d**2),
     )
-    hit = [isinstance(r, SolveReport) and r.opt_cost <= con.d**2 for r in reports]
-    ran = [r for r in reports if isinstance(r, SolveReport)]
+    ran = np.array([isinstance(r, SolveReport) for r in reports], dtype=bool)
+    done = [r for r, ok in zip(reports, ran) if ok]
     counts.runs += len(reports)
-    counts.generations += sum(r.generations_run for r in ran)
-    counts.evaluations += sum(r.evaluations for r in ran)
-    counts.failures += hit.count(False)
-    best = [r.opt_params for r, ok in zip(reports, hit) if ok]
-    return np.reshape(best, (len(best), layout.param_length)), np.array(hit, dtype=bool)
+    counts.generations += sum(r.generations_run for r in done)
+    counts.evaluations += sum(r.evaluations for r in done)
+    return np.reshape([r.opt_params for r in done], (len(done), layout.param_length)), ran
 
 
 def shift_weights(
@@ -324,17 +324,17 @@ def constrain_params(
     rows too (their positions lie in the box), then serves the weight
     move: it changes no position, so the pass gives E of the rows, the g
     of `shift_weights` and E of the moved rows.  A non-finite value at any
-    row's atoms raises DomainError.  Each row outside [m-d, m+d] gets the
-    weight move, and keeps it if the moved row is in the band; a row the
-    move leaves outside comes back normalized and unchanged, infeasible.
-    If the initial population (`generation` 0) then has no feasible row,
-    every row is replaced by the fallback's draw, all in one lockstep,
-    row `row` with the inner seed derived from (outer seed, row); a row
-    the fallback does not bring into the band stays infeasible, and the
-    drawn rows get one `atom_values` pass of their own, written over
-    their rows' values.  Returns the repaired block, every row inside the
-    box, the constraint protocol's mask `feasible` and the atom values of
-    the feasible rows, in row order.
+    row's atoms raises DomainError.  Each row outside [lower, upper] gets
+    the weight move, and keeps it if the moved row is in the band; a row
+    the move leaves outside comes back normalized and unchanged,
+    infeasible.  If the initial population (`generation` 0) then has no
+    feasible row, the fallback draws for every row in one lockstep, row
+    `row` with the inner seed derived from (outer seed, row).  The draws
+    get one `atom_values` pass and the moved rows' band test: a draw in
+    the band replaces its row and the row's values; a row whose draw is
+    not stays as it was, infeasible, a failure.  Returns the repaired
+    block, every row inside the box, the constraint protocol's mask
+    `feasible` and the atom values of the feasible rows, in row order.
     """
     layout = problem.layout
     out, feasible = normalize_block(block, layout)
@@ -351,10 +351,13 @@ def constrain_params(
         counts.repair_rows += rows.size
     if generation == 0 and not feasible.any():
         seeds = [_derive_inner_seed(problem.outer.seed, row) for row in range(len(out))]
-        best, feasible = impose_expectation(problem, seeds, counts)
-        if feasible.any():
-            values[feasible] = atom_values(best, layout, problem.response)
-            out[feasible] = best
+        best, ran = impose_expectation(problem, seeds, counts)
+        drawn = atom_values(best, layout, problem.response)
+        e = expectation_of_values(best, layout, drawn)
+        feasible[ran] = (lo <= e) & (e <= hi)
+        values[feasible] = drawn[feasible[ran]]
+        out[feasible] = best[feasible[ran]]
+        counts.failures += int(np.count_nonzero(~feasible))
     return out, feasible, values[feasible]
 
 

@@ -12,7 +12,7 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ouq.config as config_mod
@@ -169,9 +169,10 @@ class TestLoadConfig:
         assert cfg.bounds_per_dim[1][1] == pytest.approx(math.pi / 6, abs=1e-12)
 
     def test_center_deviation_band(self, tmp_path):
+        # the band has one form, its edges: {m: M, d: D} is written [M - D, M + D]
         path, _ = write_tiny_config(tmp_path, **{"mean_band: [5.5, 7.5]": "mean_band: {m: 6.5, d: 1.0}"})
-        cfg = load_config(path)
-        assert cfg.mean_band == pytest.approx((5.5, 7.5))
+        with pytest.raises(ConfigError, match=r"mean_band must be an \[m1, m2\] pair"):
+            load_config(path)
 
     def test_band_edges_kept(self, tmp_path):
         # (0.1 + 0.3) / 2 - (0.3 - 0.1) / 2 is 0.10000000000000002
@@ -289,10 +290,9 @@ class TestLoadConfig:
         assert problem.inner.max_generations == 3
 
         counts = InnerCounts()
-        best, reached = impose_expectation(problem, [1], counts)
-        assert reached.tolist() == [False] and len(best) == 0
+        best, ran = impose_expectation(problem, [1], counts)
+        assert ran.tolist() == [True] and len(best) == 1
         assert counts.generations == 3  # the run exhausted its 3 generations
-        assert counts.failures == 1
         assert de_reports[0].opt_cost > problem.constraint.d**2
         assert [r.generations_run for r in de_reports] == [3]
 
@@ -318,7 +318,7 @@ class TestLoadConfig:
             ("npts_per_dim: [2, 2, 2]", "npts_per_dim: [0, 2, 2]", "npts_per_dim"),
             ("[2.1, 2.8]", "[2.8, 2.1]", r"\[2\.8, 2\.1\]"),
             ("mean_band: [5.5, 7.5]", "mean_band: [7.5, 5.5]", r"\[7\.5, 5\.5\]"),
-            ("mean_band: [5.5, 7.5]", "mean_band: {m: 6.5, d: 0.0}", "mean_band"),
+            ("mean_band: [5.5, 7.5]", "mean_band: [6.5, 6.5]", r"\[6\.5, 6\.5\]"),
             ("seed: 0", "failure_tolerance: -0.5\nseed: 0", "failure_tolerance"),
             ("npop: 40", "npop: 3", "npop"),
             ("max_generations: 15", "max_generations: 0", "max_generations"),
@@ -368,7 +368,7 @@ class TestLoadConfig:
             replace(load_config(PAPER_CONFIG), **{key: value})
 
     def test_every_field_type_has_a_parser(self):
-        for cls in (RunConfig, DESettings, MeanConstraint, ChangeOverGeneration, ValueBelow):
+        for cls in (RunConfig, DESettings, ChangeOverGeneration, ValueBelow):
             assert set(get_type_hints(cls).values()) <= set(config_mod._AS_TYPE), cls
 
 
@@ -777,8 +777,9 @@ def small_configs(draw):
         "npts_per_dim": [pick([1, 2], [0]) for _ in axes],
         "bounds_per_dim": [pick([[lo, hi]], [[hi, lo], [lo, lo]]) for lo, hi in axes],
         "mean_band": pick(
-            [[5.5, 7.5], [100.0, 101.0], {"m": 6.5, "d": 1.0}],
-            [[7.5, 5.5], {"m": 6.5, "d": 0.0}],
+            [[5.5, 7.5], [100.0, 101.0]],
+            # the second is the band's old {m, d} form; the third's d * d overflows
+            [[7.5, 5.5], {"m": 6.5, "d": 1.0}, [1.0e300, 1.0e301]],
         ),
         "failure_tolerance": pick([0.0, 0.5], [-0.5]),
         "outer": de_settings(),
@@ -801,9 +802,17 @@ def small_configs(draw):
     return raw, all(valid)
 
 
+def tiny_mapping(mean_band):
+    """TINY_CONFIG as a mapping, with `mean_band` for its band."""
+    return {**yaml.safe_load(TINY_CONFIG.replace("{outdir}", "out")), "mean_band": mean_band}
+
+
 class TestRandomConfigs:
     @settings(max_examples=100, deadline=None, database=None, derandomize=True)
     @given(case=small_configs())
+    # bad mean_band picks that the derandomized draw does not reach
+    @example(case=(tiny_mapping({"m": 6.5, "d": 1.0}), False))
+    @example(case=(tiny_mapping([1.0e300, 1.0e301]), False))
     def test_load_rejects_or_the_solve_ends_cleanly(self, tmp_path_factory, case):
         """A config fails to load exactly when a value breaks a rule; a loaded
         one solves or is infeasible before generation 1."""
@@ -884,6 +893,10 @@ class TestContract:
         # one trial strategy, Best1Exp with exponential crossover
         assert [f.name for f in fields(DESettings)] == [
             "npop", "cross_probability", "scaling_factor", "seed", "max_generations"]
+
+    def test_mean_constraint_fields(self):
+        # the band's one form is its edges; m and d are derived from them
+        assert [f.name for f in fields(MeanConstraint)] == ["lower", "upper"]
 
     @pytest.mark.parametrize("loop", ["outer", "inner"])
     def test_strategy_key_rejected(self, tmp_path, capsys, loop):

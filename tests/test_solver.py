@@ -55,7 +55,7 @@ def paper_problem(seed=0, band=(5.5, 7.5), outer_max=500):
     return OUQProblem(
         response=perforation_area,
         layout=PAPER_LAYOUT,
-        constraint=MeanConstraint.from_band(*band),
+        constraint=MeanConstraint(*band),
         outer=DESettings(npop=40, seed=seed, max_generations=outer_max),
         inner=DESettings(npop=20, seed=seed),
         outer_termination=ChangeOverGeneration(1e-4, 10),
@@ -77,7 +77,7 @@ def toy_problem(response, npts=(2,), bounds=((0.0, 10.0),), band=(4.5, 5.5), see
     return OUQProblem(
         response=response,
         layout=ParamLayout(npts, bounds),
-        constraint=MeanConstraint.from_band(*band),
+        constraint=MeanConstraint(*band),
         outer=DESettings(npop=10, seed=seed, max_generations=100),
         inner=inner or DESettings(npop=10, seed=seed),
         outer_termination=ChangeOverGeneration(1e-6, 10),
@@ -86,7 +86,7 @@ def toy_problem(response, npts=(2,), bounds=((0.0, 10.0),), band=(4.5, 5.5), see
 
 class TestMeanConstraint:
     def test_band_form(self):
-        c = MeanConstraint.from_band(5.5, 7.5)
+        c = MeanConstraint(5.5, 7.5)
         assert c.m == pytest.approx(6.5)
         assert c.d == pytest.approx(1.0)
         assert c.band == pytest.approx((5.5, 7.5))
@@ -99,16 +99,13 @@ class TestMeanConstraint:
     def test_band_keeps_its_edges(self, places, ends):
         # decimal edges, which m - d and m + d can miss by an ulp
         m1, m2 = (k / 10**places for k in sorted(ends))
-        c = MeanConstraint.from_band(m1, m2)
-        assert c.band == (m1, m2)
+        c = MeanConstraint(m1, m2)
+        assert c.band == (m1, m2) and MeanConstraint.from_band(m1, m2) == c
         assert (c.m, c.d) == ((m1 + m2) / 2.0, (m2 - m1) / 2.0)
-
-    def test_center_deviation_form(self):
-        assert MeanConstraint(m=6.5, d=1.0).band == pytest.approx((5.5, 7.5))
 
     def test_rejects_empty_band(self):
         with pytest.raises(ValueError):
-            MeanConstraint(m=1.0, d=0.0)
+            MeanConstraint(1.0, 1.0)
 
 
 NAN = float("nan")
@@ -124,14 +121,13 @@ class TestNaNRejected:
             lambda: DESettings(cross_probability=NAN),
             lambda: ChangeOverGeneration(tolerance=NAN),
             lambda: ValueBelow(NAN),
-            lambda: MeanConstraint(6.5, NAN),
-            lambda: MeanConstraint(NAN, 1.0),
-            lambda: MeanConstraint.from_band(NAN, 7.5),
+            lambda: MeanConstraint(NAN, 7.5),
+            lambda: MeanConstraint(5.5, NAN),
             lambda: replace(paper_problem(), failure_tolerance=NAN),
         ],
         ids=[
             "scaling_factor", "cross_probability", "change_tolerance", "value_below_tolerance",
-            "mean_d", "mean_m", "band_m1", "failure_tolerance",
+            "band_m1", "band_m2", "failure_tolerance",
         ],
     )
     def test_nan_rejected(self, build):
@@ -258,16 +254,16 @@ class TestImposeExpectation:
         # already lies in the band: the draw is that member
         problem = paper_problem()
         counts = InnerCounts()
-        best, reached = impose_expectation(problem, [1], counts)
-        assert reached.tolist() == [True] and best.shape == (1, 12)
+        best, ran = impose_expectation(problem, [1], counts)
+        assert ran.tolist() == [True] and best.shape == (1, 12)
         assert [r.generations_run for r in de_reports] == [0]
         assert counts == InnerCounts(runs=1, evaluations=problem.inner.npop)
         assert 5.5 <= expectation(unflatten(best[0], problem.layout), perforation_area) <= 7.5
 
     def test_paper_setup_reaches_band(self, de_reports):
         problem = paper_problem(seed=3, band=(6.4, 6.6))
-        best, reached = impose_expectation(problem, range(5), InnerCounts())
-        assert reached.tolist() == [True] * 5
+        best, ran = impose_expectation(problem, range(5), InnerCounts())
+        assert ran.tolist() == [True] * 5
         assert len(de_reports) == 5  # one nested run per seed
         for row in best:
             assert 6.4 <= expectation(unflatten(row, problem.layout), perforation_area) <= 6.6
@@ -275,8 +271,8 @@ class TestImposeExpectation:
 
     def test_1d_toy(self, de_reports):
         problem = toy_problem(lambda x: x, band=(4.5, 5.5), seed=2)
-        best, reached = impose_expectation(problem, [7], InnerCounts())
-        assert reached.tolist() == [True]
+        best, ran = impose_expectation(problem, [7], InnerCounts())
+        assert ran.tolist() == [True]
         assert [r.terminated_by for r in de_reports] == ["value_below"]
         assert 4.5 <= unflatten(best[0], problem.layout).factors[0].mean() <= 5.5
 
@@ -287,17 +283,19 @@ class TestImposeExpectation:
             seed=2,
             inner=DESettings(npop=10, seed=2, max_generations=5),
         )
-        best, reached = impose_expectation(problem, [1], InnerCounts())
-        assert reached.tolist() == [False]
+        best, ran = impose_expectation(problem, [1], InnerCounts())
+        assert ran.tolist() == [True] and best.shape == (1, 4)
         assert [r.generations_run for r in de_reports] == [5]
         assert de_reports[0].opt_cost > problem.constraint.d**2
-        assert best.shape == (0, 4)  # a run that missed the band gives no vector
+        # the run's best vector comes back; the caller's band test fails it
+        assert not in_band(expectation_block(best, problem.layout, problem.response), problem)[0]
 
 
 def per_row_impose(problem, seed):
     """The fallback as one single-run de_lockstep per seed, which the
     lockstep of all seeds in impose_expectation replaces: the oracle.
-    Returns (vector or None, report or None, reached)."""
+    Returns (vector or None, report or None, whether the vector's E passes
+    the band test of constrain_params)."""
     con = problem.constraint
     layout = problem.layout
 
@@ -317,9 +315,8 @@ def per_row_impose(problem, seed):
     )
     if isinstance(report, InfeasibleConstrain):
         return None, None, False
-    if report.opt_cost > con.d**2:
-        return None, report, False
-    return report.opt_params, report, True
+    e = expectation_block(report.opt_params[None, :], layout, problem.response)
+    return report.opt_params, report, bool(in_band(e, problem)[0])
 
 
 RESPONSES = [
@@ -336,10 +333,10 @@ def lockstep_cases(draw):
     widths = draw(st.lists(st.floats(0.5, 5.0), min_size=len(npts), max_size=len(npts)))
     bounds = tuple((lo, lo + w) for lo, w in zip(lows, widths))
     response = draw(st.sampled_from(RESPONSES))
-    # the band is centred on a response value, or far above every one
+    # the band holds a response value, or lies far above every one
     at = [lo + draw(st.floats(0.0, 1.0)) * w for lo, w in zip(lows, widths)]
-    m = float(response(*at)) + draw(st.sampled_from([0.0, 0.0, 0.0, 100.0]))
-    d = draw(st.sampled_from([0.01, 0.1, 0.5, 2.0]))
+    value = float(response(*at)) + draw(st.sampled_from([0.0, 0.0, 0.0, 100.0]))
+    below, above = (draw(st.sampled_from([0.01, 0.1, 0.5, 2.0])) for _ in range(2))
     inner = DESettings(
         npop=draw(st.integers(4, 8)),
         cross_probability=draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
@@ -349,7 +346,7 @@ def lockstep_cases(draw):
     problem = OUQProblem(
         response=response,
         layout=ParamLayout(npts, bounds),
-        constraint=MeanConstraint(m, d),
+        constraint=MeanConstraint(value - below, value + above),
         inner=inner,
     )
     k = draw(st.sampled_from([4, 6, 1, 3, 5, 2]))
@@ -381,27 +378,29 @@ class TestLockstepOracle:
         problem, seeds = case
         de_reports.clear()
         counts = InnerCounts()
-        best, reached = impose_expectation(problem, seeds, counts)
+        best, ran = impose_expectation(problem, seeds, counts)
         assert len(de_reports) == len(seeds)
-        assert reached.dtype == bool and reached.shape == (len(seeds),)
-        wanted = []
+        assert ran.dtype == bool and ran.shape == (len(seeds),)
+        wanted, reached = [], []
         for row, (seed, run) in enumerate(zip(seeds, de_reports)):
             want, report, want_reached = per_row_impose(problem, seed)
-            assert reached[row] == want_reached
-            if want_reached:
-                wanted.append(want)
+            assert ran[row] == (report is not None)
             if report is None:
                 assert isinstance(run, InfeasibleConstrain)
                 continue
+            wanted.append(want)
+            reached.append(want_reached)
             assert (run.generations_run, run.evaluations) == (
                 report.generations_run, report.evaluations)
         assert np.array_equal(best, np.reshape(wanted, (len(wanted), problem.layout.param_length)))
+        # the lockstep's block of vectors takes the band test as each alone
+        e = expectation_block(best, problem.layout, problem.response)
+        assert in_band(e, problem).tolist() == reached
         reports = [r for r in de_reports if not isinstance(r, InfeasibleConstrain)]
         assert counts == InnerCounts(
             len(seeds),
             sum(r.generations_run for r in reports),
             sum(r.evaluations for r in reports),
-            failures=int(np.count_nonzero(~reached)),
         )
 
     @pytest.mark.parametrize(
@@ -417,8 +416,10 @@ class TestLockstepOracle:
     def test_explicit_cases(self, de_reports, case, failed_rows, generations):
         # the @example cases above show what they are named for
         problem, seeds = case
-        _, reached = impose_expectation(problem, seeds, InnerCounts())
-        assert set(np.flatnonzero(~reached).tolist()) == failed_rows
+        best, ran = impose_expectation(problem, seeds, InnerCounts())
+        assert ran.all()
+        e = expectation_block(best, problem.layout, problem.response)
+        assert set(np.flatnonzero(~in_band(e, problem)).tolist()) == failed_rows
         assert [r.generations_run for r in de_reports] == generations
 
     def test_degenerate_run_fails_its_row_only(self, monkeypatch, de_reports):
@@ -435,16 +436,15 @@ class TestLockstepOracle:
 
         monkeypatch.setattr(solver_mod, "normalize_block", reject_run_1_at_start)
         counts = InnerCounts()
-        best, reached = impose_expectation(problem, seeds, counts)
+        best, ran = impose_expectation(problem, seeds, counts)
         assert calls[0] == 4 * npop
-        assert reached.tolist() == [True, False, True, True]
+        assert ran.tolist() == [True, False, True, True]
         assert isinstance(de_reports[1], InfeasibleConstrain)
         assert len(best) == 3
         others = [de_reports[row] for row in (0, 2, 3)]
         assert [r.opt_params.tolist() for r in others] == best.tolist()
         assert counts == InnerCounts(
             4, sum(r.generations_run for r in others), sum(r.evaluations for r in others),
-            failures=1,
         )
 
 
@@ -510,7 +510,7 @@ def shift_cases(draw):
     problem = OUQProblem(
         response=response,
         layout=layout,
-        constraint=MeanConstraint.from_band(lo, max(hi, lo + 1e-3)),
+        constraint=MeanConstraint(lo, max(hi, lo + 1e-3)),
     )
     return problem, block, rng
 
@@ -639,7 +639,7 @@ def stacked_cases(draw):
     block, _ = normalize_block(raw, layout)
     e = expectation_block(block, layout, response)
     lo, hi = np.quantile(e, sorted(draw(st.lists(st.floats(0.1, 0.9), min_size=2, max_size=2))))
-    band = MeanConstraint.from_band(lo, max(hi, lo + 1e-3))
+    band = MeanConstraint(lo, max(hi, lo + 1e-3))
     problem = OUQProblem(response=response, layout=layout, constraint=band)
     rows = block[~in_band(e, problem)]
     return problem, rows, atom_values(rows, layout, response), e[~in_band(e, problem)]
@@ -675,7 +675,7 @@ def protocol_cases(draw):
     else:
         e = expectation_block(normalize_block(block, layout)[0], layout, response)
         lo = np.quantile(e, draw(st.floats(0.0, 1.0)))
-    band = MeanConstraint.from_band(lo, lo + draw(st.floats(1e-3, 2.0)))
+    band = MeanConstraint(lo, lo + draw(st.floats(1e-3, 2.0)))
     problem = OUQProblem(
         response=response,
         layout=layout,
@@ -705,7 +705,7 @@ class TestConstraintProtocol:
         OUQProblem(
             response=lambda x: x,
             layout=ParamLayout((3,), ((0.0, 1.0),)),
-            constraint=MeanConstraint.from_band(1.0, 2.0),
+            constraint=MeanConstraint(1.0, 2.0),
         ),
         np.array([[0.0, 0.0, 1.0, 0.0, 0.0, 5e-324]]),
         1,
@@ -846,7 +846,7 @@ class TestOneResponsePass:
         problem = build_problem(load_config(PAPER_CONFIG), 0)
         problem = replace(problem, response=response, outer=replace(problem.outer, max_generations=5))
         if band is not None:
-            problem = replace(problem, constraint=MeanConstraint.from_band(*band))
+            problem = replace(problem, constraint=MeanConstraint(*band))
         with pytest.MonkeyPatch.context() as patch:
             atom_values = inside("atom_values", measures_mod.atom_values)
             patch.setattr(measures_mod, "atom_values", atom_values)
@@ -865,10 +865,10 @@ class TestOneResponsePass:
         calls, result = self.solve_array_calls(band=FALLBACK_BAND)
         assert not any("cost_block" in inside for inside in calls)
         outer = [inside for inside in calls if "impose_expectation" not in inside]
-        fallback_drew = result.inner.runs > result.inner.failures  # one pass for its vectors
         assert result.inner.runs == 40  # one nested run per row
         assert result.report.generations_run == 5
-        assert len(outer) == result.report.generations_run + 1 + fallback_drew
+        # one pass per generation, and one for the fallback's vectors
+        assert len(outer) == result.report.generations_run + 2
 
     def test_audit_adds_no_response_call(self):
         audit = FeasibilityAudit()
@@ -899,6 +899,21 @@ class TestFallback:
         assert feasible.tolist() == [True, True, False]
         assert de_reports == [] and counts == InnerCounts(repair_rows=2)
         assert np.array_equal(out[2], self.STUCK)  # normalized, not moved
+
+    def test_draw_outside_the_band_is_infeasible(self, de_reports):
+        # E lies an ulp below the band, yet its inner cost (E - m)^2 rounds to
+        # d^2, so every nested run stops at generation 0; its draw takes the
+        # band test of the weight-moved rows and fails it
+        problem = OUQProblem(
+            response=lambda x: 0.22199999999999998 + 0.0 * x,
+            layout=ParamLayout((1,), ((0.0, 1.0),)),
+            constraint=MeanConstraint.from_band(0.222, 2.739),
+            outer=DESettings(npop=4, seed=0, max_generations=3),
+            inner=DESettings(npop=4, seed=0, max_generations=3),
+        )
+        with pytest.raises(InfeasibleConstrain):
+            ouq_solve(problem, audit=FeasibilityAudit())
+        assert [r.generations_run for r in de_reports] == [0] * 4
 
     @pytest.mark.parametrize("band", [(5.5, 7.5), (6.4, 6.6)], ids=["reference", "narrow_band"])
     def test_paper_seeds_start_no_nested_run(self, de_reports, band):
@@ -1012,7 +1027,7 @@ class TestPerSeedQuality:
         config = load_config(PAPER_CONFIG)
         misses = []
         for seed in range(200):
-            problem = replace(build_problem(config, seed), constraint=MeanConstraint.from_band(*band))
+            problem = replace(build_problem(config, seed), constraint=MeanConstraint(*band))
             result = ouq_solve(problem)
             assert result.inner.runs == 0, seed  # no nested run on paper.config
             assert result.probability_bound <= closed_form + 1e-12, seed
@@ -1057,7 +1072,7 @@ def markov_problem(c, band, npts, seed, tol=0.0, generations=None):
     return OUQProblem(
         response=lambda x, y, z: np.maximum(0.0, x - c) * y * (1.0 + z),
         layout=ParamLayout(npts, ((0.0, 1.0),) * 3),
-        constraint=MeanConstraint.from_band(*band),
+        constraint=MeanConstraint(*band),
         failure_tolerance=tol,
         outer=DESettings(npop=40, seed=seed, max_generations=generations or 3000),
         inner=DESettings(npop=20, seed=seed),
@@ -1160,7 +1175,7 @@ def scaled(problem, factor):
     return replace(
         problem,
         response=lambda *xs: factor * response(*xs),
-        constraint=MeanConstraint(factor * con.m, factor * con.d),
+        constraint=MeanConstraint(factor * con.lower, factor * con.upper),
         failure_tolerance=factor * problem.failure_tolerance,
     )
 
