@@ -185,7 +185,7 @@ def de_lockstep(
     termination: Optional[TerminationRule] = None,
     *,
     trace_hook: Optional[Callable[[int, float, np.ndarray], None]] = None,
-) -> list[SolveReport | InfeasibleConstrain]:
+) -> list[SolveReport]:
     """Run one DE per seed in lockstep; `settings.seed` is not used.
 
     Each run is the run `de_solve` makes with that seed (see there): its own
@@ -200,13 +200,14 @@ def de_lockstep(
     passed to `constrain(block, generation)` and its feasible rows costed,
     with one call of each, in the forms of `de_solve(vectorized=True)`, and
     every run's population is updated at once.  A run leaves the stack once
-    its termination rule holds, after `settings.max_generations`, or when it
-    evaluated nothing at generation 0, and its entry is built as it leaves.
+    its termination rule holds or after `settings.max_generations`, and its
+    report is built as it leaves.
 
-    Returns one entry per seed: the run's SolveReport, or, if no member of
-    its initial population was feasible, the InfeasibleConstrain that
-    `de_solve` would raise.  `trace_hook` is called for every run at every
-    generation from 1 on, in seed order; the trace starts there too.
+    Returns one SolveReport per seed.  If the initial population of any run
+    has no feasible member, InfeasibleConstrain is raised at generation 0;
+    an error the cost or the constraint raises goes through as well.
+    `trace_hook` is called for every run at every generation from 1 on, in
+    seed order; the trace starts there too.
     """
     npop, d = settings.npop, len(bounds)
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -242,6 +243,8 @@ def de_lockstep(
         if feasible.any():
             trial_costs[feasible] = cost(block[feasible])
         evaluations += feasible.reshape(-1, npop).sum(axis=1)
+        if generation == 0 and not evaluations.all():
+            raise InfeasibleConstrain("constrain rejected the entire initial population")
         trial_costs = trial_costs.reshape(costs.shape)
         improved = trial_costs < costs
         np.copyto(pops, block.reshape(pops.shape), where=improved[..., None])
@@ -255,9 +258,7 @@ def de_lockstep(
                 if trace_hook is not None:
                     trace_hook(generation, best_cost, pops[i, best[i]].copy())
             stopped = termination is not None and termination.met(history)
-            if not evaluations[i]:  # nothing was feasible at generation 0
-                results[k] = InfeasibleConstrain("constrain rejected the entire initial population")
-            elif stopped or generation == settings.max_generations:
+            if stopped or generation == settings.max_generations:
                 results[k] = SolveReport(
                     opt_params=pops[i, best[i]].copy(),
                     opt_cost=best_cost,
@@ -319,14 +320,7 @@ def de_solve(
     """
     block_cost = cost if vectorized else lambda block: [cost(row) for row in block]
     (report,) = de_lockstep(
-        block_cost,
-        bounds,
-        settings,
-        [settings.seed],
-        constrain,
-        termination,
+        block_cost, bounds, settings, [settings.seed], constrain, termination,
         trace_hook=trace_hook,
     )
-    if isinstance(report, InfeasibleConstrain):
-        raise report
     return report

@@ -130,13 +130,15 @@ class ParamLayout:
     bounds_per_dim: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        if not self.npts_per_dim:
+            raise ValueError("a layout needs at least one axis")
         if len(self.npts_per_dim) != len(self.bounds_per_dim):
             raise ValueError("npts_per_dim and bounds_per_dim differ in length")
         for i, n in enumerate(self.npts_per_dim):
             _check_count(f"npts_per_dim[{i}]", n, 1)
         for i, (lo, hi) in enumerate(self.bounds_per_dim):
-            if not lo < hi:
-                raise ValueError(f"bounds_per_dim[{i}]: need lower < upper, got [{lo}, {hi}]")
+            if not -math.inf < lo < hi < math.inf:
+                raise ValueError(f"bounds_per_dim[{i}]: need finite lower < upper, got [{lo}, {hi}]")
 
     @property
     def param_length(self) -> int:

@@ -208,7 +208,7 @@ def cost_block(
 
 def impose_expectation(
     problem: OUQProblem, seeds: Sequence[int], counts: InnerCounts
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """The fallback: one seeded draw of a measure per seed, aimed at the band.
 
     `constrain_params` calls it at most once per solve, the last resort
@@ -222,10 +222,11 @@ def impose_expectation(
     would reach alone.  A run whose own initial population has a member
     at cost <= d^2 stops at generation 0 with the member nearest m in E.
 
-    Returns the best vectors of the runs that ran, in seed order, and the
-    mask `ran` over the seeds: False where a run's whole initial population
-    was degenerate.  Whether a vector lies in the band is the caller's
-    test.  The runs' counts are added to `counts`.
+    Returns the (len(seeds), param_length) best vectors, in seed order;
+    whether one lies in the band is the caller's test.  The runs' counts
+    are added to `counts`.  A run no initial member of which has mass in
+    every factor raises InfeasibleConstrain (a uniform weight is 0.0 with
+    odds 2^-53).
     """
     con = problem.constraint
     layout = problem.layout
@@ -241,12 +242,10 @@ def impose_expectation(
         constrain=lambda block, generation: normalize_block(block, layout),
         termination=ValueBelow(con.d**2),
     )
-    ran = np.array([isinstance(r, SolveReport) for r in reports], dtype=bool)
-    done = [r for r, ok in zip(reports, ran) if ok]
     counts.runs += len(reports)
-    counts.generations += sum(r.generations_run for r in done)
-    counts.evaluations += sum(r.evaluations for r in done)
-    return np.reshape([r.opt_params for r in done], (len(done), layout.param_length)), ran
+    counts.generations += sum(r.generations_run for r in reports)
+    counts.evaluations += sum(r.evaluations for r in reports)
+    return np.reshape([r.opt_params for r in reports], (len(reports), layout.param_length))
 
 
 def shift_weights(
@@ -332,9 +331,10 @@ def constrain_params(
     `row` with the inner seed derived from (outer seed, row).  The draws
     get one `atom_values` pass and the moved rows' band test: a draw in
     the band replaces its row and the row's values; a row whose draw is
-    not stays as it was, infeasible, a failure.  Returns the repaired
-    block, every row inside the box, the constraint protocol's mask
-    `feasible` and the atom values of the feasible rows, in row order.
+    not stays as it was, infeasible, a failure (a nested run that cannot
+    start raises InfeasibleConstrain).  Returns the repaired block, every
+    row inside the box, the constraint protocol's mask `feasible` and the
+    atom values of the feasible rows, in row order.
     """
     layout = problem.layout
     out, feasible = normalize_block(block, layout)
@@ -351,12 +351,12 @@ def constrain_params(
         counts.repair_rows += rows.size
     if generation == 0 and not feasible.any():
         seeds = [_derive_inner_seed(problem.outer.seed, row) for row in range(len(out))]
-        best, ran = impose_expectation(problem, seeds, counts)
+        best = impose_expectation(problem, seeds, counts)
         drawn = atom_values(best, layout, problem.response)
         e = expectation_of_values(best, layout, drawn)
-        feasible[ran] = (lo <= e) & (e <= hi)
-        values[feasible] = drawn[feasible[ran]]
-        out[feasible] = best[feasible[ran]]
+        feasible = (lo <= e) & (e <= hi)
+        values[feasible] = drawn[feasible]
+        out[feasible] = best[feasible]
         counts.failures += int(np.count_nonzero(~feasible))
     return out, feasible, values[feasible]
 

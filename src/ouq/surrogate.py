@@ -11,7 +11,9 @@ below which no perforation occurs.  The clamp is applied before the
 fractional power, so the area is exactly 0.0 for v <= v_bl.
 
 `perforation_area` also works elementwise on equal-shape float arrays, the
-form the solver's block kernels call; `ballistic_limit` stays scalar.
+form the solver's block kernels call; `ballistic_limit` stays scalar.  Both
+read the one fit `DEFAULT_PARAMS`: other constants make another response,
+registered under its own name with `ouq.registry.register_response`.
 
 All lengths are millimetres internally; mils are converted only at the
 CLI boundary (1 mil = 0.0254 mm).
@@ -20,7 +22,7 @@ CLI boundary (1 mil = 0.0254 mm).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -54,6 +56,7 @@ class SurrogateParams:
 
 
 DEFAULT_PARAMS = SurrogateParams()
+_H0, _S, _N, _K, _P, _U, _M_EXP, _DP = astuple(DEFAULT_PARAMS)
 
 
 def _check_domain(h: float, theta: float):
@@ -70,36 +73,34 @@ def _raise_domain_error(h: float, theta: float, v: float):
     raise DomainError(f"impact speed must be nonnegative, got {v}")
 
 
-def ballistic_limit(h: float, theta: float, params: SurrogateParams = DEFAULT_PARAMS) -> float:
+def ballistic_limit(h: float, theta: float) -> float:
     """Speed (km/s) below which a plate of thickness h (mm) is not perforated."""
     # the domain test is inlined, as in perforation_area's scalar path
     if not h > 0.0 or not 0.0 <= theta < _HALF_PI:
         _check_domain(h, theta)
-    return params.H0 * (h / math.cos(theta) ** params.n) ** params.s
+    return _H0 * (h / math.cos(theta) ** _N) ** _S
 
 
-def perforation_area(
-    h: float, theta: float, v: float, params: SurrogateParams = DEFAULT_PARAMS
-) -> float:
+def perforation_area(h: float, theta: float, v: float) -> float:
     """Perforation area (mm^2); exactly 0.0 at or below the ballistic limit.
 
     Given arrays h, theta and v, returns the array of areas.
     """
     if isinstance(h, _ndarray):
-        return _perforation_area_array(h, theta, v, params)
+        return _perforation_area_array(h, theta, v)
     # the domain test is inlined: this scalar path is the pointwise hot path
     if not h > 0.0 or not 0.0 <= theta < _HALF_PI or not v >= 0.0:
         _raise_domain_error(h, theta, v)
     cos = math.cos(theta)
-    v_bl = params.H0 * (h / cos ** params.n) ** params.s
+    v_bl = _H0 * (h / cos ** _N) ** _S
     t = math.tanh(v / v_bl - 1.0)
     if t <= 0.0:
         # clamp before the fractional power: a negative base would be NaN
         return 0.0
-    return params.K * (h / params.Dp) ** params.p * cos ** params.u * t ** params.m_exp
+    return _K * (h / _DP) ** _P * cos ** _U * t ** _M_EXP
 
 
-def _perforation_area_array(h, theta, v, params: SurrogateParams) -> np.ndarray:
+def _perforation_area_array(h, theta, v) -> np.ndarray:
     """perforation_area on arrays, with the scalar formula's order of operations.
     np.tanh and np.power are not math.tanh and **, so it agrees to about 1e-12
     relative, not bit for bit; within a few ulps of the ballistic limit, where
@@ -109,12 +110,12 @@ def _perforation_area_array(h, theta, v, params: SurrogateParams) -> np.ndarray:
         i = tuple(np.argwhere(outside)[0])
         _raise_domain_error(*(float(a[i]) for a in np.broadcast_arrays(h, theta, v)))
     cos = np.cos(theta)
-    v_bl = params.H0 * (h / cos ** params.n) ** params.s
+    v_bl = _H0 * (h / cos ** _N) ** _S
     t = np.tanh(v / v_bl - 1.0)
     perforated = t > 0.0
     # clamp before the fractional power: a negative base would be NaN
     t = np.where(perforated, t, 1.0)
-    area = params.K * (h / params.Dp) ** params.p * cos ** params.u * t ** params.m_exp
+    area = _K * (h / _DP) ** _P * cos ** _U * t ** _M_EXP
     return np.where(perforated, area, 0.0)
 
 

@@ -5,8 +5,8 @@ import ouq.solver as solver_mod
 
 @pytest.fixture
 def de_reports(monkeypatch):
-    """Records, run by run, every nested DE the solver module starts: each
-    lockstep run's SolveReport, or the InfeasibleConstrain it failed with."""
+    """Records, run by run, the SolveReport of every nested DE the solver
+    module starts; a lockstep that raises records none."""
     reports = []
     real = solver_mod.de_lockstep
 

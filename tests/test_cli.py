@@ -12,7 +12,7 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 import yaml
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ouq.config as config_mod
@@ -290,8 +290,8 @@ class TestLoadConfig:
         assert problem.inner.max_generations == 3
 
         counts = InnerCounts()
-        best, ran = impose_expectation(problem, [1], counts)
-        assert ran.tolist() == [True] and len(best) == 1
+        best = impose_expectation(problem, [1], counts)
+        assert len(best) == 1
         assert counts.generations == 3  # the run exhausted its 3 generations
         assert de_reports[0].opt_cost > problem.constraint.d**2
         assert [r.generations_run for r in de_reports] == [3]
@@ -753,78 +753,82 @@ class TestMeasureSerialization:
         assert measure_from_dict(measure_to_dict(p)) == p
 
 
-@st.composite
-def small_configs(draw):
-    """A small config with at most one of its 18 values drawn from the
-    invalid side of its rule, and whether none is."""
-    broken = draw(st.sampled_from(range(-6, 18)))  # a negative index breaks none
-    valid = []
+def de_picks(loop):
+    return [
+        ((loop, "npop"), [4, 6], [3, 0]),
+        ((loop, "max_generations"), [1, 3], [0]),
+        ((loop, "scaling_factor"), [0.9], [0.0, -0.5]),
+    ]
 
-    def pick(good, bad):
-        valid.append(len(valid) != broken)
-        return draw(st.sampled_from(good if valid[-1] else bad))
 
-    def de_settings():
-        return {
-            "npop": pick([4, 6], [3, 0]),
-            "max_generations": pick([1, 3], [0]),
-            "scaling_factor": pick([0.9], [0.0, -0.5]),
-        }
+AXES = [(1.524, 2.667), (0.0, 0.5), (2.1, 2.8)]
 
-    axes = [(1.524, 2.667), (0.0, 0.5), (2.1, 2.8)]
+# the 18 values of a small config: each one's path in the mapping, the picks
+# that keep its rule and the picks that break it
+CONFIG_PICKS = [
+    *[(("npts_per_dim", i), [1, 2], [0]) for i in range(len(AXES))],
+    *[(("bounds_per_dim", i), [[lo, hi]], [[hi, lo], [lo, lo]]) for i, (lo, hi) in enumerate(AXES)],
+    (
+        ("mean_band",),
+        [[5.5, 7.5], [100.0, 101.0]],
+        # the second is the band's old {m, d} form; the third's d * d overflows
+        [[7.5, 5.5], {"m": 6.5, "d": 1.0}, [1.0e300, 1.0e301]],
+    ),
+    (("failure_tolerance",), [0.0, 0.5], [-0.5]),
+    *de_picks("outer"),
+    *de_picks("inner"),
+    (
+        ("outer_termination",),
+        [
+            {"rule": "change_over_generation", "tolerance": 1e-4, "generations": 2},
+            {"rule": "value_below", "tolerance": -1.0},
+        ],
+        [
+            {"rule": "change_over_generation", "tolerance": 0.0},
+            {"rule": "change_over_generation", "generations": 0},
+            {"rule": "value_below", "tolerance": 0.0},
+        ],
+    ),
+    (("seed",), [0, 7], [-1]),
+    (("runs",), [1], [0]),
+    (("output_dir",), ["out"], [None, ""]),
+]
+
+
+def small_config(values):
+    """The config mapping with values[i] at the path of CONFIG_PICKS[i]."""
     raw = {
         "response": "sphir-perforation",
-        "npts_per_dim": [pick([1, 2], [0]) for _ in axes],
-        "bounds_per_dim": [pick([[lo, hi]], [[hi, lo], [lo, lo]]) for lo, hi in axes],
-        "mean_band": pick(
-            [[5.5, 7.5], [100.0, 101.0]],
-            # the second is the band's old {m, d} form; the third's d * d overflows
-            [[7.5, 5.5], {"m": 6.5, "d": 1.0}, [1.0e300, 1.0e301]],
-        ),
-        "failure_tolerance": pick([0.0, 0.5], [-0.5]),
-        "outer": de_settings(),
-        "inner": de_settings(),
-        "outer_termination": pick(
-            [
-                {"rule": "change_over_generation", "tolerance": 1e-4, "generations": 2},
-                {"rule": "value_below", "tolerance": -1.0},
-            ],
-            [
-                {"rule": "change_over_generation", "tolerance": 0.0},
-                {"rule": "change_over_generation", "generations": 0},
-                {"rule": "value_below", "tolerance": 0.0},
-            ],
-        ),
-        "seed": pick([0, 7], [-1]),
-        "runs": pick([1], [0]),
-        "output_dir": pick(["out"], [None, ""]),
+        "npts_per_dim": [None] * len(AXES),
+        "bounds_per_dim": [None] * len(AXES),
+        "outer": {},
+        "inner": {},
     }
-    return raw, all(valid)
+    for ((*parents, key), _, _), value in zip(CONFIG_PICKS, values, strict=True):
+        target = raw
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
+    return raw
 
 
-def tiny_mapping(mean_band):
-    """TINY_CONFIG as a mapping, with `mean_band` for its band."""
-    return {**yaml.safe_load(TINY_CONFIG.replace("{outdir}", "out")), "mean_band": mean_band}
+# one case per value that breaks a rule, every other value its first good pick
+BAD_PICKS = [
+    pytest.param(row, bad, id=f"{'.'.join(map(str, path))}={json.dumps(bad)}")
+    for row, (path, _, bads) in enumerate(CONFIG_PICKS)
+    for bad in bads
+]
 
 
 class TestRandomConfigs:
     @settings(max_examples=100, deadline=None, database=None, derandomize=True)
-    @given(case=small_configs())
-    # bad mean_band picks that the derandomized draw does not reach
-    @example(case=(tiny_mapping({"m": 6.5, "d": 1.0}), False))
-    @example(case=(tiny_mapping([1.0e300, 1.0e301]), False))
-    def test_load_rejects_or_the_solve_ends_cleanly(self, tmp_path_factory, case):
-        """A config fails to load exactly when a value breaks a rule; a loaded
-        one solves or is infeasible before generation 1."""
-        raw, valid = case
+    @given(values=st.tuples(*(st.sampled_from(good) for _, good, _ in CONFIG_PICKS)))
+    def test_load_rejects_or_the_solve_ends_cleanly(self, tmp_path_factory, values):
+        """A config of good picks loads, and solves or is infeasible before
+        generation 1; each bad pick is a case of test_bad_pick_fails_at_load."""
         path = tmp_path_factory.getbasetemp() / "random.config"
-        path.write_text(yaml.safe_dump(raw))
-        try:
-            config = load_config(path)
-        except ConfigError:
-            assert not valid
-            return
-        assert valid
+        path.write_text(yaml.safe_dump(small_config(values)))
+        config = load_config(path)
         generations = []
         try:
             ouq_solve(
@@ -833,6 +837,19 @@ class TestRandomConfigs:
             )
         except InfeasibleConstrain:
             assert generations == []
+
+    @pytest.mark.parametrize("row, bad", BAD_PICKS)
+    def test_bad_pick_fails_at_load(self, tmp_path, monkeypatch, capsys, row, bad):
+        values = [good[0] for _, good, _ in CONFIG_PICKS]
+        values[row] = bad
+        monkeypatch.chdir(tmp_path)  # where the relative output_dir "out" would go
+        path = tmp_path / "bad.config"
+        path.write_text(yaml.safe_dump(small_config(values)))
+        with pytest.raises(ConfigError):
+            load_config(path)
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.config"]
 
 
 class TestContract:
@@ -880,6 +897,13 @@ class TestContract:
             ("constrain", False), ("termination", False), ("trace_hook", True),
         ]
         assert "limit_func" in inspect.signature(registry_mod.register_response).parameters
+
+    def test_surrogate_has_one_set_of_constants(self):
+        # a surrogate with other constants is another registered response
+        for func, names in [
+            (perforation_area, ["h", "theta", "v"]), (ouq.ballistic_limit, ["h", "theta"]),
+        ]:
+            assert list(inspect.signature(func).parameters) == names
 
     def test_public_names(self):
         public = {

@@ -573,28 +573,20 @@ class TestLockstep:
             for (_, block), (_, own) in zip(shared, alone, strict=True):
                 assert np.array_equal(block[k * npop:(k + 1) * npop], own)
 
-    def test_infeasible_run_fails_alone(self):
-        npop = self.SETTINGS.npop
+    def test_infeasible_run_raises(self):
+        # one run with no feasible initial member fails the whole lockstep,
+        # before any run's trace or trace_hook sees a generation
+        npop, hooked = self.SETTINGS.npop, []
 
-        def second_and_fourth_runs_infeasible_at_start(block, generation):
-            return block, ~np.isin(np.arange(len(block)) // npop, [1, 3]) | (generation != 0)
+        def third_run_infeasible_at_start(block, generation):
+            return block, (np.arange(len(block)) // npop != 2) | (generation != 0)
 
-        runs = de_lockstep(
-            sphere_block, self.BOUNDS, self.SETTINGS, [1, 2, 3, 4],
-            second_and_fourth_runs_infeasible_at_start,
-        )
-        for failed in (runs[1], runs[3]):
-            assert isinstance(failed, InfeasibleConstrain)
-            assert "entire initial population" in str(failed)
-        assert runs[1] is not runs[3]
-        for seed, run in [(1, runs[0]), (3, runs[2])]:
-            (alone,) = de_lockstep(sphere_block, self.BOUNDS, self.SETTINGS, [seed])
-            assert (run.generations_run, run.evaluations) == (40, alone.evaluations)
-            assert (run.opt_cost, run.terminated_by) == (alone.opt_cost, alone.terminated_by)
-            assert np.array_equal(run.opt_params, alone.opt_params)
-            assert [(r.generation, r.best_cost, r.best_params.tolist()) for r in run.trace] == [
-                (r.generation, r.best_cost, r.best_params.tolist()) for r in alone.trace
-            ]
+        with pytest.raises(InfeasibleConstrain, match="entire initial population"):
+            de_lockstep(
+                sphere_block, self.BOUNDS, self.SETTINGS, [1, 2, 3, 4],
+                third_run_infeasible_at_start, trace_hook=lambda *args: hooked.append(args),
+            )
+        assert hooked == []
 
     def test_no_seeds_no_runs(self):
         assert de_lockstep(sphere_block, self.BOUNDS, self.SETTINGS, []) == []

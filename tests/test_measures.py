@@ -217,6 +217,21 @@ class TestFlattenUnflatten:
         with pytest.raises(ValueError, match=r"npts_per_dim\[1\] must be an integer >= 1"):
             ParamLayout((2, n), ((0.0, 1.0), (0.0, 1.0)))
 
+    def test_layout_needs_an_axis(self):
+        # an empty layout would fail only in the solve's kernels
+        with pytest.raises(ValueError, match="at least one axis"):
+            ParamLayout((), ())
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan), (1.0, 0.0)],
+        ids=["inf_upper", "inf_lower", "nan_lower", "nan_upper", "lower_above_upper"],
+    )
+    def test_axis_bounds_are_finite_and_ordered(self, lo, hi):
+        # an infinite bound would fail only later, in Bounds.from_pairs
+        with pytest.raises(ValueError, match=r"bounds_per_dim\[1\]: need finite lower < upper"):
+            ParamLayout((2, 2), ((0.0, 1.0), (lo, hi)))
+
     def test_length_mismatch(self):
         layout = ParamLayout(
             (2, 2, 2), ((1.524, 2.667), (0.0, math.pi / 6), (2.1, 2.8))

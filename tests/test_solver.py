@@ -231,7 +231,7 @@ class TestConstrainParams:
         _, feasible, _ = constrain_params(params[None, :], 1, problem, counts)
         assert feasible.tolist() == [False] and de_reports == [] and counts == InnerCounts()
         out, feasible, _ = constrain_params(params[None, :], 0, problem, InnerCounts())
-        want, _ = impose_expectation(problem, [_derive_inner_seed(0, 0)], InnerCounts())
+        want = impose_expectation(problem, [_derive_inner_seed(0, 0)], InnerCounts())
         assert feasible.tolist() == [True] and np.array_equal(out[0], want[0])
 
     def test_unreachable_band_rejected(self, de_reports):
@@ -254,16 +254,16 @@ class TestImposeExpectation:
         # already lies in the band: the draw is that member
         problem = paper_problem()
         counts = InnerCounts()
-        best, ran = impose_expectation(problem, [1], counts)
-        assert ran.tolist() == [True] and best.shape == (1, 12)
+        best = impose_expectation(problem, [1], counts)
+        assert best.shape == (1, 12)
         assert [r.generations_run for r in de_reports] == [0]
         assert counts == InnerCounts(runs=1, evaluations=problem.inner.npop)
         assert 5.5 <= expectation(unflatten(best[0], problem.layout), perforation_area) <= 7.5
 
     def test_paper_setup_reaches_band(self, de_reports):
         problem = paper_problem(seed=3, band=(6.4, 6.6))
-        best, ran = impose_expectation(problem, range(5), InnerCounts())
-        assert ran.tolist() == [True] * 5
+        best = impose_expectation(problem, range(5), InnerCounts())
+        assert best.shape == (5, 12)
         assert len(de_reports) == 5  # one nested run per seed
         for row in best:
             assert 6.4 <= expectation(unflatten(row, problem.layout), perforation_area) <= 6.6
@@ -271,8 +271,8 @@ class TestImposeExpectation:
 
     def test_1d_toy(self, de_reports):
         problem = toy_problem(lambda x: x, band=(4.5, 5.5), seed=2)
-        best, ran = impose_expectation(problem, [7], InnerCounts())
-        assert ran.tolist() == [True]
+        best = impose_expectation(problem, [7], InnerCounts())
+        assert best.shape == (1, 4)
         assert [r.terminated_by for r in de_reports] == ["value_below"]
         assert 4.5 <= unflatten(best[0], problem.layout).factors[0].mean() <= 5.5
 
@@ -283,8 +283,8 @@ class TestImposeExpectation:
             seed=2,
             inner=DESettings(npop=10, seed=2, max_generations=5),
         )
-        best, ran = impose_expectation(problem, [1], InnerCounts())
-        assert ran.tolist() == [True] and best.shape == (1, 4)
+        best = impose_expectation(problem, [1], InnerCounts())
+        assert best.shape == (1, 4)
         assert [r.generations_run for r in de_reports] == [5]
         assert de_reports[0].opt_cost > problem.constraint.d**2
         # the run's best vector comes back; the caller's band test fails it
@@ -294,8 +294,8 @@ class TestImposeExpectation:
 def per_row_impose(problem, seed):
     """The fallback as one single-run de_lockstep per seed, which the
     lockstep of all seeds in impose_expectation replaces: the oracle.
-    Returns (vector or None, report or None, whether the vector's E passes
-    the band test of constrain_params)."""
+    Returns (vector, report, whether the vector's E passes the band test of
+    constrain_params)."""
     con = problem.constraint
     layout = problem.layout
 
@@ -313,8 +313,6 @@ def per_row_impose(problem, seed):
         constrain=renormalize_weights,
         termination=ValueBelow(con.d**2),
     )
-    if isinstance(report, InfeasibleConstrain):
-        return None, None, False
     e = expectation_block(report.opt_params[None, :], layout, problem.response)
     return report.opt_params, report, bool(in_band(e, problem)[0])
 
@@ -378,29 +376,23 @@ class TestLockstepOracle:
         problem, seeds = case
         de_reports.clear()
         counts = InnerCounts()
-        best, ran = impose_expectation(problem, seeds, counts)
+        best = impose_expectation(problem, seeds, counts)
         assert len(de_reports) == len(seeds)
-        assert ran.dtype == bool and ran.shape == (len(seeds),)
         wanted, reached = [], []
-        for row, (seed, run) in enumerate(zip(seeds, de_reports)):
+        for seed, run in zip(seeds, de_reports):
             want, report, want_reached = per_row_impose(problem, seed)
-            assert ran[row] == (report is not None)
-            if report is None:
-                assert isinstance(run, InfeasibleConstrain)
-                continue
             wanted.append(want)
             reached.append(want_reached)
             assert (run.generations_run, run.evaluations) == (
                 report.generations_run, report.evaluations)
-        assert np.array_equal(best, np.reshape(wanted, (len(wanted), problem.layout.param_length)))
+        assert np.array_equal(best, np.reshape(wanted, (len(seeds), problem.layout.param_length)))
         # the lockstep's block of vectors takes the band test as each alone
         e = expectation_block(best, problem.layout, problem.response)
         assert in_band(e, problem).tolist() == reached
-        reports = [r for r in de_reports if not isinstance(r, InfeasibleConstrain)]
         assert counts == InnerCounts(
             len(seeds),
-            sum(r.generations_run for r in reports),
-            sum(r.evaluations for r in reports),
+            sum(r.generations_run for r in de_reports),
+            sum(r.evaluations for r in de_reports),
         )
 
     @pytest.mark.parametrize(
@@ -416,36 +408,40 @@ class TestLockstepOracle:
     def test_explicit_cases(self, de_reports, case, failed_rows, generations):
         # the @example cases above show what they are named for
         problem, seeds = case
-        best, ran = impose_expectation(problem, seeds, InnerCounts())
-        assert ran.all()
+        best = impose_expectation(problem, seeds, InnerCounts())
         e = expectation_block(best, problem.layout, problem.response)
         assert set(np.flatnonzero(~in_band(e, problem)).tolist()) == failed_rows
         assert [r.generations_run for r in de_reports] == generations
 
-    def test_degenerate_run_fails_its_row_only(self, monkeypatch, de_reports):
-        problem, seeds = WIDE
-        npop = problem.inner.npop
-        calls = []
+    def test_run_that_cannot_start_fails_the_solve(self, monkeypatch, de_reports):
+        # the outer generation 0 is all zero-mass rows, so the fallback runs;
+        # a nested run whose initial members are all degenerate then stops
+        # the whole lockstep, and ouq_solve with it, before any generation
+        problem, _ = WIDE
+        outer, inner = problem.outer.npop, problem.inner.npop
+        calls, stuck_runs = [], []
 
-        def reject_run_1_at_start(rows, layout):
+        def degenerate_at_start(rows, layout):
             out, nonzero = normalize_block(rows, layout)
-            if not calls:  # the initial populations of all runs
-                nonzero[npop:2 * npop] = False
+            if len(calls) == 0:  # the outer generation 0
+                nonzero[:] = False
+            elif len(calls) == 1:  # the nested runs' initial populations
+                for run in stuck_runs:
+                    nonzero[run * inner:(run + 1) * inner] = False
             calls.append(len(rows))
             return out, nonzero
 
-        monkeypatch.setattr(solver_mod, "normalize_block", reject_run_1_at_start)
-        counts = InnerCounts()
-        best, ran = impose_expectation(problem, seeds, counts)
-        assert calls[0] == 4 * npop
-        assert ran.tolist() == [True, False, True, True]
-        assert isinstance(de_reports[1], InfeasibleConstrain)
-        assert len(best) == 3
-        others = [de_reports[row] for row in (0, 2, 3)]
-        assert [r.opt_params.tolist() for r in others] == best.tolist()
-        assert counts == InnerCounts(
-            4, sum(r.generations_run for r in others), sum(r.evaluations for r in others),
-        )
+        monkeypatch.setattr(solver_mod, "normalize_block", degenerate_at_start)
+        # with every nested run started, the fallback repairs generation 0
+        assert ouq_solve(problem).inner.runs == len(de_reports) == outer
+        calls.clear()
+        de_reports.clear()
+        stuck_runs.append(1)
+        generations = []
+        with pytest.raises(InfeasibleConstrain, match="entire initial population"):
+            ouq_solve(problem, trace_hook=lambda generation, *_: generations.append(generation))
+        assert calls == [outer, outer * inner]
+        assert de_reports == [] and generations == []
 
 
 class TestRepairBlock:
@@ -488,7 +484,7 @@ class TestRepairSemantics:
         )
         assert [r.generations_run for r in de_reports] == [0, 0]
         assert np.array_equal(high, low)
-        best, _ = impose_expectation(problem, [_derive_inner_seed(0, 0)], InnerCounts())
+        best = impose_expectation(problem, [_derive_inner_seed(0, 0)], InnerCounts())
         assert np.array_equal(high, best[0])
 
 

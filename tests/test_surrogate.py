@@ -171,8 +171,3 @@ class TestParams:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             SurrogateParams(K=-1.0)
-
-    def test_alternate_fit_is_used(self):
-        default = perforation_area(2.0, 0.0, 2.5)
-        doubled = perforation_area(2.0, 0.0, 2.5, SurrogateParams(K=2 * 10.3936))
-        assert doubled == pytest.approx(2 * default, rel=1e-12)
