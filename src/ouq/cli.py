@@ -145,8 +145,8 @@ def eval_point(name: str, coords: list[float]) -> int:
     try:
         value = entry.func(*coords)
         limit = None if entry.limit_func is None else entry.limit_func(*coords[:-1])
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (DomainError, ArithmeticError) as exc:
+        raise ConfigError(f"{name!r} fails at {coords}: {exc}") from exc
     print(f"{value:.6f}")
     if limit is not None:
         print(f"v_bl={limit:.6f}")

@@ -240,8 +240,8 @@ def _check_response(name: str, bounds: tuple[tuple[float, float], ...]):
     for corner in corners:
         try:
             values.append(float(entry.func(*corner)))
-        except DomainError as exc:
-            raise ConfigError(f"bounds_per_dim leave the domain of {name!r}: {exc}")
+        except (DomainError, ArithmeticError) as exc:
+            raise ConfigError(f"bounds_per_dim leave the domain of {name!r} at {corner}: {exc}")
         if not math.isfinite(values[-1]):
             raise ConfigError(f"{name!r} is {values[-1]} at the box corner {corner}")
     try:

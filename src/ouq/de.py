@@ -3,8 +3,9 @@ exponential crossover) with strict bounds.
 
 The engine supports a pluggable constraint function applied to each
 generation's block of trials, clipped to the box, before cost evaluation:
-it returns the block, every row still inside the box, and a boolean mask
-of the feasible rows, the only ones costed.  Termination rules are
+it returns the block, every row still inside the box, a boolean mask of
+the feasible rows, the only ones costed, and optionally data for the
+cost, which gets it with those rows.  Termination rules are
 solver-independent, evaluated on the best-cost history.  Cost may work one
 vector at a time or on a whole generation at once (`vectorized=True`).
 `de_lockstep` runs several independently seeded runs side by side and
@@ -198,8 +199,11 @@ def de_lockstep(
     window of draws, `_draw_window`) form one (runs * npop, d) block, whose
     row r is slot r % npop of the (r // npop)-th of them.  It is clipped,
     passed to `constrain(block, generation)` and its feasible rows costed,
-    with one call of each, in the forms of `de_solve(vectorized=True)`, and
-    every run's population is updated at once.  A run leaves the stack once
+    with one call of each, in the forms of `de_solve(vectorized=True)`:
+    the cost gets `block[feasible]` and whatever the constraint returned
+    after the mask, in the same call, so data the constraint made for its
+    feasible rows reaches the cost with exactly those rows.  Every run's
+    population is then updated at once.  A run leaves the stack once
     its termination rule holds or after `settings.max_generations`, and its
     report is built as it leaves.
 
@@ -235,13 +239,13 @@ def de_lockstep(
             block = pops.reshape(-1, d)
         block = bounds.clip(block)
         if constrain is None:
-            feasible = np.ones(len(block), dtype=bool)
+            feasible, data = np.ones(len(block), dtype=bool), ()
         else:
-            block, feasible = constrain(block, generation)
+            block, feasible, *data = constrain(block, generation)
         # an infeasible row costs +inf, so it never takes a slot
         trial_costs = np.full(len(block), math.inf)
         if feasible.any():
-            trial_costs[feasible] = cost(block[feasible])
+            trial_costs[feasible] = cost(block[feasible], *data)
         evaluations += feasible.reshape(-1, npop).sum(axis=1)
         if generation == 0 and not evaluations.all():
             raise InfeasibleConstrain("constrain rejected the entire initial population")
@@ -300,15 +304,18 @@ def de_solve(
     run, whose report is built when it stops.
 
     `constrain(block, generation)` gets the (npop, d) trials, row i in
-    slot i, and returns two numpy arrays: the (npop, d) float block to
-    cost, every row inside the box, and the (npop,) boolean mask
+    slot i, and returns at least two numpy arrays: the (npop, d) float
+    block to cost, every row inside the box, and the (npop,) boolean mask
     `feasible`; generation 0 is the initial population.  The DE takes
-    both as they are: it neither clips nor converts them.  Without a
-    constraint every trial is feasible.
+    both as they are: it neither clips nor converts them.  Whatever the
+    constraint returns after the mask is data for the cost, passed on
+    unchanged.  Without a constraint every trial is feasible.
     By default `cost(params)` takes one vector and returns a float; with
-    `vectorized=True` `cost(block)` gets the (m, d) array
-    `block[feasible]` and returns m costs.  Out-of-box trials are always
-    clipped, never rejected.
+    `vectorized=True` `cost(block, *data)` gets the (m, d) array
+    `block[feasible]` and the constraint's data, and returns m costs.  The
+    per-vector form takes no data: a constraint that returns some needs
+    the block form, or the call raises TypeError.  Out-of-box trials are
+    always clipped, never rejected.
 
     An infeasible trial (False in `feasible`) costs +inf and is never
     evaluated; a NaN cost counts in `evaluations`.  Neither is cheaper

@@ -21,8 +21,9 @@ repair makes the one pass of atom values of an outer generation, over
 every normalized row, zero-mass rows too, and reads E of the trials, the
 g of the weight move and E of the moved trials from that one (m, A)
 array in place; the weight move keeps every position, so the repair
-hands the values of its feasible rows to the cost, which reads the
-failure probability and a `FeasibilityAudit`'s E from them.  Only the
+returns the values of its feasible rows after its mask, and the DE hands
+them to the cost with those rows; the cost reads the failure probability
+and a `FeasibilityAudit`'s E from them.  Only the
 fallback's vectors get a pass of their own.  The fallback's nested runs
 go in lockstep (`de_lockstep`), so each inner generation of all of them
 is one block too.  `constrain_params` is the one repair, and the one
@@ -334,7 +335,8 @@ def constrain_params(
     not stays as it was, infeasible, a failure (a nested run that cannot
     start raises InfeasibleConstrain).  Returns the repaired block, every
     row inside the box, the constraint protocol's mask `feasible` and the
-    atom values of the feasible rows, in row order.
+    atom values of the feasible rows, in row order: the data the DE passes
+    to `cost_block` with those rows.
     """
     layout = problem.layout
     out, feasible = normalize_block(block, layout)
@@ -375,27 +377,20 @@ def ouq_solve(
     returns a non-finite value.
 
     Each outer generation is repaired by `constrain_params` and costed as
-    one block (`de_solve(vectorized=True)`) from the atom values the repair
-    returns, so the response is called once per generation outside the
-    fallback's nested runs.  The result's `inner` holds the repair counts
-    and the totals of the fallback's nested runs.
+    one block by `cost_block` (`de_solve(vectorized=True)`), from the atom
+    values the repair returns and the DE passes on, so the response is
+    called once per generation outside the fallback's nested runs.  The
+    result's `inner` holds the repair counts and the totals of the
+    fallback's nested runs.
     """
     inner = InnerCounts()
-    feasible_values = None
-
-    def constrain(block, generation):
-        nonlocal feasible_values
-        # looked up per call, so a wrapper set on the module sees every generation
-        out, feasible, feasible_values = constrain_params(block, generation, problem, inner)
-        return out, feasible
-
     report = de_solve(
-        # the DE costs block[feasible] right after the constraint, so these
-        # are the values at its rows' atoms
-        lambda block: cost_block(block, feasible_values, problem, audit=audit),
+        # both names are looked up per call, so a wrapper set on the module
+        # sees every generation
+        lambda block, values: cost_block(block, values, problem, audit),
         build_bounds(problem.layout),
         problem.outer,
-        constrain=constrain,
+        constrain=lambda block, generation: constrain_params(block, generation, problem, inner),
         termination=problem.outer_termination,
         trace_hook=trace_hook,
         vectorized=True,

@@ -59,17 +59,14 @@ DEFAULT_PARAMS = SurrogateParams()
 _H0, _S, _N, _K, _P, _U, _M_EXP, _DP = astuple(DEFAULT_PARAMS)
 
 
-def _check_domain(h: float, theta: float):
+def _raise_domain_error(h: float, theta: float, v: float = 0.0):
+    """Raise the DomainError of a point known to lie outside the domain; v
+    defaults to a valid speed, for ballistic_limit's (h, theta)."""
     # comparisons are written so that NaN fails them
     if not h > 0.0:
         raise DomainError(f"plate thickness must be positive, got {h}")
     if not 0.0 <= theta < _HALF_PI:
         raise DomainError(f"obliquity must lie in [0, pi/2), got {theta}")
-
-
-def _raise_domain_error(h: float, theta: float, v: float):
-    """Raise the DomainError of a point known to lie outside the domain."""
-    _check_domain(h, theta)
     raise DomainError(f"impact speed must be nonnegative, got {v}")
 
 
@@ -77,7 +74,7 @@ def ballistic_limit(h: float, theta: float) -> float:
     """Speed (km/s) below which a plate of thickness h (mm) is not perforated."""
     # the domain test is inlined, as in perforation_area's scalar path
     if not h > 0.0 or not 0.0 <= theta < _HALF_PI:
-        _check_domain(h, theta)
+        _raise_domain_error(h, theta)
     return _H0 * (h / math.cos(theta) ** _N) ** _S
 
 

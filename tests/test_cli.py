@@ -398,14 +398,22 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "coords",
-        [["nan", "0", "2.8"], ["2.667", "0", "nan"], ["inf", "0", "2.8"], ["-1", "0", "2.8"]],
-        ids=["nan_thickness", "nan_speed", "inf_thickness", "negative_thickness"],
+        [
+            ["nan", "0", "2.8"], ["2.667", "0", "nan"], ["inf", "0", "2.8"], ["-1", "0", "2.8"],
+            # v_bl overflows, or underflows to 0 so that v / v_bl divides by zero
+            ["1e308", "0", "1e308"], ["1e-300", "0", "2.5"],
+        ],
+        ids=[
+            "nan_thickness", "nan_speed", "inf_thickness", "negative_thickness",
+            "overflowing_limit", "vanishing_limit",
+        ],
     )
     def test_bad_point_rejected(self, capsys, coords):
         assert main(["eval", "sphir-perforation", *coords]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+        assert len(captured.err.splitlines()) == 1
 
     def test_usage_error_exit_code(self):
         assert main([]) == 1
@@ -762,12 +770,17 @@ def de_picks(loop):
 
 
 AXES = [(1.524, 2.667), (0.0, 0.5), (2.1, 2.8)]
+# thickness boxes at a corner of which v_bl overflows, or underflows to 0
+THICKNESS_EDGES = [[AXES[0][0], 1.0e300], [1.0e-300, AXES[0][1]]]
 
 # the 18 values of a small config: each one's path in the mapping, the picks
 # that keep its rule and the picks that break it
 CONFIG_PICKS = [
     *[(("npts_per_dim", i), [1, 2], [0]) for i in range(len(AXES))],
-    *[(("bounds_per_dim", i), [[lo, hi]], [[hi, lo], [lo, lo]]) for i, (lo, hi) in enumerate(AXES)],
+    *[
+        (("bounds_per_dim", i), [[lo, hi]], [[hi, lo], [lo, lo], *(THICKNESS_EDGES if i == 0 else [])])
+        for i, (lo, hi) in enumerate(AXES)
+    ],
     (
         ("mean_band",),
         [[5.5, 7.5], [100.0, 101.0]],

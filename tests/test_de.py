@@ -420,6 +420,14 @@ class TestDeSolve:
         assert report.generations_run == 0
         assert report.terminated_by == "value_below"
 
+    def test_constraint_data_needs_a_block_cost(self):
+        # the per-vector cost takes one argument, so the data is never dropped
+        def with_data(block, generation):
+            return block, np.ones(len(block), dtype=bool), block
+
+        with pytest.raises(TypeError):
+            de_solve(sphere, Bounds.from_pairs([(-1.0, 1.0)] * 2), DESettings(npop=4), with_data)
+
     def test_trace_hook_invoked_per_generation(self):
         calls = []
         de_solve(
@@ -531,19 +539,28 @@ class TestLockstep:
 
     @staticmethod
     def left_half(block, generation):
-        return block, block[:, 0] <= 1.0
+        # the third array has one row per feasible row, for the cost
+        feasible = block[:, 0] <= 1.0
+        return block, feasible, -block[feasible]
 
     def test_each_run_matches_de_solve(self):
         # value_below ends the runs at different generations, so the stacked
-        # trials of later generations come from fewer runs
-        rule = ValueBelow(0.5)
-        runs = de_lockstep(
-            sphere_block, self.BOUNDS, self.SETTINGS, self.SEEDS, self.left_half, rule)
+        # trials of later generations come from fewer runs; the cost gets the
+        # constraint's third array with exactly the rows of block[feasible]
+        rule, sizes = ValueBelow(0.5), []
+
+        def cost(rows, negated):
+            assert np.array_equal(-negated, rows)
+            sizes.append(len(rows))
+            return sphere_block(rows)
+
+        runs = de_lockstep(cost, self.BOUNDS, self.SETTINGS, self.SEEDS, self.left_half, rule)
         assert len({r.generations_run for r in runs}) > 1
+        assert any(size % self.SETTINGS.npop for size in sizes)  # some rows were infeasible
         for seed, run in zip(self.SEEDS, runs):
             alone = de_solve(
-                sphere_block, self.BOUNDS, replace(self.SETTINGS, seed=seed), self.left_half,
-                rule, vectorized=True,
+                cost, self.BOUNDS, replace(self.SETTINGS, seed=seed), self.left_half, rule,
+                vectorized=True,
             )
             assert (run.opt_cost, run.generations_run, run.evaluations, run.terminated_by) == (
                 alone.opt_cost, alone.generations_run, alone.evaluations, alone.terminated_by)
