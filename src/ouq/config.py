@@ -36,9 +36,9 @@ The rules no type owns are checked here: the string shape (`response` and
 `output_dir` are non-empty strings) and the response probe: the response
 must be registered, take one coordinate per axis, be defined and finite at
 every corner of the axis box, and give the same corner values, within 1e-6
-of the largest, when called once on arrays.  Length units mils and angle
-unit deg are converted at this boundary (1 mil = 0.0254 mm); mm, rad and
-km_s are native and pass through.
+of the largest, when called once on arrays.  Length unit mils and angle
+unit deg are converted here and nowhere else (1 mil = 0.0254 mm, in
+`_UNIT_CONVERSIONS`); mm, rad and km_s are native and pass through.
 """
 
 from __future__ import annotations
@@ -58,13 +58,12 @@ from .errors import ConfigError, DomainError
 from .measures import ParamLayout
 from .registry import check_arity, get_response
 from .solver import MeanConstraint, OUQProblem
-from .surrogate import mils_to_mm
 
 _UNIT_CONVERSIONS = {
     "mm": lambda x: x,
     "rad": lambda x: x,
     "km_s": lambda x: x,
-    "mils": mils_to_mm,
+    "mils": lambda x: x * 0.0254,
     "deg": math.radians,
 }
 _type_hints = functools.cache(get_type_hints)  # per class; the classes do not change

@@ -14,10 +14,6 @@ class ConfigError(OUQError):
     """The run configuration cannot be parsed, validated or resolved."""
 
 
-class ZeroMassMeasure(OUQError):
-    """All weights of a discrete measure are zero; normalization is undefined."""
-
-
 class InfeasibleConstrain(OUQError):
     """No member of the initial population survived the constraint function."""
 

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .de import _check_count
-from .errors import DomainError, ZeroMassMeasure
+from .errors import DomainError
 
 # Expectations demand factor masses within 1e-9 of 1.
 MASS_TOL = 1e-9
@@ -97,7 +97,7 @@ class DiscreteMeasure:
         """Mass-weighted mean (sum w*p) / (sum w); undefined at zero mass."""
         m = self.mass()
         if m <= 0.0:
-            raise ZeroMassMeasure("mean is undefined for a zero-mass measure")
+            raise ValueError("mean is undefined for a zero-mass measure")
         return math.fsum(sp.weight * sp.position for sp in self.points) / m
 
     def range(self) -> float:
@@ -157,7 +157,7 @@ def normalize(m: DiscreteMeasure) -> DiscreteMeasure:
     """Rescale weights so the total mass is 1; positions are untouched."""
     total = m.mass()
     if total <= 0.0:
-        raise ZeroMassMeasure("cannot normalize a measure with zero total mass")
+        raise ValueError("cannot normalize a measure with zero total mass")
     pts = tuple(SupportPoint(sp.weight / total, sp.position) for sp in m.points)
     return DiscreteMeasure(pts, m.lower, m.upper)
 

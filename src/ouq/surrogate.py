@@ -15,20 +15,18 @@ form the solver's block kernels call; `ballistic_limit` stays scalar.  Both
 read the one fit `DEFAULT_PARAMS`: other constants make another response,
 registered under its own name with `ouq.registry.register_response`.
 
-All lengths are millimetres internally; mils are converted only at the
-CLI boundary (1 mil = 0.0254 mm).
+All lengths are millimetres; a config may give a length box in mils,
+which `ouq.config` converts to millimetres at load.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .errors import DomainError
-
-MM_PER_MIL = 0.0254
 
 # module-level names keep the scalar path of perforation_area cheap
 _ndarray = np.ndarray
@@ -47,12 +45,6 @@ class SurrogateParams:
     u: float = 1.0275
     m_exp: float = 0.4682
     Dp: float = 1.778  # mm, projectile diameter
-
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{f.name} must be finite and positive, got {v}")
 
 
 DEFAULT_PARAMS = SurrogateParams()
@@ -114,7 +106,3 @@ def _perforation_area_array(h, theta, v) -> np.ndarray:
     t = np.where(perforated, t, 1.0)
     area = _K * (h / _DP) ** _P * cos ** _U * t ** _M_EXP
     return np.where(perforated, area, 0.0)
-
-
-def mils_to_mm(x: float) -> float:
-    return x * MM_PER_MIL

@@ -264,6 +264,18 @@ class TestLoadConfig:
         assert not outdir.exists()
 
     @pytest.mark.parametrize(
+        "old, new",
+        [("npts_per_dim: [2, 2, 2]", "npts_per_dim: 2"), (BOUNDS_LINES, "  {a: 1}\n")],
+        ids=["npts_per_dim", "bounds_per_dim"],
+    )
+    def test_per_axis_values_are_lists(self, tmp_path, old, new):
+        path, outdir = write_tiny_config(tmp_path, **{old: new})
+        with pytest.raises(ConfigError, match="must be a list"):
+            load_config(path)
+        assert main(["solve", str(path)]) == 1
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
         "new",
         [
             "outer_termination: {rule: change_over_generation, tolerance: -1.0}\n",
@@ -778,7 +790,11 @@ THICKNESS_EDGES = [[AXES[0][0], 1.0e300], [1.0e-300, AXES[0][1]]]
 CONFIG_PICKS = [
     *[(("npts_per_dim", i), [1, 2], [0]) for i in range(len(AXES))],
     *[
-        (("bounds_per_dim", i), [[lo, hi]], [[hi, lo], [lo, lo], *(THICKNESS_EDGES if i == 0 else [])])
+        (
+            ("bounds_per_dim", i),
+            [[lo, hi]],
+            [[hi, lo], [lo, lo], {"lower": lo}, *(THICKNESS_EDGES if i == 0 else [])],
+        )
         for i, (lo, hi) in enumerate(AXES)
     ],
     (
@@ -787,7 +803,7 @@ CONFIG_PICKS = [
         # the second is the band's old {m, d} form; the third's d * d overflows
         [[7.5, 5.5], {"m": 6.5, "d": 1.0}, [1.0e300, 1.0e301]],
     ),
-    (("failure_tolerance",), [0.0, 0.5], [-0.5]),
+    (("failure_tolerance",), [0.0, 0.5], [-0.5, "0.5"]),
     *de_picks("outer"),
     *de_picks("inner"),
     (
@@ -800,9 +816,10 @@ CONFIG_PICKS = [
             {"rule": "change_over_generation", "tolerance": 0.0},
             {"rule": "change_over_generation", "generations": 0},
             {"rule": "value_below", "tolerance": 0.0},
+            ["change_over_generation"],
         ],
     ),
-    (("seed",), [0, 7], [-1]),
+    (("seed",), [0, 7], [-1, 1.5]),
     (("runs",), [1], [0]),
     (("output_dir",), ["out"], [None, ""]),
 ]
@@ -886,9 +903,7 @@ class TestContract:
         "ballistic_limit", "perforation_area",
     }
 
-    ERROR_CLASSES = {
-        "OUQError", "ConfigError", "ZeroMassMeasure", "InfeasibleConstrain", "DomainError",
-    }
+    ERROR_CLASSES = {"OUQError", "ConfigError", "InfeasibleConstrain", "DomainError"}
 
     def test_perfbench_hooks_exist(self):
         for module, names in self.PERFBENCH_NAMES.items():

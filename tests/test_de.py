@@ -52,6 +52,15 @@ class TestSettings:
         with pytest.raises(ValueError, match="generations must be an integer"):
             ChangeOverGeneration(1e-4, value)
 
+    @pytest.mark.parametrize(
+        "pair, message",
+        [((0.0, math.inf), "finite"), ((math.nan, 1.0), "finite"), ((1.0, 0.0), "lower <= upper")],
+        ids=["inf_upper", "nan_lower", "reversed"],
+    )
+    def test_bounds_are_finite_and_ordered(self, pair, message):
+        with pytest.raises(ValueError, match=message):
+            Bounds.from_pairs([(-5.0, 5.0), pair])
+
     def test_numpy_integer_counts_run_as_ints(self):
         bounds = Bounds.from_pairs([(-5.0, 5.0)] * 2)
         reports = [

@@ -3,6 +3,7 @@ import hashlib
 import math
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from ouq import (
     OUQProblem,
     ParamLayout,
     ballistic_limit,
+    de_solve,
     event_probability,
     expectation,
     ouq_solve,
@@ -32,6 +34,7 @@ from ouq.measures import (
     atom_values,
     conditional_expectations_block,
     expectation_block,
+    expectation_of_values,
     normalize_block,
 )
 from ouq.solver import (
@@ -725,11 +728,12 @@ class TestConstraintProtocol:
 
 
 def counted(problem):
-    """The problem with its response wrapped in a call counter."""
+    """The problem with its response wrapped in a recorder of the shape of
+    each call's first coordinate, () for a scalar call."""
     calls = []
 
     def response(*xs):
-        calls.append(xs[0].shape)
+        calls.append(np.shape(xs[0]))
         return problem.response(*xs)
 
     return replace(problem, response=response), calls
@@ -1051,13 +1055,99 @@ def test_three_points_per_axis_do_not_beat_two(band, npts):
 @BANDS
 def test_two_points_on_thickness_alone_reach_the_closed_form(band):
     # the maximizer needs two points on thickness only: obliquity 0 and one
-    # speed, the thick plate's ballistic limit, serve both of its atoms
+    # speed, the thick plate's ballistic limit, serve both of its atoms.
+    # Every seed is within 0.01 of the closed form under AVX512, X86_V3 and
+    # X86_V2, and the best within 1e-5
     layout = ParamLayout((2, 1, 1), PAPER_LAYOUT.bounds_per_dim)
+    closed_form = paper_closed_form(band)
     bounds = [
         ouq_solve(replace(paper_problem(seed=seed, band=band), layout=layout)).probability_bound
-        for seed in range(10)
+        for seed in range(40)
     ]
-    assert paper_closed_form(band) - 1e-5 <= max(bounds) <= paper_closed_form(band) + 1e-12
+    assert [seed for seed, bound in enumerate(bounds) if not closed_form - 0.01 <= bound] == []
+    assert closed_form - 1e-5 <= max(bounds) <= closed_form + 1e-12
+
+
+def centred_band(width):
+    return (6.5 - width / 2, 6.5 + width / 2)
+
+
+class Run(NamedTuple):
+    """One outer solve of the paper problem, with its model calls counted."""
+
+    atoms: int  # at which the response was called
+    bound: Optional[float]  # None if no initial trial was feasible
+    feasible: int  # trials, the ones the DE costed
+    trials: int  # npop per generation, generation 0 included
+
+
+def atom_count(calls):
+    return sum(math.prod(shape) for shape in calls)
+
+
+def repaired(problem):
+    """The solve with the repair, `ouq_solve`."""
+    problem, calls = counted(problem)
+    result = ouq_solve(problem)
+    report = result.report
+    trials = problem.outer.npop * (report.generations_run + 1)
+    return Run(atom_count(calls), result.probability_bound, report.evaluations, trials)
+
+
+def filtered(problem):
+    """The solve with filtering in place of the repair: every trial is
+    normalized, and one whose E lies outside the band is infeasible."""
+    problem, calls = counted(problem)
+    layout, (lo, hi) = problem.layout, problem.constraint.band
+
+    def constrain(block, generation):
+        out, feasible = normalize_block(block, layout)
+        values = atom_values(out, layout, problem.response)
+        e = expectation_of_values(out, layout, values)
+        feasible &= (lo <= e) & (e <= hi)
+        return out, feasible, values[feasible]
+
+    try:
+        report = de_solve(
+            lambda block, values: cost_block(block, values, problem),
+            build_bounds(layout),
+            problem.outer,
+            constrain,
+            problem.outer_termination,
+            vectorized=True,
+        )
+    except InfeasibleConstrain:
+        return Run(atom_count(calls), None, 0, problem.outer.npop)
+    trials = problem.outer.npop * (report.generations_run + 1)
+    return Run(atom_count(calls), -report.opt_cost, report.evaluations, trials)
+
+
+class TestRepairAgainstFiltering:
+    """arXiv:1202.1055: constraints imposed on a discrete set keep the model
+    evaluations from blowing up, where filtering, which invalidates the
+    trials outside the constraints, breaks down.  Seeds 0-39 of the paper
+    problem, bands centred on 6.5; README's table of six widths comes from
+    `PYTHONPATH=src python tests/test_solver.py`.
+
+    Under AVX512, X86_V3 and X86_V2 the repair is within 4.3e-3 of the
+    closed form on every seed at widths 2, 0.02 and 2e-5, and its atoms per
+    solve fall from 9 952-10 384 at width 2 to 8 376-8 448 at 2e-5.  The
+    filter cannot start on 39 of the 40 seeds at width 0.02 on all three."""
+
+    def test_the_repair_hits_every_seed_with_no_more_calls(self):
+        atoms = {}
+        for width in (2.0, 0.02, 2e-5):
+            band = centred_band(width)
+            closed_form = paper_closed_form(band)
+            runs = [repaired(paper_problem(seed=seed, band=band)) for seed in range(40)]
+            for seed, run in enumerate(runs):
+                assert closed_form - 0.01 <= run.bound <= closed_form + 1e-12, (width, seed)
+            atoms[width] = sum(run.atoms for run in runs)
+        assert atoms[2e-5] <= atoms[2.0], atoms
+
+    def test_the_filter_cannot_start_in_a_narrow_band(self):
+        runs = [filtered(paper_problem(seed=seed, band=centred_band(0.02))) for seed in range(40)]
+        assert sum(run.bound is None for run in runs) >= 39
 
 
 def markov_problem(c, band, npts, seed, tol=0.0, generations=None):
@@ -1259,3 +1349,23 @@ class TestOuqSolve:
         problem = build_problem(load_config(PAPER_CONFIG), 0)
         result = ouq_solve(replace(problem, outer=replace(problem.outer, max_generations=5)))
         assert result.report.generations_run == 5 and hashed == []
+
+
+if __name__ == "__main__":
+    # README's table of repair against filtering, seeds 0-39 per width
+    print("| band width | repair: atoms per solve | hits | feasible trials "
+          "| filter: atoms per solve | hits | cannot start | feasible trials |")
+    print("|---|---|---|---|---|---|---|---|")
+    for width in ("2", "0.2", "0.02", "2e-3", "2e-4", "2e-5"):
+        band = centred_band(float(width))
+        closed_form = paper_closed_form(band)
+        cells = [width]
+        for solve in (repaired, filtered):
+            runs = [solve(paper_problem(seed=seed, band=band)) for seed in range(40)]
+            hits = sum(r.bound is not None and abs(r.bound - closed_form) <= 0.01 for r in runs)
+            cells += [f"{sum(r.atoms for r in runs) / len(runs):,.0f}", f"{hits}/{len(runs)}"]
+            if solve is filtered:
+                cells.append(f"{sum(r.bound is None for r in runs)}/{len(runs)}")
+            share = sum(r.feasible for r in runs) / sum(r.trials for r in runs)
+            cells.append(f"{share:.1%}")
+        print("| " + " | ".join(cells) + " |")

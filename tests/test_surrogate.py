@@ -5,7 +5,7 @@ import pytest
 
 from ouq import ballistic_limit, perforation_area
 from ouq.errors import DomainError
-from ouq.surrogate import DEFAULT_PARAMS, MM_PER_MIL, SurrogateParams, mils_to_mm
+from ouq.surrogate import DEFAULT_PARAMS, SurrogateParams
 
 # The reference configuration's axis box.
 BOX_H = (1.524, 2.667)  # mm
@@ -149,25 +149,8 @@ class TestPerforationAreaArrays:
             perforation_area(*(float(c[1]) for c in coords))
 
 
-class TestUnits:
-    def test_paper_range_endpoints(self):
-        assert mils_to_mm(60.0) == pytest.approx(1.524, abs=1e-12)
-        assert mils_to_mm(105.0) == pytest.approx(2.667, abs=1e-12)
-
-    def test_zero(self):
-        assert mils_to_mm(0.0) == 0.0
-
-    def test_inverse(self):
-        for x in (0.5, 1.524, 2.667, 100.0):
-            assert mils_to_mm(x) / MM_PER_MIL == pytest.approx(x, rel=1e-15)
-
-
 class TestParams:
     def test_defaults_are_the_reference_fit(self):
         p = SurrogateParams()
         assert (p.H0, p.s, p.n) == (0.5794, 1.4004, 0.4482)
         assert (p.K, p.p, p.u, p.m_exp, p.Dp) == (10.3936, 0.4757, 1.0275, 0.4682, 1.778)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            SurrogateParams(K=-1.0)
