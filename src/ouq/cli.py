@@ -157,7 +157,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the documented usage code is 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(1)
+        self.exit(1, f"error: {message}\n")
 
 
 @functools.cache  # one parser per process: building it costs about 6x a parse

@@ -103,6 +103,8 @@ class Bounds:
     def from_pairs(cls, pairs) -> "Bounds":
         lo = np.asarray([p[0] for p in pairs], dtype=float)
         hi = np.asarray([p[1] for p in pairs], dtype=float)
+        if not lo.size:
+            raise ValueError("a box needs at least one dimension")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise ValueError("bounds must be finite")
         if np.any(lo > hi):

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import math
+import re
 import time
 from dataclasses import fields, replace
 from pathlib import Path
@@ -168,23 +169,12 @@ class TestLoadConfig:
         assert cfg.bounds_per_dim[0] == pytest.approx((1.524, 2.667), abs=1e-12)
         assert cfg.bounds_per_dim[1][1] == pytest.approx(math.pi / 6, abs=1e-12)
 
-    def test_center_deviation_band(self, tmp_path):
-        # the band has one form, its edges: {m: M, d: D} is written [M - D, M + D]
-        path, _ = write_tiny_config(tmp_path, **{"mean_band: [5.5, 7.5]": "mean_band: {m: 6.5, d: 1.0}"})
-        with pytest.raises(ConfigError, match=r"mean_band must be an \[m1, m2\] pair"):
-            load_config(path)
-
     def test_band_edges_kept(self, tmp_path):
         # (0.1 + 0.3) / 2 - (0.3 - 0.1) / 2 is 0.10000000000000002
         path, _ = write_tiny_config(tmp_path, **{"mean_band: [5.5, 7.5]": "mean_band: [0.1, 0.3]"})
         cfg = load_config(path)
         assert cfg.mean_band == (0.1, 0.3)
         assert build_problem(cfg, cfg.seed).constraint.band == (0.1, 0.3)
-
-    def test_zero_npts_rejected(self, tmp_path):
-        path, _ = write_tiny_config(tmp_path, **{"npts_per_dim: [2, 2, 2]": "npts_per_dim: [0, 2, 2]"})
-        with pytest.raises(ConfigError):
-            load_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path, _ = write_tiny_config(tmp_path)
@@ -221,47 +211,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="unhashable"):
             load_config(path)
 
-    @pytest.mark.parametrize("unit", ["[mils]", "{a: 1}", "1"], ids=["list", "mapping", "number"])
-    def test_non_string_unit_rejected(self, tmp_path, capsys, unit):
-        path, outdir = write_tiny_config(tmp_path, **{"unit: mils": f"unit: {unit}"})
-        with pytest.raises(ConfigError, match=r"bounds_per_dim\[0\]\.unit: unknown unit"):
-            load_config(path)
-        assert main(["solve", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("error:")
-        assert not outdir.exists()
-
     def test_unknown_nested_key_rejected(self, tmp_path):
         path, _ = write_tiny_config(tmp_path, **{"npop: 40": "npop: 40\n  banana: 1"})
         with pytest.raises(ConfigError):
             load_config(path)
 
     @pytest.mark.parametrize(
-        "old, new",
-        [
-            ("seed: 0", "inner_max_generations: 5\nseed: 0"),
-            (OUTER_TERMINATION_LINE, "outer_termination: {rule: max_generations, limit: 5}\n"),
-        ],
-        ids=["inner_max_generations", "max_generations_rule"],
+        "old, new", [("seed: 0", "inner_max_generations: 5\nseed: 0")], ids=["inner_max_generations"]
     )
     def test_removed_keys_rejected(self, tmp_path, old, new):
         path, _ = write_tiny_config(tmp_path, **{old: new})
         with pytest.raises(ConfigError):
             load_config(path)
-
-    @pytest.mark.parametrize(
-        "old, new",
-        [
-            ("[2.1, 2.8]", "[2.1, .inf]"),
-            ("mean_band: [5.5, 7.5]", "mean_band: [.nan, 7.5]"),
-        ],
-        ids=["inf_bound", "nan_band"],
-    )
-    def test_non_finite_numbers_rejected(self, tmp_path, capsys, old, new):
-        path, outdir = write_tiny_config(tmp_path, **{old: new})
-        with pytest.raises(ConfigError, match="finite"):
-            load_config(path)
-        assert main(["solve", str(path)]) == 1
-        assert not outdir.exists()
 
     @pytest.mark.parametrize(
         "old, new",
@@ -271,21 +232,6 @@ class TestLoadConfig:
     def test_per_axis_values_are_lists(self, tmp_path, old, new):
         path, outdir = write_tiny_config(tmp_path, **{old: new})
         with pytest.raises(ConfigError, match="must be a list"):
-            load_config(path)
-        assert main(["solve", str(path)]) == 1
-        assert not outdir.exists()
-
-    @pytest.mark.parametrize(
-        "new",
-        [
-            "outer_termination: {rule: change_over_generation, tolerance: -1.0}\n",
-            "outer_termination: {rule: value_below}\n",
-        ],
-        ids=["negative_tolerance", "missing_tolerance"],
-    )
-    def test_invalid_termination_rejected(self, tmp_path, capsys, new):
-        path, outdir = write_tiny_config(tmp_path, **{OUTER_TERMINATION_LINE: new})
-        with pytest.raises(ConfigError, match="outer_termination"):
             load_config(path)
         assert main(["solve", str(path)]) == 1
         assert not outdir.exists()
@@ -324,33 +270,6 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    @pytest.mark.parametrize(
-        "old, new, message",
-        [
-            ("npts_per_dim: [2, 2, 2]", "npts_per_dim: [0, 2, 2]", "npts_per_dim"),
-            ("[2.1, 2.8]", "[2.8, 2.1]", r"\[2\.8, 2\.1\]"),
-            ("mean_band: [5.5, 7.5]", "mean_band: [7.5, 5.5]", r"\[7\.5, 5\.5\]"),
-            ("mean_band: [5.5, 7.5]", "mean_band: [6.5, 6.5]", r"\[6\.5, 6\.5\]"),
-            ("seed: 0", "failure_tolerance: -0.5\nseed: 0", "failure_tolerance"),
-            ("npop: 40", "npop: 3", "npop"),
-            ("max_generations: 15", "max_generations: 0", "max_generations"),
-            ("generations: 10}", "generations: 0}", "generations"),
-            ("tolerance: 1.0e-4", "tolerance: 0.0", "tolerance"),
-        ],
-        ids=[
-            "npts_0", "lower_above_upper", "m1_above_m2", "d_zero", "negative_failure_tolerance",
-            "npop_3", "max_generations_0", "generations_0", "tolerance_0",
-        ],
-    )
-    def test_range_rule_rejected(self, tmp_path, capsys, old, new, message):
-        # the rule is the type's own; the file is held to it before any output
-        path, outdir = write_tiny_config(tmp_path, **{old: new})
-        with pytest.raises(ConfigError, match=message):
-            load_config(path)
-        assert main(["solve", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("error:")
-        assert not outdir.exists()
-
     def test_non_utf8_file_rejected(self, tmp_path, capsys):
         path, outdir = write_tiny_config(tmp_path)
         path.write_bytes((path.read_text() + "# plate: 60 \u00b5m\n").encode("latin-1"))
@@ -360,15 +279,6 @@ class TestLoadConfig:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert not outdir.exists()
-
-    @pytest.mark.parametrize("value", ["~", "[a, b]", "''"], ids=["null", "list", "empty"])
-    def test_output_dir_must_be_a_nonempty_string(self, tmp_path, monkeypatch, capsys, value):
-        monkeypatch.chdir(tmp_path)
-        path, _ = write_tiny_config(tmp_path, outdir=value)
-        with pytest.raises(ConfigError, match="output_dir"):
-            load_config(path)
-        assert main(["solve", str(path)]) == 1
-        assert [p.name for p in tmp_path.iterdir()] == ["tiny.config"]
 
     @pytest.mark.parametrize(
         "key, value", [("runs", 0), ("seed", -1), ("runs", 2.5), ("seed", True)],
@@ -427,9 +337,17 @@ class TestEval:
         assert captured.err.startswith("error:")
         assert len(captured.err.splitlines()) == 1
 
-    def test_usage_error_exit_code(self):
-        assert main([]) == 1
-        assert main(["frobnicate"]) == 1
+    def test_usage_error_exit_code(self, capsys):
+        # argparse's reason follows the usage line
+        for argv, reason in [
+            ([], "the following arguments are required: command"),
+            (["bogus"], "argument command: invalid choice: 'bogus'"),
+            (["solve"], "the following arguments are required: config"),
+            (["solve", str(PAPER_CONFIG), "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+        ]:
+            assert main(argv) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert err[0].startswith("usage: ouq") and err[-1].startswith(f"error: {reason}")
 
 
 class TestSolve:
@@ -474,25 +392,10 @@ class TestSolve:
         assert result["terminated_by"] == "max_generations"
 
     @pytest.mark.parametrize(
-        "flag, value", [("--seed", "-1"), ("--runs", "0")], ids=["seed", "runs"]
-    )
-    def test_invalid_override_rejected_before_artifacts(self, tmp_path, capsys, flag, value):
-        path, outdir = write_tiny_config(tmp_path)
-        assert main(["solve", str(path), flag, value]) == 1
-        assert flag in capsys.readouterr().err
-        assert not (outdir / "trace_0.csv").exists()
-
-    @pytest.mark.parametrize(
         "edits, message",
-        [
-            ({"response: sphir-perforation": "response: sphir-perf"}, "no response named"),
-            (
-                {"npts_per_dim: [2, 2, 2]": "npts_per_dim: [2, 2]", "  - [2.1, 2.8]\n": ""},
-                "takes 3 coordinates, got 2",
-            ),
-            ({"upper: 30.0, unit: deg": "upper: 90.0, unit: deg"}, "domain .*obliquity"),
-        ],
-        ids=["unknown_response", "axis_count", "box_outside_domain"],
+        [({"npts_per_dim: [2, 2, 2]": "npts_per_dim: [2, 2]", "  - [2.1, 2.8]\n": ""},
+          "takes 3 coordinates, got 2")],
+        ids=["axis_count"],
     )
     def test_unresolvable_response_rejected_at_load(self, tmp_path, capsys, edits, message):
         path, outdir = write_tiny_config(tmp_path, **edits)
@@ -570,25 +473,13 @@ class TestSolve:
             sha.update(f"{path.name}\0{len(data)}\0".encode() + data)
         assert sha.hexdigest() == digest
 
-    def paper_config(self, tmp_path, outer_termination):
+    def test_outer_value_below_stops_at_the_target(self, tmp_path, capsys):
         path = tmp_path / "paper.config"
         text = PAPER_CONFIG.read_text()
         start = text.index("outer_termination:")
         end = text.index("seed:", start)
-        path.write_text(text[:start] + outer_termination + "\n" + text[end:])
-        return path
-
-    def test_outer_value_below_needs_a_negative_target(self, tmp_path, capsys):
-        # the outer cost is -P <= 0, so a target >= 0 would stop at generation 0
-        path = self.paper_config(tmp_path, "outer_termination: {rule: value_below, tolerance: 0.5}")
-        with pytest.raises(ConfigError, match="outer cost is -P"):
-            load_config(path)
-        outdir = tmp_path / "out"
-        assert main(["solve", str(path), "--output-dir", str(outdir)]) == 1
-        assert not outdir.exists()
-
-    def test_outer_value_below_stops_at_the_target(self, tmp_path, capsys):
-        path = self.paper_config(tmp_path, "outer_termination: {rule: value_below, tolerance: -0.3}")
+        path.write_text(
+            text[:start] + "outer_termination: {rule: value_below, tolerance: -0.3}\n" + text[end:])
         args = ["solve", str(path), "--seed", "0", "--runs", "1", "--output-dir", str(tmp_path)]
         assert main(args) == 0
         result = json.loads((tmp_path / "result_0.json").read_text())
@@ -664,19 +555,8 @@ class TestSolve:
             },
         }
 
-    def test_empty_output_dir_override_rejected(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        path, _ = write_tiny_config(tmp_path)
-        assert main(["solve", str(path), "--output-dir", ""]) == 1
-        assert "--output-dir" in capsys.readouterr().err
-        assert [p.name for p in tmp_path.iterdir()] == ["tiny.config"]
-
     def test_missing_config(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.config")]) == 1
-
-    def test_invalid_config(self, tmp_path, capsys):
-        path, _ = write_tiny_config(tmp_path, **{"npts_per_dim: [2, 2, 2]": "npts_per_dim: [0, 2, 2]"})
-        assert main(["solve", str(path)]) == 1
 
 
 def nan_above_2_7(h, theta, v):
@@ -774,66 +654,119 @@ class TestMeasureSerialization:
 
 
 def de_picks(loop):
+    npop, scaling = f"{loop}: npop must be an integer >= 4", f"{loop}: scaling_factor must be positive"
     return [
-        ((loop, "npop"), [4, 6], [3, 0]),
-        ((loop, "max_generations"), [1, 3], [0]),
-        ((loop, "scaling_factor"), [0.9], [0.0, -0.5]),
+        ((loop, "npop"), [4, 6], [(3, npop), (0, npop)]),
+        ((loop, "max_generations"), [1, 3], [(0, f"{loop}: max_generations must be an integer >= 1")]),
+        ((loop, "scaling_factor"), [0.9], [(0.0, scaling), (-0.5, scaling)]),
+    ]
+
+
+def box_picks(i, lo, hi):
+    ordered = f"bounds_per_dim[{i}]: need finite lower < upper, got"
+    return [
+        ([hi, lo], f"{ordered} [{hi}, {lo}]"),
+        ([lo, lo], f"{ordered} [{lo}, {lo}]"),
+        ({"lower": lo}, f"bounds_per_dim[{i}] needs 'lower' and 'upper'"),
     ]
 
 
 AXES = [(1.524, 2.667), (0.0, 0.5), (2.1, 2.8)]
-# thickness boxes at a corner of which v_bl overflows, or underflows to 0
-THICKNESS_EDGES = [[AXES[0][0], 1.0e300], [1.0e-300, AXES[0][1]]]
+OUTSIDE = "bounds_per_dim leave the domain of 'sphir-perforation' at"
+BAND = "mean band needs m1 < m2 and a finite d^2, got"
+OUTPUT_DIR = "output_dir must be a non-empty string, got"
+COG = "change_over_generation"
 
-# the 18 values of a small config: each one's path in the mapping, the picks
-# that keep its rule and the picks that break it
+# the 19 values of a small config: each one's path in the mapping, the picks
+# that keep its rule, and the picks that break it, each with a fragment of the
+# message of the rule that must reject it
 CONFIG_PICKS = [
-    *[(("npts_per_dim", i), [1, 2], [0]) for i in range(len(AXES))],
+    (("response",), ["sphir-perforation"], [("sphir-perf", "no response named 'sphir-perf'")]),
     *[
-        (
-            ("bounds_per_dim", i),
-            [[lo, hi]],
-            [[hi, lo], [lo, lo], {"lower": lo}, *(THICKNESS_EDGES if i == 0 else [])],
-        )
-        for i, (lo, hi) in enumerate(AXES)
+        (("npts_per_dim", i), [1, 2], [(0, f"npts_per_dim[{i}] must be an integer >= 1")])
+        for i in range(len(AXES))
     ],
+    (
+        ("bounds_per_dim", 0),
+        [list(AXES[0])],
+        [
+            *box_picks(0, *AXES[0]),
+            # thickness boxes at a corner of which v_bl overflows, or underflows to 0
+            ([AXES[0][0], 1.0e300], f"{OUTSIDE} (1e+300, 0.0, 2.1)"),
+            ([1.0e-300, AXES[0][1]], f"{OUTSIDE} (1e-300, 0.0, 2.1)"),
+            *[
+                ({"lower": AXES[0][0], "upper": AXES[0][1], "unit": unit},
+                 f"bounds_per_dim[0].unit: unknown unit {unit!r}")
+                for unit in (["mils"], {"a": 1}, 1)
+            ],
+        ],
+    ),
+    (
+        ("bounds_per_dim", 1),
+        [list(AXES[1])],
+        [
+            *box_picks(1, *AXES[1]),
+            ({"lower": 0, "upper": 90, "unit": "deg"},
+             f"{OUTSIDE} (1.524, {math.pi / 2}, 2.1): obliquity must lie in [0, pi/2)"),
+        ],
+    ),
+    (
+        ("bounds_per_dim", 2),
+        [list(AXES[2])],
+        [*box_picks(2, *AXES[2]), ([2.1, math.inf], "bounds_per_dim[2][1] must be finite, got inf")],
+    ),
     (
         ("mean_band",),
         [[5.5, 7.5], [100.0, 101.0]],
-        # the second is the band's old {m, d} form; the third's d * d overflows
-        [[7.5, 5.5], {"m": 6.5, "d": 1.0}, [1.0e300, 1.0e301]],
+        [
+            ([7.5, 5.5], f"{BAND} [7.5, 5.5]"),
+            ([6.5, 6.5], f"{BAND} [6.5, 6.5]"),
+            ({"m": 6.5, "d": 1.0}, "mean_band must be an [m1, m2] pair"),  # the old {m, d} form
+            ([1.0e300, 1.0e301], f"{BAND} [1e+300, 1e+301]"),  # d * d overflows
+            ([math.nan, 7.5], "mean_band[0] must be finite, got nan"),
+        ],
     ),
-    (("failure_tolerance",), [0.0, 0.5], [-0.5, "0.5"]),
+    (
+        ("failure_tolerance",),
+        [0.0, 0.5],
+        [(-0.5, "failure_tolerance must be nonnegative"), ("0.5", "failure_tolerance must be a number")],
+    ),
     *de_picks("outer"),
     *de_picks("inner"),
     (
         ("outer_termination",),
+        [{"rule": COG, "tolerance": 1e-4, "generations": 2}, {"rule": "value_below", "tolerance": -1.0}],
         [
-            {"rule": "change_over_generation", "tolerance": 1e-4, "generations": 2},
-            {"rule": "value_below", "tolerance": -1.0},
-        ],
-        [
-            {"rule": "change_over_generation", "tolerance": 0.0},
-            {"rule": "change_over_generation", "generations": 0},
-            {"rule": "value_below", "tolerance": 0.0},
-            ["change_over_generation"],
+            ({"rule": COG, "tolerance": 0.0}, "outer_termination: tolerance must be positive, got 0.0"),
+            ({"rule": COG, "tolerance": -1.0}, "outer_termination: tolerance must be positive, got -1.0"),
+            ({"rule": COG, "generations": 0}, "outer_termination: generations must be an integer >= 1"),
+            # the outer cost is -P <= 0, so a target >= 0 would stop at generation 0
+            ({"rule": "value_below", "tolerance": 0.0}, "tolerance must be negative (the outer cost is -P"),
+            ({"rule": "value_below"}, "outer_termination needs tolerance"),
+            ({"rule": "max_generations", "limit": 5}, "outer_termination.rule must be one of"),
+            ([COG], "outer_termination must be a mapping, got list"),
         ],
     ),
-    (("seed",), [0, 7], [-1, 1.5]),
-    (("runs",), [1], [0]),
-    (("output_dir",), ["out"], [None, ""]),
+    (("seed",), [0, 7], [(-1, "seed must be an integer >= 0"), (1.5, "seed must be an integer, got 1.5")]),
+    (("runs",), [1], [(0, "runs must be an integer >= 1")]),
+    (
+        ("output_dir",),
+        ["out"],
+        [
+            (None, f"{OUTPUT_DIR} None"),
+            ("", "must be a non-empty string, got ''"),  # the flag's message names the flag
+            (["a", "b"], f"{OUTPUT_DIR} ['a', 'b']"),
+        ],
+    ),
 ]
+# the keys that have a flag, with the type argparse parses it to
+FLAG_TYPES = {"seed": int, "runs": int, "output_dir": str}
 
 
 def small_config(values):
     """The config mapping with values[i] at the path of CONFIG_PICKS[i]."""
-    raw = {
-        "response": "sphir-perforation",
-        "npts_per_dim": [None] * len(AXES),
-        "bounds_per_dim": [None] * len(AXES),
-        "outer": {},
-        "inner": {},
-    }
+    raw = {"npts_per_dim": [None] * len(AXES), "bounds_per_dim": [None] * len(AXES), "outer": {},
+           "inner": {}}
     for ((*parents, key), _, _), value in zip(CONFIG_PICKS, values, strict=True):
         target = raw
         for parent in parents:
@@ -844,9 +777,9 @@ def small_config(values):
 
 # one case per value that breaks a rule, every other value its first good pick
 BAD_PICKS = [
-    pytest.param(row, bad, id=f"{'.'.join(map(str, path))}={json.dumps(bad)}")
+    pytest.param(row, bad, fragment, id=f"{'.'.join(map(str, path))}={json.dumps(bad)}")
     for row, (path, _, bads) in enumerate(CONFIG_PICKS)
-    for bad in bads
+    for bad, fragment in bads
 ]
 
 
@@ -868,18 +801,29 @@ class TestRandomConfigs:
         except InfeasibleConstrain:
             assert generations == []
 
-    @pytest.mark.parametrize("row, bad", BAD_PICKS)
-    def test_bad_pick_fails_at_load(self, tmp_path, monkeypatch, capsys, row, bad):
-        values = [good[0] for _, good, _ in CONFIG_PICKS]
-        values[row] = bad
+    @pytest.mark.parametrize("row, bad, fragment", BAD_PICKS)
+    def test_bad_pick_fails_at_load(self, tmp_path, monkeypatch, capsys, row, bad, fragment):
+        """The pick's own rule rejects it at load, in the file and, where argparse
+        takes it, as the key's flag, before any output directory is made."""
+        goods = [good[0] for _, good, _ in CONFIG_PICKS]
         monkeypatch.chdir(tmp_path)  # where the relative output_dir "out" would go
-        path = tmp_path / "bad.config"
-        path.write_text(yaml.safe_dump(small_config(values)))
-        with pytest.raises(ConfigError):
+        path = tmp_path / "pick.config"
+
+        def fails(*override, prefix="error: "):
+            assert main(["solve", str(path), *override]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(prefix) and len(err.splitlines()) == 1 and fragment in err
+
+        path.write_text(yaml.safe_dump(small_config(goods[:row] + [bad] + goods[row + 1:])))
+        with pytest.raises(ConfigError, match=re.escape(fragment)):
             load_config(path)
-        assert main(["solve", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("error:")
-        assert [p.name for p in tmp_path.iterdir()] == ["bad.config"]
+        fails()
+        key = CONFIG_PICKS[row][0][0]
+        if type(bad) is FLAG_TYPES.get(key):
+            flag = "--" + key.replace("_", "-")
+            path.write_text(yaml.safe_dump(small_config(goods)))
+            fails(flag, str(bad), prefix=f"error: {flag}")
+        assert [p.name for p in tmp_path.iterdir()] == ["pick.config"]
 
 
 class TestContract:

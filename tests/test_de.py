@@ -53,13 +53,16 @@ class TestSettings:
             ChangeOverGeneration(1e-4, value)
 
     @pytest.mark.parametrize(
-        "pair, message",
-        [((0.0, math.inf), "finite"), ((math.nan, 1.0), "finite"), ((1.0, 0.0), "lower <= upper")],
-        ids=["inf_upper", "nan_lower", "reversed"],
+        "pairs, message",
+        [
+            ([(-5.0, 5.0), (0.0, math.inf)], "finite"), ([(-5.0, 5.0), (math.nan, 1.0)], "finite"),
+            ([(-5.0, 5.0), (1.0, 0.0)], "lower <= upper"), ([], "at least one dimension"),
+        ],
+        ids=["inf_upper", "nan_lower", "reversed", "empty"],
     )
-    def test_bounds_are_finite_and_ordered(self, pair, message):
+    def test_bounds_are_finite_and_ordered(self, pairs, message):
         with pytest.raises(ValueError, match=message):
-            Bounds.from_pairs([(-5.0, 5.0), pair])
+            Bounds.from_pairs(pairs)
 
     def test_numpy_integer_counts_run_as_ints(self):
         bounds = Bounds.from_pairs([(-5.0, 5.0)] * 2)
