@@ -169,12 +169,23 @@ class TestLoadConfig:
         assert cfg.bounds_per_dim[0] == pytest.approx((1.524, 2.667), abs=1e-12)
         assert cfg.bounds_per_dim[1][1] == pytest.approx(math.pi / 6, abs=1e-12)
 
+    def test_center_deviation_band(self, tmp_path):
+        # the band has one form, its edges: {m: M, d: D} is written [M - D, M + D]
+        path, _ = write_tiny_config(tmp_path, **{"mean_band: [5.5, 7.5]": "mean_band: {m: 6.5, d: 1.0}"})
+        with pytest.raises(ConfigError, match=r"mean_band must be an \[m1, m2\] pair"):
+            load_config(path)
+
     def test_band_edges_kept(self, tmp_path):
         # (0.1 + 0.3) / 2 - (0.3 - 0.1) / 2 is 0.10000000000000002
         path, _ = write_tiny_config(tmp_path, **{"mean_band: [5.5, 7.5]": "mean_band: [0.1, 0.3]"})
         cfg = load_config(path)
         assert cfg.mean_band == (0.1, 0.3)
         assert build_problem(cfg, cfg.seed).constraint.band == (0.1, 0.3)
+
+    def test_zero_npts_rejected(self, tmp_path):
+        path, _ = write_tiny_config(tmp_path, **{"npts_per_dim: [2, 2, 2]": "npts_per_dim: [0, 2, 2]"})
+        with pytest.raises(ConfigError):
+            load_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path, _ = write_tiny_config(tmp_path)
@@ -211,6 +222,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="unhashable"):
             load_config(path)
 
+    @pytest.mark.parametrize("unit", ["[mils]", "{a: 1}", "1"], ids=["list", "mapping", "number"])
+    def test_non_string_unit_rejected(self, tmp_path, capsys, unit):
+        path, outdir = write_tiny_config(tmp_path, **{"unit: mils": f"unit: {unit}"})
+        with pytest.raises(ConfigError, match=r"bounds_per_dim\[0\]\.unit: unknown unit"):
+            load_config(path)
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not outdir.exists()
+
     def test_unknown_nested_key_rejected(self, tmp_path):
         path, _ = write_tiny_config(tmp_path, **{"npop: 40": "npop: 40\n  banana: 1"})
         with pytest.raises(ConfigError):
@@ -232,6 +252,21 @@ class TestLoadConfig:
     def test_per_axis_values_are_lists(self, tmp_path, old, new):
         path, outdir = write_tiny_config(tmp_path, **{old: new})
         with pytest.raises(ConfigError, match="must be a list"):
+            load_config(path)
+        assert main(["solve", str(path)]) == 1
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "new",
+        [
+            "outer_termination: {rule: change_over_generation, tolerance: -1.0}\n",
+            "outer_termination: {rule: value_below}\n",
+        ],
+        ids=["negative_tolerance", "missing_tolerance"],
+    )
+    def test_invalid_termination_rejected(self, tmp_path, capsys, new):
+        path, outdir = write_tiny_config(tmp_path, **{OUTER_TERMINATION_LINE: new})
+        with pytest.raises(ConfigError, match="outer_termination"):
             load_config(path)
         assert main(["solve", str(path)]) == 1
         assert not outdir.exists()
@@ -270,6 +305,32 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("npts_per_dim: [2, 2, 2]", "npts_per_dim: [0, 2, 2]", "npts_per_dim"),
+            ("[2.1, 2.8]", "[2.8, 2.1]", r"\[2\.8, 2\.1\]"),
+            ("mean_band: [5.5, 7.5]", "mean_band: [7.5, 5.5]", r"\[7\.5, 5\.5\]"),
+            ("seed: 0", "failure_tolerance: -0.5\nseed: 0", "failure_tolerance"),
+            ("npop: 40", "npop: 3", "npop"),
+            ("max_generations: 15", "max_generations: 0", "max_generations"),
+            ("generations: 10}", "generations: 0}", "generations"),
+            ("tolerance: 1.0e-4", "tolerance: 0.0", "tolerance"),
+        ],
+        ids=[
+            "npts_0", "lower_above_upper", "m1_above_m2", "negative_failure_tolerance",
+            "npop_3", "max_generations_0", "generations_0", "tolerance_0",
+        ],
+    )
+    def test_range_rule_rejected(self, tmp_path, capsys, old, new, message):
+        # the rule is the type's own; the file is held to it before any output
+        path, outdir = write_tiny_config(tmp_path, **{old: new})
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not outdir.exists()
+
     def test_non_utf8_file_rejected(self, tmp_path, capsys):
         path, outdir = write_tiny_config(tmp_path)
         path.write_bytes((path.read_text() + "# plate: 60 \u00b5m\n").encode("latin-1"))
@@ -279,6 +340,15 @@ class TestLoadConfig:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("value", ["~", "''"], ids=["null", "empty"])
+    def test_output_dir_must_be_a_nonempty_string(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.chdir(tmp_path)
+        path, _ = write_tiny_config(tmp_path, outdir=value)
+        with pytest.raises(ConfigError, match="output_dir"):
+            load_config(path)
+        assert main(["solve", str(path)]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["tiny.config"]
 
     @pytest.mark.parametrize(
         "key, value", [("runs", 0), ("seed", -1), ("runs", 2.5), ("seed", True)],
@@ -392,6 +462,15 @@ class TestSolve:
         assert result["terminated_by"] == "max_generations"
 
     @pytest.mark.parametrize(
+        "flag, value", [("--seed", "-1"), ("--runs", "0")], ids=["seed", "runs"]
+    )
+    def test_invalid_override_rejected_before_artifacts(self, tmp_path, capsys, flag, value):
+        path, outdir = write_tiny_config(tmp_path)
+        assert main(["solve", str(path), flag, value]) == 1
+        assert flag in capsys.readouterr().err
+        assert not (outdir / "trace_0.csv").exists()
+
+    @pytest.mark.parametrize(
         "edits, message",
         [({"npts_per_dim: [2, 2, 2]": "npts_per_dim: [2, 2]", "  - [2.1, 2.8]\n": ""},
           "takes 3 coordinates, got 2")],
@@ -473,13 +552,25 @@ class TestSolve:
             sha.update(f"{path.name}\0{len(data)}\0".encode() + data)
         assert sha.hexdigest() == digest
 
-    def test_outer_value_below_stops_at_the_target(self, tmp_path, capsys):
+    def paper_config(self, tmp_path, outer_termination):
         path = tmp_path / "paper.config"
         text = PAPER_CONFIG.read_text()
         start = text.index("outer_termination:")
         end = text.index("seed:", start)
-        path.write_text(
-            text[:start] + "outer_termination: {rule: value_below, tolerance: -0.3}\n" + text[end:])
+        path.write_text(text[:start] + outer_termination + "\n" + text[end:])
+        return path
+
+    def test_outer_value_below_needs_a_negative_target(self, tmp_path, capsys):
+        # the outer cost is -P <= 0, so a target >= 0 would stop at generation 0
+        path = self.paper_config(tmp_path, "outer_termination: {rule: value_below, tolerance: 0.5}")
+        with pytest.raises(ConfigError, match="outer cost is -P"):
+            load_config(path)
+        outdir = tmp_path / "out"
+        assert main(["solve", str(path), "--output-dir", str(outdir)]) == 1
+        assert not outdir.exists()
+
+    def test_outer_value_below_stops_at_the_target(self, tmp_path, capsys):
+        path = self.paper_config(tmp_path, "outer_termination: {rule: value_below, tolerance: -0.3}")
         args = ["solve", str(path), "--seed", "0", "--runs", "1", "--output-dir", str(tmp_path)]
         assert main(args) == 0
         result = json.loads((tmp_path / "result_0.json").read_text())
@@ -555,8 +646,19 @@ class TestSolve:
             },
         }
 
+    def test_empty_output_dir_override_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        path, _ = write_tiny_config(tmp_path)
+        assert main(["solve", str(path), "--output-dir", ""]) == 1
+        assert "--output-dir" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["tiny.config"]
+
     def test_missing_config(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.config")]) == 1
+
+    def test_invalid_config(self, tmp_path, capsys):
+        path, _ = write_tiny_config(tmp_path, **{"npts_per_dim: [2, 2, 2]": "npts_per_dim: [0, 2, 2]"})
+        assert main(["solve", str(path)]) == 1
 
 
 def nan_above_2_7(h, theta, v):
