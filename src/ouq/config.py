@@ -10,8 +10,8 @@ Schema (all keys shown; unknown keys are rejected):
       - {lower: 2.1, upper: 2.8, unit: km_s}
     mean_band: [5.5, 7.5]                # edges [m1, m2] of the band of E
     failure_tolerance: 0.0
-    outer: {npop, cross_probability, scaling_factor, max_generations}
-    inner: {npop, cross_probability, scaling_factor, max_generations}
+    outer: {npop, max_generations}
+    inner: {npop, max_generations}
     outer_termination:                   # optional; omitted, the outer DE runs
       rule: change_over_generation       # to outer.max_generations
       tolerance: 1.0e-4
@@ -30,7 +30,7 @@ defaults belong to the types the values build (`RunConfig`, `ParamLayout`,
 `MeanConstraint`, `OUQProblem`, `DESettings`, the termination rules), so a
 file, a command-line flag and a library caller are held to the same rules.
 A type's ValueError is reported as a ConfigError under the key or flag it
-came from.
+came from, and every error of a file names its path once.
 
 The rules no type owns are checked here: the string shape (`response` and
 `output_dir` are non-empty strings) and the response probe: the response
@@ -259,16 +259,17 @@ def _check_response(name: str, bounds: tuple[tuple[float, float], ...]):
 
 
 def load_config(path) -> RunConfig:
-    """Parse a run configuration file, build its problem once and probe its response.
-
-    A ValueError, such as an undecodable file or a rule of the problem's
-    types, becomes a ConfigError prefixed with the path.
-    """
+    """Parse a run configuration file, build its problem once and probe its
+    response; every error is a ConfigError whose message starts with the path."""
     try:
-        config = _build(RunConfig, yaml.load(Path(path).read_text("utf-8"), _Loader), str(path))
+        doc = yaml.load(Path(path).read_text("utf-8"), _Loader)
+    except (ValueError, yaml.YAMLError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    config = _build(RunConfig, doc, str(path))
+    try:
         build_problem(config, config.seed)
         _check_response(config.response, config.bounds_per_dim)
-    except (ValueError, yaml.YAMLError) as exc:
+    except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return config
 
@@ -276,14 +277,14 @@ def load_config(path) -> RunConfig:
 def apply_overrides(
     config: RunConfig, seed=None, runs=None, output_dir=None
 ) -> RunConfig:
-    """Return `config` with the given command-line overrides, each checked
-    by the parser and the rule of the file key it replaces."""
+    """Return `config` with the given command-line overrides, each checked by the
+    parser and the rule of the file key it replaces, as `--flag: <key> ...`."""
     types = _type_hints(RunConfig)
     for key, value in {"seed": seed, "runs": runs, "output_dir": output_dir}.items():
         if value is not None:
             flag = "--" + key.replace("_", "-")
             try:
-                config = replace(config, **{key: _AS_TYPE[types[key]](value, flag)})
-            except ValueError as exc:
+                config = replace(config, **{key: _AS_TYPE[types[key]](value, key)})
+            except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"{flag}: {exc}") from exc
     return config

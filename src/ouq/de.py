@@ -34,21 +34,19 @@ def _check_count(name: str, value, minimum: int):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+# Best1Exp's crossover probability cr and scaling factor F, the same in every DE loop
+CROSS_PROBABILITY = 0.9
+SCALING_FACTOR = 0.9
+
+
 @dataclass(frozen=True)
 class DESettings:
     npop: int = 40
-    cross_probability: float = 0.9
-    scaling_factor: float = 0.9
     seed: int = 0
     max_generations: int = 1000
 
-    # Each test is written so that NaN fails it.
     def __post_init__(self):
         _check_count("npop", self.npop, 4)  # best + two candidates + target
-        if not 0.0 <= self.cross_probability <= 1.0:
-            raise ValueError(f"cross_probability must lie in [0, 1], got {self.cross_probability}")
-        if not self.scaling_factor > 0.0:
-            raise ValueError(f"scaling_factor must be positive, got {self.scaling_factor}")
         _check_count("max_generations", self.max_generations, 1)
         _check_count("seed", self.seed, 0)
 
@@ -148,10 +146,10 @@ def _draw_window(rngs, generation: int, npop: int, d: int, settings: DESettings)
     1..npop-1 from u0 and b uniform over the rest from u1, so the pair is
     uniform over ordered pairs of other rows.  The exponential crossover
     copies the donor into slot i's row over a cyclic run starting at
-    floor(u2*d), of length 1 plus the number of leading u3.. below cr
-    (geometric, at most d).  Returns the (runs, W, 2, npop) slots (a, b)
-    and the (runs, W, npop, d) mask of the coordinates where each trial
-    keeps its target, not the donor.
+    floor(u2*d), of length 1 plus the number of leading u3.. below
+    CROSS_PROBABILITY (geometric, at most d).  Returns the (runs, W, 2, npop)
+    slots (a, b) and the (runs, W, npop, d) mask of the coordinates where
+    each trial keeps its target, not the donor.
     """
     size = max(WINDOW_UNIFORMS // (len(rngs) * npop * (d + 2)), 1)
     u = np.empty((len(rngs), min(size, settings.max_generations + 1 - generation), npop, d + 2))
@@ -160,22 +158,22 @@ def _draw_window(rngs, generation: int, npop: int, d: int, settings: DESettings)
     # a = floor(u0 (npop - 1)) + 1, b = floor(u1 (npop - 2)) + 1, start = floor(u2 d)
     a, b = ((u[..., k] * (npop - 1 - k)).astype(np.intp) + 1 for k in (0, 1))
     start = (u[..., 2:3] * d).astype(np.intp)
-    below = u[..., 3:] < settings.cross_probability
+    below = u[..., 3:] < CROSS_PROBABILITY
     del u  # freed before the rest, which numpy buffers, so a window takes less memory
     pairs = (np.stack([a, b + (b >= a)], axis=2) + np.arange(npop)) % npop
     run = np.logical_and.accumulate(below, axis=3).sum(axis=3, keepdims=True)
     return pairs, (np.arange(d) - start) % d > run
 
 
-def _trials(pops, best, pairs, keep, settings: DESettings):
+def _trials(pops, best, pairs, keep):
     """One generation's trials of a stack of runs, (runs, npop, d) `pops` and
     (runs, d) `best`, from its slice of a window (`_draw_window`): run k's
-    slot i gets best[k] + F*(pops[k, a] - pops[k, b]), (a, b) = pairs[k, :, i],
-    or its target pops[k, i] where `keep` holds; the (runs * npop, d) trials
-    come run by run."""
+    slot i gets best[k] + F*(pops[k, a] - pops[k, b]), (a, b) = pairs[k, :, i]
+    and F = SCALING_FACTOR, or its target pops[k, i] where `keep` holds; the
+    (runs * npop, d) trials come run by run."""
     runs, npop, d = pops.shape
     rows = pops.reshape(-1, d)[pairs + np.arange(0, runs * npop, npop)[:, None, None]]
-    donors = best[:, None] + settings.scaling_factor * (rows[:, 0] - rows[:, 1])
+    donors = best[:, None] + SCALING_FACTOR * (rows[:, 0] - rows[:, 1])
     return np.where(keep, pops, donors).reshape(-1, d)
 
 
@@ -235,7 +233,7 @@ def de_lockstep(
         if generation:
             if not pairs.shape[1]:
                 pairs, keep = _draw_window([rngs[k] for k in live], generation, npop, d, settings)
-            block = _trials(pops, pops[rows, best], pairs[:, 0], keep[:, 0], settings)
+            block = _trials(pops, pops[rows, best], pairs[:, 0], keep[:, 0])
             pairs, keep = pairs[:, 1:], keep[:, 1:]
         else:  # generation 0 tries the initial draws themselves
             block = pops.reshape(-1, d)

@@ -24,7 +24,7 @@ from ouq import (
     ChangeOverGeneration, DESettings, MeanConstraint, event_probability, flatten, ouq_solve,
     perforation_area,
 )
-from ouq.de import ValueBelow, de_lockstep
+from ouq.de import CROSS_PROBABILITY, SCALING_FACTOR, ValueBelow, de_lockstep
 from ouq.errors import ConfigError, DomainError, InfeasibleConstrain
 from ouq.solver import InnerCounts, impose_expectation
 from ouq.cli import build_problem, main, measure_from_dict, measure_to_dict
@@ -158,8 +158,6 @@ class TestLoadConfig:
         assert cfg.mean_band == (5.5, 7.5)
         assert cfg.outer.npop == 40
         assert cfg.inner.npop == 20
-        assert cfg.outer.cross_probability == 0.9
-        assert cfg.outer.scaling_factor == 0.9
         assert cfg.outer_termination == ChangeOverGeneration(1e-4, 10)
         assert cfg.runs == 10
 
@@ -756,11 +754,16 @@ class TestMeasureSerialization:
 
 
 def de_picks(loop):
-    npop, scaling = f"{loop}: npop must be an integer >= 4", f"{loop}: scaling_factor must be positive"
+    npop = f"{loop}: npop must be an integer >= 4"
     return [
         ((loop, "npop"), [4, 6], [(3, npop), (0, npop)]),
         ((loop, "max_generations"), [1, 3], [(0, f"{loop}: max_generations must be an integer >= 1")]),
-        ((loop, "scaling_factor"), [0.9], [(0.0, scaling), (-0.5, scaling)]),
+        # Best1Exp's cr and F are constants of ouq.de: a key for either, even
+        # at their value 0.9, is unknown
+        *[
+            ((loop, key), [ABSENT], [(0.9, f"{loop} has unknown key(s): {key}")])
+            for key in ("cross_probability", "scaling_factor")
+        ],
     ]
 
 
@@ -778,10 +781,11 @@ OUTSIDE = "bounds_per_dim leave the domain of 'sphir-perforation' at"
 BAND = "mean band needs m1 < m2 and a finite d^2, got"
 OUTPUT_DIR = "output_dir must be a non-empty string, got"
 COG = "change_over_generation"
+ABSENT = object()  # the good pick of a key that no config may set
 
-# the 19 values of a small config: each one's path in the mapping, the picks
-# that keep its rule, and the picks that break it, each with a fragment of the
-# message of the rule that must reject it
+# the 21 values of a small config: each one's path in the mapping, the picks
+# that keep its rule (ABSENT leaves the key out), and the picks that break it,
+# each with a fragment of the message of the rule that must reject it
 CONFIG_PICKS = [
     (("response",), ["sphir-perforation"], [("sphir-perf", "no response named 'sphir-perf'")]),
     *[
@@ -856,7 +860,7 @@ CONFIG_PICKS = [
         ["out"],
         [
             (None, f"{OUTPUT_DIR} None"),
-            ("", "must be a non-empty string, got ''"),  # the flag's message names the flag
+            ("", f"{OUTPUT_DIR} ''"),
             (["a", "b"], f"{OUTPUT_DIR} ['a', 'b']"),
         ],
     ),
@@ -866,14 +870,15 @@ FLAG_TYPES = {"seed": int, "runs": int, "output_dir": str}
 
 
 def small_config(values):
-    """The config mapping with values[i] at the path of CONFIG_PICKS[i]."""
+    """The config mapping with values[i] at the path of CONFIG_PICKS[i], unless ABSENT."""
     raw = {"npts_per_dim": [None] * len(AXES), "bounds_per_dim": [None] * len(AXES), "outer": {},
            "inner": {}}
     for ((*parents, key), _, _), value in zip(CONFIG_PICKS, values, strict=True):
         target = raw
         for parent in parents:
             target = target[parent]
-        target[key] = value
+        if value is not ABSENT:
+            target[key] = value
     return raw
 
 
@@ -905,26 +910,28 @@ class TestRandomConfigs:
 
     @pytest.mark.parametrize("row, bad, fragment", BAD_PICKS)
     def test_bad_pick_fails_at_load(self, tmp_path, monkeypatch, capsys, row, bad, fragment):
-        """The pick's own rule rejects it at load, in the file and, where argparse
-        takes it, as the key's flag, before any output directory is made."""
+        """The pick's own rule rejects it at load, in the file, whose error
+        names the path once, and, where argparse takes it, as the key's flag,
+        whose error is `--flag: <key> ...`, before any output directory is made."""
         goods = [good[0] for _, good, _ in CONFIG_PICKS]
         monkeypatch.chdir(tmp_path)  # where the relative output_dir "out" would go
         path = tmp_path / "pick.config"
 
-        def fails(*override, prefix="error: "):
+        def fails(*override, prefix):
             assert main(["solve", str(path), *override]) == 1
             err = capsys.readouterr().err
             assert err.startswith(prefix) and len(err.splitlines()) == 1 and fragment in err
+            return err
 
         path.write_text(yaml.safe_dump(small_config(goods[:row] + [bad] + goods[row + 1:])))
         with pytest.raises(ConfigError, match=re.escape(fragment)):
             load_config(path)
-        fails()
+        assert fails(prefix=f"error: {path}").count(str(path)) == 1
         key = CONFIG_PICKS[row][0][0]
         if type(bad) is FLAG_TYPES.get(key):
             flag = "--" + key.replace("_", "-")
             path.write_text(yaml.safe_dump(small_config(goods)))
-            fails(flag, str(bad), prefix=f"error: {flag}")
+            fails(flag, str(bad), prefix=f"error: {flag}: {key} ")
         assert [p.name for p in tmp_path.iterdir()] == ["pick.config"]
 
 
@@ -988,9 +995,10 @@ class TestContract:
 
     def test_de_settings_fields(self):
         # the settable values of each DE loop (seed is set per run); there is
-        # one trial strategy, Best1Exp with exponential crossover
-        assert [f.name for f in fields(DESettings)] == [
-            "npop", "cross_probability", "scaling_factor", "seed", "max_generations"]
+        # one trial strategy, Best1Exp with exponential crossover, whose cr and
+        # F are the same constants in both loops
+        assert [f.name for f in fields(DESettings)] == ["npop", "seed", "max_generations"]
+        assert (CROSS_PROBABILITY, SCALING_FACTOR) == (0.9, 0.9)
 
     def test_mean_constraint_fields(self):
         # the band's one form is its edges; m and d are derived from them

@@ -26,10 +26,6 @@ class TestSettings:
         with pytest.raises(ValueError):
             DESettings(npop=3)
 
-    def test_cross_probability_domain(self):
-        with pytest.raises(ValueError):
-            DESettings(cross_probability=1.5)
-
     @pytest.mark.parametrize("key", ["npop", "max_generations"])
     @pytest.mark.parametrize(
         "value", [8.0, 8.5, True, np.float64(8.0)], ids=["float", "fraction", "bool", "np_float"]
@@ -83,8 +79,7 @@ def window_trials(rng, pop, best, settings, generations):
     settings = replace(settings, max_generations=generations)
     pairs, keep = _draw_window([rng], 1, *pop.shape, settings)
     return np.array([
-        _trials(pop[None], best[None], pairs[:, j], keep[:, j], settings)
-        for j in range(pairs.shape[1])
+        _trials(pop[None], best[None], pairs[:, j], keep[:, j]) for j in range(pairs.shape[1])
     ])
 
 
@@ -99,11 +94,12 @@ def build_trials(settings, pop, best, seed=0):
 
 
 class TestMutate:
-    def make(self, **kw):
-        return DESettings(npop=10, **kw)
+    def make(self):
+        return DESettings(npop=10)
 
-    def test_zero_scaling_standard(self):
-        settings = self.make(scaling_factor=1e-300)
+    def test_zero_scaling_standard(self, monkeypatch):
+        monkeypatch.setattr(de_mod, "SCALING_FACTOR", 1e-300)
+        settings = self.make()
         best = np.array([1.0, 2.0, 3.0])
         pop = 9.0 + np.arange(10.0)[:, None] + np.zeros(3)
         trials = build_trials(settings, pop, best)
@@ -121,8 +117,9 @@ class TestMutate:
             for t, b, g in zip(trial, best, c):
                 assert t == b or t == g
 
-    def test_standard_mutates_at_least_one_coordinate(self):
-        settings = self.make(cross_probability=0.0)
+    def test_standard_mutates_at_least_one_coordinate(self, monkeypatch):
+        monkeypatch.setattr(de_mod, "CROSS_PROBABILITY", 0.0)
+        settings = self.make()
         best = np.array([10.0, 10.0, 10.0])
         pop = np.zeros((10, 3))
         for seed in range(20):
@@ -134,12 +131,8 @@ class TestMutate:
 def generation_cases(draw):
     npop = draw(st.integers(4, 50))
     d = draw(st.integers(1, 14))
-    settings = DESettings(
-        npop=npop,
-        cross_probability=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
-        scaling_factor=1.0,
-    )
-    return settings, d, draw(st.integers(0, 2**32))
+    cr = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return DESettings(npop=npop), d, cr, draw(st.integers(0, 2**32))
 
 
 def indexed(npop, d):
@@ -178,7 +171,7 @@ class _Fixed:
         out[...] = self.row
 
 
-def best1exp(u, pop, best, de):
+def best1exp(u, pop, best):
     """One run's Best1Exp trials from one generation's (npop, d + 2) block of
     uniforms u, each slot from its own row: the candidates from u0 and u1,
     the crossover start from u2 and its length from u3.. (`_draw_window`)."""
@@ -187,9 +180,9 @@ def best1exp(u, pop, best, de):
     b = 1 + (u[:, 1] * (npop - 2)).astype(int)
     b += b >= a
     slots = np.arange(npop)
-    donors = best + de.scaling_factor * (pop[(slots + a) % npop] - pop[(slots + b) % npop])
+    donors = best + de_mod.SCALING_FACTOR * (pop[(slots + a) % npop] - pop[(slots + b) % npop])
     start = (u[:, 2] * d).astype(int)
-    run = 1 + np.logical_and.accumulate(u[:, 3:] < de.cross_probability, axis=1).sum(axis=1)
+    run = 1 + np.logical_and.accumulate(u[:, 3:] < de_mod.CROSS_PROBABILITY, axis=1).sum(axis=1)
     return np.where((np.arange(d) - start[:, None]) % d < run[:, None], donors, pop)
 
 
@@ -199,12 +192,7 @@ def window_cases(draw):
     is live (longer once some have left), a value_below target that ends
     them at different generations, and max_generations of 1 to 40."""
     npop, d = draw(st.integers(4, 50)), draw(st.integers(1, 14))
-    settings = DESettings(
-        npop=npop,
-        cross_probability=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
-        scaling_factor=draw(st.floats(0.1, 1.5)),
-        max_generations=draw(st.integers(1, 40)),
-    )
+    settings = DESettings(npop=npop, max_generations=draw(st.integers(1, 40)))
     seeds = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=4))
     budget = draw(st.integers(1, 7)) * len(seeds) * npop * (d + 2)
     return settings, d, seeds, draw(st.floats(0.0, 4.0)) * d, budget
@@ -216,23 +204,27 @@ class TestTrials:
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(case=generation_cases())
     def test_trials_are_best1exp(self, case):
-        de, d, seed = case
+        de, d, cr, seed = case
         pop, best = indexed(de.npop, d)
-        for trials in window_trials(np.random.default_rng(seed), pop, best, de, 3):
+        with patch.multiple(de_mod, CROSS_PROBABILITY=cr, SCALING_FACTOR=1.0):
+            drawn = window_trials(np.random.default_rng(seed), pop, best, de, 3)
+        for trials in drawn:
             for slot, (trial, target) in enumerate(zip(trials, pop)):
                 mutated = trial != target
                 # one cyclic run: at most one mutated coordinate follows an unmutated one
                 assert 1 <= mutated.sum() and np.sum(mutated & ~np.roll(mutated, 1)) <= 1
-                if de.cross_probability == 1.0:
+                if cr == 1.0:
                     assert mutated.all()
-                if de.cross_probability == 0.0:
+                if cr == 0.0:
                     assert mutated.sum() == 1
                 assert np.all(trial[mutated] == trial[mutated][0])
                 c1, c2 = candidates(trial[mutated][0])
                 assert len({slot, c1, c2}) == 3 and max(c1, c2) < de.npop
 
-    def test_every_pair_and_start_occurs(self):
-        de = DESettings(npop=4, cross_probability=0.0, scaling_factor=1.0)
+    def test_every_pair_and_start_occurs(self, monkeypatch):
+        monkeypatch.setattr(de_mod, "CROSS_PROBABILITY", 0.0)
+        monkeypatch.setattr(de_mod, "SCALING_FACTOR", 1.0)
+        de = DESettings(npop=4)
         pop, best = indexed(4, 3)
         seen = [set() for _ in range(4)]
         for seed in range(100):
@@ -280,7 +272,7 @@ class TestTrials:
             for generation in range(run.generations_run + 1):
                 if generation:
                     u = twin.random((npop, d + 2))
-                    trials = bounds.clip(best1exp(u, pop, pop[np.argmin(costs)], de))
+                    trials = bounds.clip(best1exp(u, pop, pop[np.argmin(costs)]))
                 else:
                     trials = bounds.clip(pop)
                 row = npop * sum(r.generations_run >= generation for r in runs[:k])
@@ -293,11 +285,12 @@ class TestTrials:
     # u just below 1 takes the two rows before the slot and mutates the last
     # coordinate only; u = 0 takes the two rows after it and mutates all
     @pytest.mark.parametrize("u, offsets", [(1 - 2**-53, (-1, -2)), (0.0, (1, 2))])
-    def test_extreme_uniforms_keep_indices_in_range(self, u, offsets):
+    def test_extreme_uniforms_keep_indices_in_range(self, monkeypatch, u, offsets):
+        monkeypatch.setattr(de_mod, "SCALING_FACTOR", 1.0)
         for npop in range(4, 51):
             for d in (1, 2, 13):
                 pop, best = indexed(npop, d)
-                trials = one_run(_Fixed(u), pop, best, DESettings(npop=npop, scaling_factor=1.0))
+                trials = one_run(_Fixed(u), pop, best, DESettings(npop=npop))
                 for slot, (trial, target) in enumerate(zip(trials, pop)):
                     mutated = np.flatnonzero(trial != target).tolist()
                     assert mutated == ([d - 1] if u else list(range(d)))
@@ -307,7 +300,7 @@ class TestTrials:
     def test_run_ends_at_the_first_uniform_not_below_cr(self):
         pop, best = indexed(4, 5)
         u = [0.0, 0.0, 0.0, 0.1, 0.95, 0.1, 0.1]  # start 0, then one continuation
-        trials = one_run(_Fixed(u), pop, best, DESettings(npop=4, cross_probability=0.9))
+        trials = one_run(_Fixed(u), pop, best, DESettings(npop=4))
         assert [np.flatnonzero(t != p).tolist() for t, p in zip(trials, pop)] == [[0, 1]] * 4
 
 
@@ -363,7 +356,8 @@ class TestDeSolve:
         )
         assert report.opt_params[0] == 1.0
 
-    def test_every_cost_input_is_in_bounds(self):
+    def test_every_cost_input_is_in_bounds(self, monkeypatch):
+        monkeypatch.setattr(de_mod, "SCALING_FACTOR", 2.5)
         bounds = Bounds.from_pairs([(-1.0, 2.0), (0.5, 3.0)])
         seen = []
 
@@ -373,7 +367,7 @@ class TestDeSolve:
 
         de_solve(
             recording_cost, bounds,
-            DESettings(npop=8, seed=5, scaling_factor=2.5, max_generations=30),
+            DESettings(npop=8, seed=5, max_generations=30),
         )
         assert seen
         for x in seen:

@@ -120,8 +120,6 @@ class TestNaNRejected:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: DESettings(scaling_factor=NAN),
-            lambda: DESettings(cross_probability=NAN),
             lambda: ChangeOverGeneration(tolerance=NAN),
             lambda: ValueBelow(NAN),
             lambda: MeanConstraint(NAN, 7.5),
@@ -129,8 +127,7 @@ class TestNaNRejected:
             lambda: replace(paper_problem(), failure_tolerance=NAN),
         ],
         ids=[
-            "scaling_factor", "cross_probability", "change_tolerance", "value_below_tolerance",
-            "band_m1", "band_m2", "failure_tolerance",
+            "change_tolerance", "value_below_tolerance", "band_m1", "band_m2", "failure_tolerance",
         ],
     )
     def test_nan_rejected(self, build):
@@ -338,12 +335,7 @@ def lockstep_cases(draw):
     at = [lo + draw(st.floats(0.0, 1.0)) * w for lo, w in zip(lows, widths)]
     value = float(response(*at)) + draw(st.sampled_from([0.0, 0.0, 0.0, 100.0]))
     below, above = (draw(st.sampled_from([0.01, 0.1, 0.5, 2.0])) for _ in range(2))
-    inner = DESettings(
-        npop=draw(st.integers(4, 8)),
-        cross_probability=draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
-        scaling_factor=draw(st.sampled_from([0.5, 0.9])),
-        max_generations=draw(st.integers(1, 8)),
-    )
+    inner = DESettings(npop=draw(st.integers(4, 8)), max_generations=draw(st.integers(1, 8)))
     problem = OUQProblem(
         response=response,
         layout=ParamLayout(npts, bounds),
